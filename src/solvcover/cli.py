@@ -12,16 +12,9 @@ import os
 import sys
 from pathlib import Path
 
+from . import cover
 from .constructions import build, parse_spec
-from .cover import (
-    EXACT,
-    INFEASIBLE,
-    INTERVAL,
-    MODE_ALL,
-    MODE_INVOLUTIONS,
-    SolveBudget,
-    solve_spec,
-)
+from .cover import INTERVAL, MODE_ALL, MODE_INVOLUTIONS, SolveBudget
 from .errors import SolvcoverError
 from .group import DEFAULT_CAP
 from .perm import format_cycles
@@ -39,13 +32,15 @@ def _cap_from(args) -> int:
 def cmd_solve(args) -> int:
     cap = _cap_from(args)
     spec = parse_spec(args.group)
-    budget = SolveBudget(time_limit=args.time_limit, node_limit=args.node_limit,
-                         jobs=args.jobs, deterministic=args.deterministic)
+    budget = SolveBudget(time_limit=args.time_limit, node_limit=args.node_limit)
     modes = [MODE_ALL, MODE_INVOLUTIONS] if args.mode == "both" else (
         [MODE_ALL] if args.mode == "all" else [MODE_INVOLUTIONS])
-    order = None
+    # one table serves every mode, so classes, radical and Sol are shared;
+    # product, wreath and sz specs go through solve_spec's own paths
+    table = order = None
     if spec.kind not in ("wreath", "product", "sz"):
-        order = build(spec, cap).order
+        table = build(spec, cap)
+        order = table.order
     elif spec.kind == "wreath" or spec.kind == "product":
         try:
             order = build(spec, cap).order
@@ -54,7 +49,10 @@ def cmd_solve(args) -> int:
     rec = ResultRecord(group=str(spec), order=order)
     exit_code = 0
     for mode in modes:
-        out = solve_spec(spec, mode, budget, cap)
+        if table is not None:
+            out = cover.solve_alpha(table, mode, budget)
+        else:
+            out = cover.solve_spec(spec, mode, budget, cap)
         orec = OutcomeRecord.from_outcome(out, with_certificate=args.emit_certificate)
         if mode == MODE_ALL:
             rec.alpha = orec
@@ -130,8 +128,6 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["all", "involutions", "both"], default="all")
     sp.add_argument("--time-limit", type=float, default=60.0)
     sp.add_argument("--node-limit", type=int, default=10 ** 7)
-    sp.add_argument("--deterministic", action="store_true", default=True)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--cap", type=int, default=None)
     sp.add_argument("--out", default=None, help="write a ResultRecord file")
     sp.add_argument("--emit-certificate", action="store_true")

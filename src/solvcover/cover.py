@@ -36,8 +36,6 @@ INFEASIBLE = "infeasible"
 class SolveBudget:
     time_limit: float = 60.0
     node_limit: int = 10 ** 7
-    jobs: int = 1
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.time_limit < 0 or self.node_limit < 0:
@@ -79,7 +77,7 @@ def greedy_cover(instance: CoverInstance) -> list[int]:
     while uncovered:
         best, best_n = None, 0
         for c in cands:
-            n = bin(c.row & uncovered).count("1")
+            n = (c.row & uncovered).bit_count()
             if n > best_n:  # scan order is element-ascending, so ties keep the least
                 best, best_n = c, n
         if best is None:
@@ -117,7 +115,7 @@ class _ClassCountingBound:
                     m |= 1 << u
             self.tmasks.append(m)
         self.k = [
-            [max(bin(cands[i].row & tm).count("1") for i in mem) for tm in self.tmasks]
+            [max((cands[i].row & tm).bit_count() for i in mem) for tm in self.tmasks]
             for mem in self.members
         ]
         self._memo: dict[tuple, int] = {}
@@ -127,11 +125,11 @@ class _ClassCountingBound:
         out = []
         for ti, tm in enumerate(self.tmasks):
             coeffs = {self.cls_ids[ci]: self.k[ci][ti] for ci in range(len(self.members))}
-            out.append((coeffs, bin(tm).count("1")))
+            out.append((coeffs, tm.bit_count()))
         return out
 
     def bound(self, uncovered: int, avail: int) -> int:
-        rhs = tuple(bin(uncovered & tm).count("1") for tm in self.tmasks)
+        rhs = tuple((uncovered & tm).bit_count() for tm in self.tmasks)
         ubs = tuple(sum(1 for i in mem if (avail >> i) & 1) for mem in self.members)
         key = (rhs, ubs)
         hit = self._memo.get(key)
@@ -232,12 +230,12 @@ class _Search:
         while a:
             i = (a & -a).bit_length() - 1
             a &= a - 1
-            c = bin(self.cands[i].row & uncovered).count("1")
+            c = (self.cands[i].row & uncovered).bit_count()
             if c > best_cov:
                 best_cov = c
         if best_cov == 0:
             return 1 << 30
-        nu = bin(uncovered).count("1")
+        nu = uncovered.bit_count()
         density = -(-nu // best_cov)
         packing, used = 0, 0
         u = uncovered
@@ -328,7 +326,7 @@ class _Search:
             t = (u & -u).bit_length() - 1
             u &= u - 1
             col = self.cols[t] & avail
-            n = bin(col).count("1")
+            n = col.bit_count()
             if n == 0:
                 return
             if n < pick_n:
@@ -341,7 +339,7 @@ class _Search:
             i = (a & -a).bit_length() - 1
             a &= a - 1
             order.append(i)
-        order.sort(key=lambda i: -bin(self.cands[i].row & uncovered).count("1"))
+        order.sort(key=lambda i: -(self.cands[i].row & uncovered).bit_count())
         excluded = 0
         for i in order:
             chosen.append(i)
@@ -357,24 +355,6 @@ def solve_exact(instance: CoverInstance, budget: Optional[SolveBudget] = None,
     out = _Search(instance).solve(budget, floor=instance.alpha_floor, root_symmetry=root_symmetry)
     out.notes = list(instance.notes)
     return out
-
-
-def brute_force_minimum(instance: CoverInstance, max_candidates: int = 20) -> Optional[int]:
-    """Exhaustive subset-search optimum for small instances (test oracle aid)."""
-    cands = instance.candidates
-    if len(cands) > max_candidates:
-        raise BadParameter("instance too large for subset enumeration")
-    full = instance.full_mask()
-    from itertools import combinations
-
-    for k in range(0, len(cands) + 1):
-        for combo in combinations(cands, k):
-            m = 0
-            for c in combo:
-                m |= c.row
-            if m == full:
-                return k
-    return None
 
 
 # -- pipelines --------------------------------------------------------------------
@@ -404,7 +384,7 @@ def solve_alpha(table: GroupTable, mode: str = MODE_ALL, budget: Optional[SolveB
         if len(radical) > 1:
             work = quotient_by(table, radical)
             quotient_level = True
-    inc = sol_incidence(work, jobs=budget.jobs)
+    inc = sol_incidence(work)
     try:
         inst = reduce_instance(inc, involutions_only=(mode == MODE_INVOLUTIONS))
     except InfeasibleUniverse:

@@ -12,7 +12,6 @@ fixes a deterministic element order reproducible across runs.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -29,10 +28,6 @@ from .perm import Permutation, perm_order
 
 DEFAULT_CAP = 20000
 
-#: derived_subgroup uses all-pairs commutators below this size, a generating
-#: subset above it (same subgroup either way, see derived_subgroup).
-_ALL_PAIRS_LIMIT = 768
-
 
 class GroupTable:
     """Fully enumerated permutation group with indexed elements."""
@@ -42,7 +37,6 @@ class GroupTable:
         self.order = len(imgs)
         self.degree = imgs.shape[1]
         self.generator_indices = list(generator_indices)
-        self._lock = threading.Lock()
         self._build_lookup()
         inv_imgs = np.empty_like(imgs)
         inv_imgs[np.arange(self.order)[:, None], imgs] = np.arange(self.degree)[None, :]
@@ -162,12 +156,10 @@ class GroupTable:
 
     def conj_perm(self, g: int) -> np.ndarray:
         """Full conjugation map t -> g t g^-1 as an index array (cached)."""
-        with self._lock:
-            cp = self._conj_cache.get(g)
+        cp = self._conj_cache.get(g)
         if cp is None:
             cp = self.conjugate_indices(g, np.arange(self.order))
-            with self._lock:
-                self._conj_cache[g] = cp
+            self._conj_cache[g] = cp
         return cp
 
     # -- closure -----------------------------------------------------------
@@ -357,29 +349,14 @@ def _require_subgroup(table: GroupTable, H: ElementSet):
 def derived_subgroup(table: GroupTable, H: ElementSet) -> ElementSet:
     """Subgroup generated by all commutators [a,b] with a,b in H.
 
-    Small sets get the literal all-pairs closure.  Large sets first extract a
-    generating subset g_1..g_k and close the conjugates of the generator
-    commutators instead, which generates the same subgroup (the commutator
-    subgroup is the normal closure of the generator commutators).
+    Computed as the normal closure in H of the commutators [g_i, g_j] of a
+    generating subset g_1..g_k of H.  That closure lies in H', and modulo it
+    the generators commute, so the quotient is abelian and the two agree.
     """
     _require_subgroup(table, H)
     idx = H.indices()
-    m = len(idx)
-    if m == 1:
+    if len(idx) == 1:
         return ElementSet.trivial(table)
-    if m <= _ALL_PAIRS_LIMIT:
-        comms = set()
-        inv = table.inverse_of
-        imgs = table.imgs
-        for a in idx.tolist():
-            ab = imgs[a][imgs[idx]]                       # a∘b for all b
-            binv_ab = np.take_along_axis(imgs[inv[idx]], ab, axis=1)
-            c = imgs[inv[a]][binv_ab]                     # a^-1 b^-1 a b
-            comms.update(table.lookup_images(c).tolist())
-        comms.discard(0)
-        out = ElementSet.from_indices(table, table.closure_indices(comms), is_subgroup=True)
-        out._gens = _generating_subset(table, sorted(out.indices().tolist()))
-        return out
     gens = H._gens if H._gens else _generating_subset(table, idx.tolist())
     comms = set()
     for a in gens:

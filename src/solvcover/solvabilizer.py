@@ -1,18 +1,25 @@
 """Solvabilizer sets, the maximal-solvable census, and cover-instance reduction.
 
 Sol(x) = { y : <x,y> is solvable }.  It is computed once per conjugacy class
-representative by pairwise closure (with two accelerations that change
-nothing about the result: a solvable <x,y> marks all of its elements as
-members at once, and any closure passing |G|/2 is the whole group, which is
-nonsolvable whenever G is).  Every other solvabilizer is materialized by
-conjugation equivariance: Sol(g x g^-1) = g Sol(x) g^-1.
+representative x by an orbit walk over the normalizer N = N_G(<x>).  Each g
+in N maps x to a generator x^k of <x>, so g<x,y>g^-1 = <x, g y g^-1> and the
+verdict is constant on each orbit of N acting on G by conjugation.  The walk
+takes the orbits in index order and settles each undecided one with a single
+closure <x,y> of its least element y:
+
+- a solvable <x,y> puts every orbit that meets <x,y> inside Sol(x);
+- a nonsolvable <x,y>, or a closure passing |G|/2 (the whole group, which is
+  nonsolvable whenever G is), puts outside the orbits of every y^j x^k with
+  gcd(j, |y|) = 1, since <x, y^j x^k> = <x, y>.
+
+Every other solvabilizer is materialized by conjugation equivariance:
+Sol(g x g^-1) = g Sol(x) g^-1.
 """
 
 from __future__ import annotations
 
-import threading
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,32 +38,63 @@ _PRIMES = frozenset(
 )
 
 
+def _power_rows(table: GroupTable, g: int) -> list[np.ndarray]:
+    """Image rows of g^1, g^2, ..., g^m = 1, where m is the order of g."""
+    rows = [table.imgs[g]]
+    for _ in range(int(table.order_of[g]) - 1):
+        rows.append(rows[0][rows[-1]])
+    return rows
+
+
+def _generator_rows(table: GroupTable, g: int) -> np.ndarray:
+    """Image rows of the generators g^j (gcd(j, |g|) = 1) of the cyclic group <g>."""
+    rows = _power_rows(table, g)
+    m = len(rows)
+    return np.stack([rows[j - 1] for j in range(1, m + 1) if math.gcd(j, m) == 1])
+
+
+def _normalizer_orbits(table: GroupTable, x: int) -> np.ndarray:
+    """Least element of each element's orbit under conjugation by N_G(<x>)."""
+    imgs = table.imgs
+    # g x g^-1 for every g, as (g∘x)[g^-1[p]]
+    conj = table.lookup_images(np.take_along_axis(imgs[:, imgs[x]], imgs[table.inverse_of], axis=1))
+    generates_x = np.zeros(table.order, dtype=bool)
+    generates_x[table.lookup_images(_generator_rows(table, x))] = True
+    normalizer = np.flatnonzero(generates_x[conj]).tolist()
+    label = np.arange(table.order)
+    perms = [table.conjugate_indices(g, label) for g in _generating_subset(table, normalizer)]
+    changed = True
+    while changed:
+        changed = False
+        for p in perms:
+            pulled = np.minimum(label, label[p])
+            if not np.array_equal(pulled, label):
+                label = pulled
+                changed = True
+    return label
+
+
 def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
-    """Sol(x) as a boolean mask, by pairwise subgroup closure."""
+    """Sol(x) as a boolean mask, by one closure per undecided N_G(<x>)-orbit."""
     n = table.order
-    group_nonsolvable = not table.is_group_solvable()
-    half = n // 2 if group_nonsolvable else None
-    sol = np.zeros(n, dtype=bool)
-    sol[table.closure_indices([x])] = True
-    inv = table.inverse_of
-    known_out = np.zeros(n, dtype=bool)
-    for y in range(1, n):
-        if sol[y]:
-            continue
-        if known_out[inv[y]]:
-            known_out[y] = True  # <x,y> = <x,y^-1>
+    half = None if table.is_group_solvable() else n // 2
+    label = _normalizer_orbits(table, x)
+    x_powers = _power_rows(table, x)
+    verdict = np.zeros(n, dtype=np.int8)  # per orbit label: 1 inside, -1 outside
+    for y in np.flatnonzero(label == np.arange(n)).tolist():
+        if verdict[y]:
             continue
         H = table.closure_indices([x, y], stop_above=half)
-        if H is None:
-            known_out[y] = True
-            continue
-        hs = ElementSet.from_indices(table, H, is_subgroup=True)
-        hs._gens = [x, y]
-        if is_solvable(table, hs):
-            sol[H] = True
-        else:
-            known_out[y] = True
-    return sol
+        if H is not None:
+            hs = ElementSet.from_indices(table, H, is_subgroup=True)
+            hs._gens = [x, y]
+            if is_solvable(table, hs):
+                verdict[label[H]] = 1
+                continue
+        y_gens = _generator_rows(table, y)
+        same = table.lookup_images(np.concatenate([y_gens[:, p] for p in x_powers]))  # y^j∘x^k
+        verdict[label[same]] = -1
+    return verdict[label] == 1
 
 
 class SolvabilizerIncidence:
@@ -73,7 +111,6 @@ class SolvabilizerIncidence:
         self.radical: ElementSet = table.solvable_radical_set()
         self._rep_sol: dict[int, np.ndarray] = {}
         self._sol_cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     def rep_sol(self, cid: int) -> np.ndarray:
         mask = self._rep_sol.get(cid)
@@ -83,19 +120,8 @@ class SolvabilizerIncidence:
                 mask = np.ones(self.table.order, dtype=bool)
             else:
                 mask = _sol_of_rep(self.table, rep)
-            with self._lock:
-                self._rep_sol[cid] = mask
+            self._rep_sol[cid] = mask
         return mask
-
-    def precompute_all(self, jobs: int = 1):
-        """Materialize every class (optionally across threads; results identical)."""
-        todo = [cid for cid in range(self.classes.count) if cid not in self._rep_sol]
-        if jobs > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(self.rep_sol, todo))
-        else:
-            for cid in todo:
-                self.rep_sol(cid)
 
     def sol(self, x: int) -> np.ndarray:
         """Sol(x) mask for any element, via Sol(x) = w Sol(rep) w^-1."""
@@ -126,14 +152,12 @@ def sol_of(table: GroupTable, x: int) -> ElementSet:
     return sol_incidence(table).sol_set(x)
 
 
-def sol_incidence(table: GroupTable, jobs: int = 1) -> SolvabilizerIncidence:
-    """Incidence structure, cached on the table; jobs > 1 prefetches every class."""
+def sol_incidence(table: GroupTable) -> SolvabilizerIncidence:
+    """Incidence structure, cached on the table."""
     inc = getattr(table, "_incidence", None)
     if inc is None:
         inc = SolvabilizerIncidence(table)
         table._incidence = inc
-    if jobs > 1:
-        inc.precompute_all(jobs)
     return inc
 
 
@@ -349,31 +373,24 @@ class CoverInstance:
 
 
 def maximal_cyclic_generators(table: GroupTable) -> list[int]:
-    """Canonical generator (least index among generators) per maximal cyclic subgroup."""
+    """Canonical generator (least index among generators) per maximal cyclic subgroup.
+
+    One pass over the power maps z -> z^k, k = 2..max order: <x> is strictly
+    inside a bigger cyclic subgroup exactly when x = z^k for some z of larger
+    order, and the generators of <x> are the powers x^k with gcd(k, |x|) = 1.
+    """
     n = table.order
-    by_subgroup: dict[bytes, int] = {}
-    masks: dict[bytes, int] = {}
-    for x in range(1, n):
-        idx = table.closure_indices([x])
-        fp = _fingerprint(n, idx)
-        if fp not in by_subgroup:
-            m = 0
-            for t in idx:
-                m |= 1 << t
-            masks[fp] = m
-            best = x
-            size = len(idx)
-            for t in idx:
-                if table.order_of[t] == size and t < best:
-                    best = t
-            by_subgroup[fp] = best
-    items = list(masks.items())
-    out = []
-    for fp, m in items:
-        if any(fp2 != fp and (m | m2) == m2 for fp2, m2 in items):
-            continue  # strictly inside a bigger cyclic subgroup
-        out.append(by_subgroup[fp])
-    return sorted(out)
+    orders = table.order_of
+    canonical = np.arange(n)
+    inside_bigger = np.zeros(n, dtype=bool)
+    rows = table.imgs
+    for k in range(2, int(orders.max()) + 1):
+        rows = np.take_along_axis(rows, table.imgs, axis=1)  # z^k = z^(k-1)∘z
+        power = table.lookup_images(rows)
+        inside_bigger[power[orders > orders[power]]] = True
+        gen = (k < orders) & (np.gcd(k, orders) == 1)
+        canonical[gen] = np.minimum(canonical[gen], power[gen])
+    return sorted(set(canonical[1:][~inside_bigger[1:]].tolist()))
 
 
 def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = False,
@@ -406,12 +423,11 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     notes.append(f"universe {len(universe)} maximal cyclic targets; raw candidates {len(cand_elems)}")
     # coverage rows via columns: t in Sol(x) iff x in Sol(t)
     rows = {x: 0 for x in cand_elems}
+    cand_arr = np.array(cand_elems, dtype=np.int64)
     for ui, t in enumerate(universe):
-        sol_t = incidence.sol(t)
         bit = 1 << ui
-        for x in cand_elems:
-            if sol_t[x]:
-                rows[x] |= bit
+        for x in cand_arr[incidence.sol(t)[cand_arr]].tolist():
+            rows[x] |= bit
     classes = incidence.classes
     # dedupe identical rows (keep least element), then drop dominated rows
     by_row: dict[int, int] = {}
@@ -422,7 +438,7 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
             by_row[r] = x
         else:
             merged[x] = by_row[r]
-    uniq = sorted(by_row.items(), key=lambda kv: (-bin(kv[0]).count("1"), kv[1]))
+    uniq = sorted(by_row.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
     if prune_dominated:
         kept: list[tuple[int, int]] = []
         for r, x in uniq:
@@ -438,7 +454,7 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         Candidate(x, int(orders[x]), orders[x] == 2, int(classes.class_of[x]), r)
         for r, x in sorted(kept, key=lambda rx: rx[1])
     ]
-    target_class = _target_orbits(table, universe)
+    target_class = _target_orbits(classes, table, universe)
     inst = CoverInstance(
         universe=universe,
         target_class=target_class,
@@ -456,20 +472,18 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     return inst
 
 
-def _target_orbits(table: GroupTable, universe: list[int]) -> list[int]:
-    """Conjugation-orbit id of each universe target's cyclic subgroup."""
-    subs = {ui: table.closure_indices([t]) for ui, t in enumerate(universe)}
-    fp_to_ui = {_fingerprint(table.order, idx): ui for ui, idx in subs.items()}
-    out = [-1] * len(universe)
-    nxt = 0
-    for ui in range(len(universe)):
-        if out[ui] >= 0:
-            continue
-        for fp in _conjugation_orbit(table, subs[ui]):
-            hit = fp_to_ui.get(fp)
-            if hit is not None:
-                out[hit] = nxt
-        nxt += 1
+def _target_orbits(classes: ClassPartition, table: GroupTable, universe: list[int]) -> list[int]:
+    """Conjugation-orbit id of each universe target's cyclic subgroup.
+
+    <s> and <t> are conjugate exactly when a generator of <s> is conjugate to
+    one of <t>, so the least conjugacy class among the generators of <t>
+    names the orbit; ids are numbered in order of first appearance.
+    """
+    ids: dict[int, int] = {}
+    out = []
+    for t in universe:
+        key = int(classes.class_of[table.lookup_images(_generator_rows(table, t))].min())
+        out.append(ids.setdefault(key, len(ids)))
     return out
 
 

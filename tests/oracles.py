@@ -6,6 +6,10 @@ no shortcuts, so engine results can be checked against an independent path.
 
 from itertools import combinations
 
+import numpy as np
+
+from solvcover.group import ElementSet, is_solvable
+
 
 def compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
@@ -103,6 +107,38 @@ def radical_pairwise(table):
         if ok:
             out.append(x)
     return out
+
+
+def sol_pairwise(table, x):
+    """Sol(x) as a boolean mask, by one closure <x,y> per element y.
+
+    The engine's former solvabilizer path, kept as the reference for the
+    orbit walk: a solvable <x,y> marks all of its elements as members, a
+    closure passing |G|/2 is the whole group, and <x,y^-1> = <x,y>.
+    """
+    n = table.order
+    half = n // 2 if not table.is_group_solvable() else None
+    sol = np.zeros(n, dtype=bool)
+    sol[table.closure_indices([x])] = True
+    inv = table.inverse_of
+    known_out = np.zeros(n, dtype=bool)
+    for y in range(1, n):
+        if sol[y]:
+            continue
+        if known_out[inv[y]]:
+            known_out[y] = True
+            continue
+        H = table.closure_indices([x, y], stop_above=half)
+        if H is None:
+            known_out[y] = True
+            continue
+        hs = ElementSet.from_indices(table, H, is_subgroup=True)
+        hs._gens = [x, y]
+        if is_solvable(table, hs):
+            sol[H] = True
+        else:
+            known_out[y] = True
+    return sol
 
 
 def min_cover_size(universe_masks, target=None, limit=None):

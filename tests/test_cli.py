@@ -122,9 +122,9 @@ def test_record_roundtrip():
 def test_records_stable_under_resolve(tmp_path):
     a = tmp_path / "one.result"
     b = tmp_path / "two.result"
-    run_cli("solve", "--group", "psl2(7)", "--mode", "both", "--deterministic",
+    run_cli("solve", "--group", "psl2(7)", "--mode", "both",
             "--emit-certificate", "--out", str(a))
-    run_cli("solve", "--group", "psl2(7)", "--mode", "both", "--deterministic",
+    run_cli("solve", "--group", "psl2(7)", "--mode", "both",
             "--emit-certificate", "--out", str(b))
     ra = ResultRecord.from_text(a.read_text())
     rb = ResultRecord.from_text(b.read_text())

@@ -130,6 +130,30 @@ def test_derived_matches_brute_oracle(s4):
         assert len(D) == len(brute)
 
 
+def _derived_against_oracle(table, H):
+    D = sc.derived_subgroup(table, H)
+    tuples = {tuple(table.imgs[i].tolist()) for i in H.indices()}
+    brute = {table.find_permutation(sc.Permutation(p)) for p in oracles.commutator_subgroup(tuples)}
+    assert set(D.indices().tolist()) == brute
+
+
+def test_derived_subgroup_on_every_subgroup_of_s4(s4):
+    elems = {tuple(s4.imgs[i].tolist()) for i in range(s4.order)}
+    subgroups = oracles.all_subgroups_upto(elems, s4.order)
+    assert len(subgroups) == 30
+    for sub in subgroups:
+        idx = [s4.find_permutation(sc.Permutation(p)) for p in sub]
+        _derived_against_oracle(s4, sc.ElementSet.from_indices(s4, idx, is_subgroup=True))
+
+
+def test_derived_subgroup_on_two_generated_subgroups(s5, psl27):
+    rng = np.random.default_rng(11)
+    for table in (s5, psl27):
+        for _ in range(8):
+            seeds = [int(s) for s in rng.integers(1, table.order, size=2)]
+            _derived_against_oracle(table, sc.subgroup_closure(table, seeds))
+
+
 def test_is_solvable_examples(a5):
     # D10 inside A5
     seeds = None

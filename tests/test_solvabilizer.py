@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import solvcover as sc
+from solvcover.solvabilizer import _sol_of_rep
 
 import oracles
 
@@ -52,6 +53,40 @@ def test_sol_of_matches_pairwise_definition(a5):
             H = a5.closure_indices([int(x), int(y)])
             perms = {tuple(a5.imgs[i].tolist()) for i in H}
             assert mask[int(y)] == oracles.is_solvable_brute(perms)
+
+
+#: Golden-table groups; the four largest take about 40 s more with the pairwise oracle.
+SOL_GROUPS = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)",
+              "psl2(8)", "psl2(11)", "m10", "pgl2(9)", "symmetric(6)"] + [
+    pytest.param(g, marks=pytest.mark.slow)
+    for g in ("psl2(13)", "pgl2(11)", "pgammal2(9)", "pgammal2(8)")]
+
+
+@pytest.mark.parametrize("spec_text", SOL_GROUPS)
+def test_sol_orbit_walk_matches_pairwise(spec_text):
+    table = sc.build(sc.parse_spec(spec_text))
+    reference = sc.build(sc.parse_spec(spec_text))  # own solvability cache
+    inc = sc.sol_incidence(table)
+    for cid, rep in enumerate(inc.classes.representatives):
+        if rep == 0 or rep in inc.radical:
+            continue
+        assert inc.rep_sol(cid).tobytes() == oracles.sol_pairwise(reference, rep).tobytes()
+
+
+def test_sol_orbit_walk_matches_pairwise_outside_radical(sl25):
+    inc = sc.sol_incidence(sl25)
+    assert len(inc.radical) == 2
+    for x in range(1, sl25.order):
+        if x not in inc.radical:
+            assert _sol_of_rep(sl25, x).tobytes() == oracles.sol_pairwise(sl25, x).tobytes()
+
+
+def test_sol_equivariance_every_element():
+    table = sc.build(sc.pgl2(7))
+    inc = sc.sol_incidence(table)
+    assert len(inc.radical) == 1
+    for x in range(1, table.order):
+        assert np.array_equal(_sol_of_rep(table, x), inc.sol(x))
 
 
 # -- census ---------------------------------------------------------------------
@@ -130,6 +165,17 @@ def test_a5_universe_composition(a5, a5_instance):
     for t in a5_instance.universe:
         by_order[int(a5.order_of[t])] = by_order.get(int(a5.order_of[t]), 0) + 1
     assert by_order == {5: 6, 3: 10, 2: 15}
+
+
+@pytest.mark.parametrize("spec_text", ["symmetric(4)", "dihedral(12)", "gl2(3)", "alternating(5)",
+                                       "symmetric(5)", "psl2(7)"])
+def test_universe_matches_brute_maximal_cyclic(spec_text):
+    table = sc.build(sc.parse_spec(spec_text))
+    universe = sc.maximal_cyclic_generators(table)
+    subgroups = [frozenset(table.closure_indices([t])) for t in universe]
+    assert set(subgroups) == oracles.maximal_cyclic_brute(table)
+    for t, sub in zip(universe, subgroups):
+        assert t == min(u for u in sub if table.order_of[u] == table.order_of[t])
 
 
 def test_a5_involution_covers_two_c5_targets(a5, a5_instance):
