@@ -316,8 +316,8 @@ def _squished_generators(spec_a: GroupSpec, spec_b: GroupSpec, cap: int) -> list
     if len(subs_a) != 1 or len(subs_b) != 1:
         raise BadParameter("squished product needs a unique index-2 subgroup on both sides")
     S, T = subs_a[0], subs_b[0]
-    gens_s = [ta.permutation(i) for i in S._gens]
-    gens_t = [tb.permutation(i) for i in T._gens]
+    gens_s = [ta.permutation(i) for i in S.gens]
+    gens_t = [tb.permutation(i) for i in T.gens]
     a0 = int(np.where(~S.mask)[0][0])
     b0 = int(np.where(~T.mask)[0][0])
     da, db = ta.degree, tb.degree
@@ -334,7 +334,7 @@ def _m10_generators(cap: int) -> list[Permutation]:
     frob = t.find_permutation(frobenius_permutation(F))
     for H in index_two_subgroups(t):
         if mult not in H and frob not in H:
-            return [t.permutation(i) for i in H._gens]
+            return [t.permutation(i) for i in H.gens]
     raise BadParameter("M10 not found inside PGammaL(2,9)")  # unreachable
 
 

@@ -59,11 +59,16 @@ class CoverOutcome:
         return self.lower if self.status == EXACT else None
 
     def render(self) -> str:
-        if self.status == INFEASIBLE:
-            return "inf"
-        if self.status == EXACT:
-            return str(self.lower)
-        return f"[{self.lower},{self.upper}]"
+        return render_outcome(self.status, self.lower, self.upper)
+
+
+def render_outcome(status: str, lower: int, upper: Optional[int]) -> str:
+    """"inf" when infeasible, the value when exact, "[lower,upper]" otherwise."""
+    if status == INFEASIBLE:
+        return "inf"
+    if status == EXACT:
+        return str(lower)
+    return f"[{lower},{upper}]"
 
 
 # -- bounds ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ fixes a deterministic element order reproducible across runs.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +43,6 @@ class GroupTable:
         inv_imgs[np.arange(self.order)[:, None], imgs] = np.arange(self.degree)[None, :]
         self.inverse_of = self.lookup_images(inv_imgs)
         self.order_of = np.array([perm_order(imgs[i]) for i in range(self.order)])
-        self._conj_cache: dict[int, np.ndarray] = {}
         self._solvable_cache: dict[bytes, bool] = {}
         self._classes: Optional[ClassPartition] = None
         self._radical: Optional[ElementSet] = None
@@ -154,14 +154,6 @@ class GroupTable:
         """Indices of g t g^-1 for each t in idx."""
         return self.mul_right(self.mul_left(g, idx), int(self.inverse_of[g]))
 
-    def conj_perm(self, g: int) -> np.ndarray:
-        """Full conjugation map t -> g t g^-1 as an index array (cached)."""
-        cp = self._conj_cache.get(g)
-        if cp is None:
-            cp = self.conjugate_indices(g, np.arange(self.order))
-            self._conj_cache[g] = cp
-        return cp
-
     # -- closure -----------------------------------------------------------
 
     def closure_indices(self, seeds: Iterable[int], stop_above: Optional[int] = None) -> Optional[list[int]]:
@@ -208,9 +200,7 @@ class GroupTable:
 
     def is_group_solvable(self) -> bool:
         if self._group_solvable is None:
-            full = ElementSet.full(self)
-            full._gens = list(self.generator_indices)
-            self._group_solvable = is_solvable(self, full)
+            self._group_solvable = is_solvable(self, ElementSet.full(self))
         return self._group_solvable
 
     def involution_indices(self) -> np.ndarray:
@@ -221,30 +211,39 @@ class GroupTable:
 
 
 class ElementSet:
-    """Subset of one GroupTable's elements as a boolean mask."""
+    """Subset of one GroupTable's elements as a boolean mask.
 
-    def __init__(self, owner: GroupTable, mask: np.ndarray, is_subgroup: bool = False):
+    ``gens`` lists element indices that generate the set when it is a
+    subgroup with known generators (None otherwise).  The constructors in
+    this module fill it, so derived series start from it instead of
+    searching for a generating subset.
+    """
+
+    def __init__(self, owner: GroupTable, mask: np.ndarray, is_subgroup: bool = False,
+                 gens: Optional[list[int]] = None):
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (owner.order,):
             raise BadParameter("mask length must equal group order")
         self.owner = owner
         self.mask = mask
         self.is_subgroup = is_subgroup
-        self._gens: Optional[list[int]] = None  # generating subset, when known
+        self.gens = gens
 
     @classmethod
-    def from_indices(cls, owner: GroupTable, indices: Iterable[int], is_subgroup: bool = False) -> "ElementSet":
+    def from_indices(cls, owner: GroupTable, indices: Iterable[int], is_subgroup: bool = False,
+                     gens: Optional[list[int]] = None) -> "ElementSet":
         mask = np.zeros(owner.order, dtype=bool)
         mask[list(indices)] = True
-        return cls(owner, mask, is_subgroup)
+        return cls(owner, mask, is_subgroup, gens)
 
     @classmethod
     def full(cls, owner: GroupTable) -> "ElementSet":
-        return cls(owner, np.ones(owner.order, dtype=bool), is_subgroup=True)
+        return cls(owner, np.ones(owner.order, dtype=bool), is_subgroup=True,
+                   gens=list(owner.generator_indices))
 
     @classmethod
     def trivial(cls, owner: GroupTable) -> "ElementSet":
-        return cls.from_indices(owner, [0], is_subgroup=True)
+        return cls.from_indices(owner, [0], is_subgroup=True, gens=[0])
 
     def indices(self) -> np.ndarray:
         return np.where(self.mask)[0]
@@ -314,14 +313,12 @@ def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -
 
 
 def subgroup_closure(table: GroupTable, seeds: Iterable[int]) -> ElementSet:
-    """Smallest subgroup containing the seed elements."""
+    """Smallest subgroup containing the seed elements; its ``gens`` are the seeds."""
     seeds = [int(s) for s in seeds]
     if any(s < 0 or s >= table.order for s in seeds):
         raise BadParameter("seed index out of range")
-    idx = table.closure_indices(seeds)
-    out = ElementSet.from_indices(table, idx, is_subgroup=True)
-    out._gens = sorted(dict.fromkeys(s for s in seeds if s != 0)) or [0]
-    return out
+    gens = sorted(dict.fromkeys(s for s in seeds if s != 0)) or [0]
+    return ElementSet.from_indices(table, table.closure_indices(seeds), is_subgroup=True, gens=gens)
 
 
 def _generating_subset(table: GroupTable, indices: list[int]) -> list[int]:
@@ -346,50 +343,86 @@ def _require_subgroup(table: GroupTable, H: ElementSet):
         H.is_subgroup = True
 
 
+def _commutators(table: GroupTable, gens: Sequence[int]) -> set[int]:
+    """Nontrivial commutators [a,b] = a^-1 b^-1 a b, one per unordered pair of gens.
+
+    [b,a] = [a,b]^-1 and [a,a] = 1, so these generate the same subgroup (and
+    the same normal closure) as the commutators of all ordered pairs.
+    """
+    g = np.asarray(gens, dtype=np.int64)
+    i, j = np.triu_indices(len(g), k=1)
+    a, b = g[i], g[j]
+    imgs, inv = table.imgs, table.inverse_of
+    ab = np.take_along_axis(imgs[a], imgs[b], axis=1)
+    comm = np.take_along_axis(imgs[inv[a]], np.take_along_axis(imgs[inv[b]], ab, axis=1), axis=1)
+    out = set(table.lookup_images(comm).tolist())
+    out.discard(0)
+    return out
+
+
+def _left_cosets(table: GroupTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left cosets xH of the subgroup with indices idx.
+
+    Returns the coset id of every element and the least element of each coset
+    (coset ids are numbered in order of their least element).
+    """
+    coset_of = np.full(table.order, -1, dtype=np.int64)
+    reps = []
+    for x in range(table.order):
+        if coset_of[x] < 0:
+            coset_of[table.mul_left(x, idx)] = len(reps)
+            reps.append(x)
+    return coset_of, np.array(reps)
+
+
+def _is_normal(table: GroupTable, idx: np.ndarray) -> bool:
+    """Whether the sorted indices idx are closed under conjugation by the group."""
+    return all(np.array_equal(np.sort(table.conjugate_indices(g, idx)), idx)
+               for g in table.generator_indices)
+
+
 def derived_subgroup(table: GroupTable, H: ElementSet) -> ElementSet:
     """Subgroup generated by all commutators [a,b] with a,b in H.
 
     Computed as the normal closure in H of the commutators [g_i, g_j] of a
-    generating subset g_1..g_k of H.  That closure lies in H', and modulo it
-    the generators commute, so the quotient is abelian and the two agree.
+    generating set g_1..g_k of H (``H.gens``, or a generating subset found
+    when H carries none).  That closure lies in H', and modulo it the
+    generators commute, so the quotient is abelian and the two agree.  The
+    result carries the generators its normal closure was built from.
     """
     _require_subgroup(table, H)
-    idx = H.indices()
-    if len(idx) == 1:
-        return ElementSet.trivial(table)
-    gens = H._gens if H._gens else _generating_subset(table, idx.tolist())
-    comms = set()
-    for a in gens:
-        for b in gens:
-            ab = table.mul(a, b)
-            ba = table.mul(b, a)
-            comms.add(table.mul(int(table.inverse_of[ba]), ab))
-    comms.discard(0)
+    gens = H.gens or _generating_subset(table, H.indices().tolist())
+    comms = _commutators(table, gens)
     if not comms:
         return ElementSet.trivial(table)
-    sub = _normal_closure_within(table, sorted(comms), gens)
-    out = ElementSet.from_indices(table, sub, is_subgroup=True)
-    out._gens = _generating_subset(table, sub)
-    return out
+    sub, sub_gens = _normal_closure_within(table, sorted(comms), gens)
+    return ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)
 
 
-def _normal_closure_within(table: GroupTable, seeds: list[int], ambient_gens: list[int]) -> list[int]:
-    """Smallest subgroup containing seeds and closed under conjugation by ambient_gens."""
+def _normal_closure_within(table: GroupTable, seeds: list[int], ambient_gens: Sequence[int],
+                           stop_above: Optional[int] = None) -> tuple[Optional[list[int]], Optional[list[int]]]:
+    """Smallest subgroup containing seeds and closed under conjugation by ambient_gens.
+
+    Returns ``(elements, generators)``: the sorted element indices and a
+    generating list for them (the seeds followed by the conjugates adjoined
+    along the way).  Returns ``(None, None)`` as soon as a closure has more
+    than stop_above elements.
+    """
     gens = list(seeds)
-    cur = table.closure_indices(gens)
     while True:
+        cur = table.closure_indices(gens, stop_above=stop_above)
+        if cur is None:
+            return None, None
         cur_arr = np.array(cur)
         inset = np.zeros(table.order, dtype=bool)
         inset[cur_arr] = True
         new = set()
         for g in ambient_gens:
             img = table.conjugate_indices(int(g), cur_arr)
-            out = img[~inset[img]]
-            new.update(out.tolist())
+            new.update(img[~inset[img]].tolist())
         if not new:
-            return cur
+            return cur, gens
         gens.extend(sorted(new)[:4])
-        cur = table.closure_indices(gens)
 
 
 def is_solvable(table: GroupTable, H: ElementSet) -> bool:
@@ -415,7 +448,8 @@ def is_solvable(table: GroupTable, H: ElementSet) -> bool:
 
 def _compute_classes(table: GroupTable) -> ClassPartition:
     gens = table.generator_indices
-    cps = [table.conj_perm(g) for g in gens]
+    everything = np.arange(table.order)
+    cps = [table.conjugate_indices(g, everything) for g in gens]
     class_of = np.full(table.order, -1, dtype=np.int64)
     conjor = np.zeros(table.order, dtype=np.int64)
     reps = []
@@ -448,26 +482,31 @@ def _compute_radical(table: GroupTable) -> ElementSet:
     x lies in the solvable radical exactly when its normal closure <x^G> is
     solvable, and that matches the pairwise description { x : all <x,y>
     solvable } by the radical characterization the rest of the library leans
-    on.  Verified as a normal solvable subgroup before returning.
+    on.  When G is nonsolvable, a normal closure with more than |G|/2
+    elements is G itself, so its closure is cut off there.  The radical's
+    ``gens`` are the generators of the solvable normal closures it unites.
+    Verified as a normal solvable subgroup before returning.
     """
     classes = table.conjugacy_classes()
+    half = None if table.is_group_solvable() else table.order // 2
     rad = np.zeros(table.order, dtype=bool)
     rad[0] = True
+    gens: list[int] = []
     for rep in classes.representatives:
         if rep == 0 or rad[rep]:
             continue
-        sub = _normal_closure_within(table, [rep], table.generator_indices)
-        H = ElementSet.from_indices(table, sub, is_subgroup=True)
-        H._gens = _generating_subset(table, sub)
+        sub, sub_gens = _normal_closure_within(table, [rep], table.generator_indices, stop_above=half)
+        if sub is None:
+            continue
+        H = ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)
         if is_solvable(table, H):
             rad |= H.mask
-    out = ElementSet(table, rad, is_subgroup=True)
+            gens += sub_gens
+    out = ElementSet(table, rad, is_subgroup=True, gens=list(dict.fromkeys(gens)) or [0])
     if not out.verify_subgroup():
         raise InternalInconsistency("radical candidate is not a subgroup")
-    for g in table.generator_indices:
-        if not np.array_equal(np.sort(table.conjugate_indices(g, out.indices())), out.indices()):
-            raise InternalInconsistency("radical candidate is not normal")
-    out._gens = _generating_subset(table, out.indices().tolist())
+    if not _is_normal(table, out.indices()):
+        raise InternalInconsistency("radical candidate is not normal")
     if not is_solvable(table, out):
         raise InternalInconsistency("radical candidate is not solvable")
     return out
@@ -482,21 +521,11 @@ def quotient_by(table: GroupTable, N: ElementSet) -> GroupTable:
     """Permutation table of G/N via the action on left cosets of N."""
     _require_subgroup(table, N)
     n_idx = N.indices()
-    for g in table.generator_indices:
-        if not np.array_equal(np.sort(table.conjugate_indices(g, n_idx)), n_idx):
-            raise NotNormal("subgroup is not normal")
-    coset_of = np.full(table.order, -1, dtype=np.int64)
-    reps = []
-    for x in range(table.order):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[table.lookup_images(table.imgs[x][table.imgs[n_idx]])] = len(reps)
-        reps.append(x)
+    if not _is_normal(table, n_idx):
+        raise NotNormal("subgroup is not normal")
+    coset_of, reps = _left_cosets(table, n_idx)
     k = len(reps)
-    qgens = []
-    for g in table.generator_indices:
-        arr = np.array([coset_of[table.mul(g, r)] for r in reps])
-        qgens.append(Permutation(arr))
+    qgens = [Permutation(coset_of[table.mul_left(g, reps)]) for g in table.generator_indices]
     qt = GroupTable.from_generators(qgens, cap=max(k, 1))
     if qt.order != k:
         raise InternalInconsistency("coset action kernel is larger than N")
@@ -504,36 +533,26 @@ def quotient_by(table: GroupTable, N: ElementSet) -> GroupTable:
 
 
 def index_two_subgroups(table: GroupTable) -> list[ElementSet]:
-    """All index-2 subgroups, via the subgroup generated by squares and commutators."""
+    """All index-2 subgroups, via the subgroup generated by squares and commutators.
+
+    Each result carries a small generating subset of itself as ``gens``;
+    ``constructions`` builds M10 and squished products from them, so they fix
+    the element order of those tables.
+    """
     squares = np.take_along_axis(table.imgs, table.imgs, axis=1)
-    seed = set(table.lookup_images(squares).tolist())
-    for a in table.generator_indices:
-        for b in table.generator_indices:
-            ab = table.mul(a, b)
-            ba = table.mul(b, a)
-            seed.add(table.mul(int(table.inverse_of[ba]), ab))
+    seed = set(table.lookup_images(squares).tolist()) | _commutators(table, table.generator_indices)
     seed.discard(0)
     S = table.closure_indices(sorted(seed))
     k = table.order // len(S)
     if k == 1:
         return []
-    s_arr = np.array(S)
-    coset_of = np.full(table.order, -1, dtype=np.int64)
-    reps = []
-    for x in range(table.order):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[table.lookup_images(table.imgs[x][table.imgs[s_arr]])] = len(reps)
-        reps.append(x)
-    qmul = [[int(coset_of[table.mul(reps[i], reps[j])]) for j in range(k)] for i in range(k)]
+    coset_of, reps = _left_cosets(table, np.array(S))
+    qmul = [coset_of[table.mul_left(r, reps)].tolist() for r in reps]
     out = []
-    import itertools
-
     for combo in itertools.combinations(range(1, k), k // 2 - 1):
         sub = {0, *combo}
         if all(qmul[a][b] in sub for a in sub for b in sub):
             mask = np.isin(coset_of, list(sub))
-            es = ElementSet(table, mask, is_subgroup=True)
-            es._gens = _generating_subset(table, np.where(mask)[0].tolist())
-            out.append(es)
+            gens = _generating_subset(table, np.where(mask)[0].tolist())
+            out.append(ElementSet(table, mask, is_subgroup=True, gens=gens))
     return out

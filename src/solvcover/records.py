@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cover import EXACT, INFEASIBLE, CoverOutcome
+from .cover import CoverOutcome, render_outcome
 from .errors import BadParameter
 from .perm import Permutation, format_cycles, min_degree_of, parse_cycles
 
@@ -38,11 +38,7 @@ class OutcomeRecord:
                    out.quotient_level, cert)
 
     def render_value(self) -> str:
-        if self.status == INFEASIBLE:
-            return "inf"
-        if self.status == EXACT:
-            return str(self.lower)
-        return f"[{self.lower},{self.upper}]"
+        return render_outcome(self.status, self.lower, self.upper)
 
 
 @dataclass

@@ -86,9 +86,7 @@ def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
             continue
         H = table.closure_indices([x, y], stop_above=half)
         if H is not None:
-            hs = ElementSet.from_indices(table, H, is_subgroup=True)
-            hs._gens = [x, y]
-            if is_solvable(table, hs):
+            if is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True, gens=[x, y])):
                 verdict[label[H]] = 1
                 continue
         y_gens = _generator_rows(table, y)
@@ -162,31 +160,24 @@ def sol_incidence(table: GroupTable) -> SolvabilizerIncidence:
 
 
 def union_check(incidence: SolvabilizerIncidence, involutions_only: bool = False) -> bool:
-    """Whether the solvabilizers of the (chosen) nonradical elements cover G."""
+    """Whether the solvabilizers of the (chosen) nonradical elements cover G.
+
+    The union of Sol(x) over the class of x is the closure of Sol(rep) under
+    conjugation, which is the union of the conjugacy classes that Sol(rep)
+    meets; so G is covered exactly when every class is met.
+    """
     table = incidence.table
-    union = np.zeros(table.order, dtype=bool)
-    gens = table.generator_indices
-    for cid, rep in enumerate(incidence.classes.representatives):
+    classes = incidence.classes
+    covered = np.zeros(classes.count, dtype=bool)
+    for cid, rep in enumerate(classes.representatives):
         if rep == 0 or rep in incidence.radical:
             continue
         if involutions_only and table.order_of[rep] != 2:
             continue
-        # close the rep's solvabilizer under conjugation = union over the class
-        mask = incidence.rep_sol(cid).copy()
-        changed = True
-        while changed:
-            changed = False
-            idx = np.where(mask)[0]
-            for g in gens:
-                img = table.conjugate_indices(g, idx)
-                fresh = img[~mask[img]]
-                if len(fresh):
-                    mask[fresh] = True
-                    changed = True
-        union |= mask
-        if union.all():
+        covered[classes.class_of[incidence.rep_sol(cid)]] = True
+        if covered.all():
             return True
-    return bool(union.all())
+    return False
 
 
 # -- maximal solvable census ---------------------------------------------------
@@ -232,8 +223,7 @@ def maximal_solvable_subgroups(table: GroupTable, warn: bool = True) -> MaximalS
         import warnings
 
         warnings.warn("census on a group with nontrivial radical", stacklevel=2)
-    n = table.order
-    seeds: dict[bytes, list[int]] = {}
+    seeds: dict[bytes, tuple[list[int], list[int]]] = {}  # fingerprint -> (elements, generators)
     for cid, rep in enumerate(inc.classes.representatives):
         if rep == 0 or rep in inc.radical:
             continue
@@ -241,14 +231,11 @@ def maximal_solvable_subgroups(table: GroupTable, warn: bool = True) -> MaximalS
             if y == 0:
                 continue
             H = table.closure_indices([rep, y])
-            fp = _fingerprint(n, H)
-            if fp not in seeds:
-                seeds[fp] = H
-    seed_reps = _orbit_representatives(table, list(seeds.values()))
+            seeds.setdefault(ElementSet.from_indices(table, H).fingerprint(), (H, [rep, y]))
     maximal: dict[bytes, list[int]] = {}
-    for seed in seed_reps:
-        ext = _extend_to_maximal_solvable(table, seed)
-        maximal[_fingerprint(n, ext)] = ext
+    for seed, gens in _orbit_representatives(table, list(seeds.values())):
+        ext = _extend_to_maximal_solvable(table, seed, gens)
+        maximal[ElementSet.from_indices(table, ext).fingerprint()] = ext
     # saturate under conjugation, then classify
     subgroups: list[ElementSet] = []
     class_of: list[int] = []
@@ -271,49 +258,41 @@ def maximal_solvable_subgroups(table: GroupTable, warn: bool = True) -> MaximalS
     return MaximalSolvableCensus(subgroups, class_of, class_orders, class_counts)
 
 
-def _fingerprint(n: int, indices: list[int]) -> bytes:
-    mask = np.zeros(n, dtype=bool)
-    mask[indices] = True
-    return np.packbits(mask).tobytes()
-
-
 def _conjugation_orbit(table: GroupTable, indices: list[int]) -> dict[bytes, list[int]]:
-    orbit = {_fingerprint(table.order, indices): sorted(indices)}
+    orbit = {ElementSet.from_indices(table, indices).fingerprint(): sorted(indices)}
     stack = [sorted(indices)]
     while stack:
         cur = np.array(stack.pop())
         for g in table.generator_indices:
             img = sorted(table.conjugate_indices(g, cur).tolist())
-            fp = _fingerprint(table.order, img)
+            fp = ElementSet.from_indices(table, img).fingerprint()
             if fp not in orbit:
                 orbit[fp] = img
                 stack.append(img)
     return orbit
 
 
-def _orbit_representatives(table: GroupTable, subgroup_lists: list[list[int]]) -> list[list[int]]:
+def _orbit_representatives(table: GroupTable, subgroups: list[tuple[list[int], list[int]]]
+                           ) -> list[tuple[list[int], list[int]]]:
+    """One (elements, generators) pair per conjugation orbit, least (size, elements) first."""
     reps, seen = [], set()
-    for idx in sorted(subgroup_lists, key=lambda l: (len(l), l)):
-        fp = _fingerprint(table.order, idx)
-        if fp in seen:
+    for idx, gens in sorted(subgroups, key=lambda hg: (len(hg[0]), hg[0])):
+        if ElementSet.from_indices(table, idx).fingerprint() in seen:
             continue
-        reps.append(idx)
+        reps.append((idx, gens))
         seen.update(_conjugation_orbit(table, idx).keys())
     return reps
 
 
-def _extend_to_maximal_solvable(table: GroupTable, seed: list[int]) -> list[int]:
+def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[int]) -> list[int]:
     n = table.order
     group_nonsolvable = not table.is_group_solvable()
     cur = sorted(seed)
-    gens = None
     in_cur = set(cur)
     failed: set[int] = set()  # nonsolvable adjunctions stay nonsolvable as cur grows
     restart = True
     while restart:
         restart = False
-        if gens is None:
-            gens = _generating_subset(table, cur)
         for g in range(1, n):
             if g in in_cur or g in failed:
                 continue
@@ -321,9 +300,7 @@ def _extend_to_maximal_solvable(table: GroupTable, seed: list[int]) -> list[int]
             if H2 is None:
                 failed.add(g)
                 continue
-            es = ElementSet.from_indices(table, H2, is_subgroup=True)
-            es._gens = gens + [g]
-            if is_solvable(table, es):
+            if is_solvable(table, ElementSet.from_indices(table, H2, is_subgroup=True, gens=gens + [g])):
                 cur = H2
                 in_cur = set(cur)
                 gens = gens + [g]

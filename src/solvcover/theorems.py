@@ -68,12 +68,7 @@ def verify_certificate(table: GroupTable, cert: Certificate) -> bool:
             raise ElementInRadical(f"element {table.permutation(i)} lies in the radical")
     if cert.mode == "involutions" and any(table.order_of[i] != 2 for i in idx):
         return False
-    union = np.zeros(table.order, dtype=bool)
-    for i in idx:
-        union |= inc.sol(i)
-        if union.all():
-            return True
-    return bool(union.all())
+    return first_uncovered(table, cert) is None
 
 
 def first_uncovered(table: GroupTable, cert: Certificate) -> Optional[int]:

@@ -94,14 +94,21 @@ def all_subgroups_upto(elems, max_order):
 
 
 def radical_pairwise(table):
-    """{ x : <x,y> solvable for every y }, the definition verbatim."""
+    """{ x : <x,y> solvable for every y }, the definition verbatim.
+
+    Many pairs generate the same subgroup, so the brute-force verdict is
+    memoized per distinct subgroup (keyed by its set of permutations).
+    """
+    verdicts = {}
     out = []
     for x in range(table.order):
         ok = True
         for y in range(table.order):
             sub = table.closure_indices([x, y])
-            perms = {tuple(table.imgs[i].tolist()) for i in sub}
-            if not is_solvable_brute(perms):
+            perms = frozenset(tuple(table.imgs[i].tolist()) for i in sub)
+            if perms not in verdicts:
+                verdicts[perms] = is_solvable_brute(perms)
+            if not verdicts[perms]:
                 ok = False
                 break
         if ok:
@@ -132,13 +139,26 @@ def sol_pairwise(table, x):
         if H is None:
             known_out[y] = True
             continue
-        hs = ElementSet.from_indices(table, H, is_subgroup=True)
-        hs._gens = [x, y]
-        if is_solvable(table, hs):
+        if is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True, gens=[x, y])):
             sol[H] = True
         else:
             known_out[y] = True
     return sol
+
+
+def union_check_elementwise(incidence, involutions_only=False):
+    """Whether Sol(x) over every eligible nonradical element x covers the group.
+
+    Reference for `union_check`: no class reasoning, one OR per element
+    (x != 1, x outside the radical, and an involution in involutions mode).
+    """
+    table = incidence.table
+    union = np.zeros(table.order, dtype=bool)
+    for x in range(1, table.order):
+        if x in incidence.radical or (involutions_only and table.order_of[x] != 2):
+            continue
+        union |= incidence.sol(x)
+    return bool(union.all())
 
 
 def min_cover_size(universe_masks, target=None, limit=None):

@@ -289,3 +289,27 @@ def test_pgammal29_has_three_index_two_subgroups():
     subs = sc.index_two_subgroups(t)
     assert len(subs) == 3
     assert all(len(H) == 720 for H in subs)
+
+
+# -- generators carried on element sets ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["s4", "s5", "sl25", "pgl2(7)", "pgammal2(9)"])
+def test_gens_generate_their_subgroup(name, request):
+    if name in ("s4", "s5", "sl25"):
+        t = request.getfixturevalue(name)
+    else:
+        t = sc.build(sc.parse_spec(name))
+    full = sc.ElementSet.full(t)
+    subgroups = [full, sc.subgroup_closure(t, [0]), sc.subgroup_closure(t, [1, t.order - 1]),
+                 sc.solvable_radical(t), *sc.index_two_subgroups(t)]
+    cur = full
+    while True:  # the whole derived series, each term built from the last one's gens
+        nxt = sc.derived_subgroup(t, cur)
+        subgroups.append(nxt)
+        if len(nxt) == len(cur) or len(nxt) == 1:
+            break
+        cur = nxt
+    for H in subgroups:
+        assert H.gens is not None
+        assert t.closure_indices(H.gens) == H.indices().tolist()

@@ -129,8 +129,7 @@ def test_census_members_are_maximal_solvable(a5, a5_census):
             grown = a5.closure_indices(gens + [int(g)], stop_above=a5.order // 2)
             if grown is None:
                 continue
-            es = sc.ElementSet.from_indices(a5, grown, is_subgroup=True)
-            es._gens = gens + [int(g)]
+            es = sc.ElementSet.from_indices(a5, grown, is_subgroup=True, gens=gens + [int(g)])
             assert not sc.is_solvable(a5, es)
 
 
@@ -152,6 +151,14 @@ def test_union_checks(a5, s5, psl27):
     assert sc.union_check(sc.sol_incidence(a5))
     assert not sc.union_check(sc.sol_incidence(psl27), involutions_only=True)
     assert sc.union_check(sc.sol_incidence(s5), involutions_only=True)
+
+
+@pytest.mark.parametrize("involutions_only", [False, True], ids=["all", "involutions"])
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)",
+                                       "alternating(6)"])
+def test_union_check_matches_elementwise(spec_text, involutions_only):
+    inc = sc.sol_incidence(sc.build(sc.parse_spec(spec_text)))
+    assert sc.union_check(inc, involutions_only) == oracles.union_check_elementwise(inc, involutions_only)
 
 
 # -- reduction ---------------------------------------------------------------------
