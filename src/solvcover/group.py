@@ -103,33 +103,32 @@ class GroupTable:
             if d ** len(base) >= 2 ** 62:
                 raise InternalInconsistency("base key overflow")
         self.base = np.array(base, dtype=np.int64)
+        self._base_weights = d ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
+        self._base_imgs = self.imgs[:, self.base]
         order = np.argsort(key, kind="stable")
         self._sorted_keys = key[order]
-        self._sorted_pos = order.astype(np.int32)
+        self._sorted_pos = order
 
     # -- lookup and multiplication -----------------------------------------
 
-    def _key_of(self, imgs: np.ndarray) -> np.ndarray:
-        key = np.zeros(len(imgs), dtype=np.int64)
-        for p in self.base:
-            key = key * self.degree + imgs[:, p]
-        return key
+    def _index_of(self, base_imgs: np.ndarray) -> np.ndarray:
+        """Indices of the elements with these rows of base images (digits of the sorted key)."""
+        return self._sorted_pos[np.searchsorted(self._sorted_keys, base_imgs @ self._base_weights)]
 
     def lookup_images(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of image rows known to belong to the group."""
-        pos = np.searchsorted(self._sorted_keys, self._key_of(imgs))
-        return self._sorted_pos[pos].astype(np.int64)
+        return self._index_of(imgs[:, self.base])
 
     def find_permutation(self, perm: Permutation) -> int:
         """Index of an arbitrary permutation, or -1 when not a member."""
         if perm.degree != self.degree:
             return -1
-        row = np.asarray(perm.images, dtype=np.int16)[None, :]
-        pos = int(np.searchsorted(self._sorted_keys, self._key_of(row)[0]))
+        row = np.asarray(perm.images, dtype=np.int16)
+        pos = int(np.searchsorted(self._sorted_keys, row[self.base] @ self._base_weights))
         if pos >= self.order:
             return -1
         idx = int(self._sorted_pos[pos])
-        return idx if np.array_equal(self.imgs[idx], row[0]) else -1
+        return idx if np.array_equal(self.imgs[idx], row) else -1
 
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.imgs[i])
@@ -139,16 +138,15 @@ class GroupTable:
         return [self.permutation(i) for i in range(self.order)]
 
     def mul(self, i: int, j: int) -> int:
-        prod = self.imgs[i][self.imgs[j]][None, :]
-        return int(self.lookup_images(prod)[0])
+        return int(self.mul_left(i, np.array([j]))[0])
 
     def mul_left(self, g: int, idx: np.ndarray) -> np.ndarray:
-        """Indices of elem_g ∘ elem_j for each j in idx."""
-        return self.lookup_images(self.imgs[g][self.imgs[idx]])
+        """Indices of elem_g ∘ elem_j for each j in idx; products need only base images."""
+        return self._index_of(self.imgs[g][self._base_imgs[idx]])
 
     def mul_right(self, idx: np.ndarray, g: int) -> np.ndarray:
         """Indices of elem_i ∘ elem_g for each i in idx."""
-        return self.lookup_images(self.imgs[idx][:, self.imgs[g]])
+        return self._index_of(self.imgs[np.asarray(idx)[:, None], self._base_imgs[g]])
 
     def conjugate_indices(self, g: int, idx: np.ndarray) -> np.ndarray:
         """Indices of g t g^-1 for each t in idx."""
@@ -160,31 +158,39 @@ class GroupTable:
         """Sorted indices of the subgroup generated by seeds.
 
         Breadth-first orbit of the identity under left multiplication by the
-        seeds; positive words suffice in a finite group.  Returns None as soon
-        as the size exceeds stop_above.
+        seeds (positive words suffice in a finite group), one seed times the
+        frontier per batch.  Returns None exactly when the subgroup has more
+        than stop_above elements; the size is checked once per layer.
         """
         seeds = [int(s) for s in dict.fromkeys(seeds) if s != 0]
         if not seeds:
             return [0]
-        gen_imgs = self.imgs[np.array(seeds)]
-        frontier = self.imgs[np.array([0], dtype=np.int64)]
-        keys_seen = {int(self._key_of(frontier)[0])}
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
         count = 1
+        frontier = np.zeros(1, dtype=np.int64)
         while len(frontier):
-            new_rows = []
-            for g in gen_imgs:
-                cand = g[frontier]  # (m, d)
-                keys = self._key_of(cand)
-                for r, k in enumerate(keys.tolist()):
-                    if k not in keys_seen:
-                        keys_seen.add(k)
-                        new_rows.append(cand[r])
-                        count += 1
-                        if stop_above is not None and count > stop_above:
-                            return None
-            frontier = np.stack(new_rows) if new_rows else np.empty((0, self.degree), dtype=self.imgs.dtype)
-        pos = np.searchsorted(self._sorted_keys, np.fromiter(keys_seen, dtype=np.int64, count=len(keys_seen)))
-        return sorted(self._sorted_pos[pos].tolist())
+            layer = []
+            for g in seeds:
+                # injective in frontier, seen marked per seed: no duplicates
+                img = self.mul_left(g, frontier)
+                img = img[~seen[img]]
+                seen[img] = True
+                layer.append(img)
+            frontier = np.concatenate(layer)
+            count += len(frontier)
+            if stop_above is not None and count > stop_above:
+                return None
+        return np.flatnonzero(seen).tolist()
+
+    def solvable_cut(self) -> Optional[int]:
+        """Size above which a subgroup is not solvable: None if G is solvable, else |G| // 5.
+
+        G acts on the k cosets of a solvable H with kernel inside H; if k <= 4
+        the image lies in the solvable S_k, so G would be solvable.  Hence a
+        solvable subgroup of a nonsolvable G has index at least 5.
+        """
+        return None if self.is_group_solvable() else self.order // 5
 
     # -- cached global properties ------------------------------------------
 
@@ -270,18 +276,11 @@ class ElementSet:
         return np.packbits(self.mask).tobytes()
 
     def verify_subgroup(self) -> bool:
-        """Full closure check: identity, products, inverses."""
+        """Full check; a nonempty finite set closed under products is a subgroup."""
         idx = self.indices()
-        if len(idx) == 0 or not self.mask[0]:
+        if not self.mask[0] or self.owner.order % len(idx):
             return False
-        if self.owner.order % len(idx) != 0:
-            return False
-        if not self.mask[self.owner.inverse_of[idx]].all():
-            return False
-        for i in idx:
-            if not self.mask[self.owner.mul_left(int(i), idx)].all():
-                return False
-        return True
+        return all(self.mask[self.owner.mul_left(int(i), idx)].all() for i in idx)
 
     def __repr__(self):
         return f"ElementSet(size={len(self)}, subgroup={self.is_subgroup})"
@@ -446,29 +445,40 @@ def is_solvable(table: GroupTable, H: ElementSet) -> bool:
     return verdict
 
 
+def _orbit_labels(n: int, perms: Sequence[np.ndarray]) -> np.ndarray:
+    """Least element of each point's orbit under the permutations perms of 0..n-1.
+
+    Min-propagation: at the fixed point labels are constant along every cycle.
+    """
+    label = np.arange(n)
+    changed = True
+    while changed:
+        changed = False
+        for p in perms:
+            pulled = np.minimum(label, label[p])
+            if not np.array_equal(pulled, label):
+                label = pulled
+                changed = True
+    return label
+
+
 def _compute_classes(table: GroupTable) -> ClassPartition:
     gens = table.generator_indices
-    everything = np.arange(table.order)
-    cps = [table.conjugate_indices(g, everything) for g in gens]
-    class_of = np.full(table.order, -1, dtype=np.int64)
-    conjor = np.zeros(table.order, dtype=np.int64)
-    reps = []
-    for r in range(table.order):
-        if class_of[r] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(r)
-        class_of[r] = cid
-        stack = [r]
-        while stack:
-            t = stack.pop()
-            for g, cp in zip(gens, cps):
-                u = int(cp[t])
-                if class_of[u] < 0:
-                    class_of[u] = cid
-                    conjor[u] = table.mul(g, int(conjor[t]))
-                    stack.append(u)
-    return ClassPartition(class_of, reps, conjor)
+    cps = [table.conjugate_indices(g, np.arange(table.order)) for g in gens]
+    reps, class_of = np.unique(_orbit_labels(table.order, cps), return_inverse=True)
+    # witnesses: one breadth-first walk from every representative at once;
+    # t = w rep w^-1 gives g t g^-1 = (g w) rep (g w)^-1
+    conjor = np.full(table.order, -1, dtype=np.int64)
+    conjor[reps] = 0
+    frontier = reps
+    while len(frontier):
+        layer = []
+        for g, cp in zip(gens, cps):
+            t = frontier[conjor[cp[frontier]] < 0]
+            conjor[cp[t]] = table.mul_left(g, conjor[t])
+            layer.append(cp[t])
+        frontier = np.concatenate(layer)
+    return ClassPartition(class_of, reps.tolist(), conjor)
 
 
 def conjugacy_classes(table: GroupTable) -> ClassPartition:
@@ -482,20 +492,20 @@ def _compute_radical(table: GroupTable) -> ElementSet:
     x lies in the solvable radical exactly when its normal closure <x^G> is
     solvable, and that matches the pairwise description { x : all <x,y>
     solvable } by the radical characterization the rest of the library leans
-    on.  When G is nonsolvable, a normal closure with more than |G|/2
-    elements is G itself, so its closure is cut off there.  The radical's
+    on.  A closure is cut off once it passes ``table.solvable_cut()``: in a
+    nonsolvable G a solvable subgroup has index at least 5.  The radical's
     ``gens`` are the generators of the solvable normal closures it unites.
     Verified as a normal solvable subgroup before returning.
     """
     classes = table.conjugacy_classes()
-    half = None if table.is_group_solvable() else table.order // 2
+    cut = table.solvable_cut()
     rad = np.zeros(table.order, dtype=bool)
     rad[0] = True
     gens: list[int] = []
     for rep in classes.representatives:
         if rep == 0 or rad[rep]:
             continue
-        sub, sub_gens = _normal_closure_within(table, [rep], table.generator_indices, stop_above=half)
+        sub, sub_gens = _normal_closure_within(table, [rep], table.generator_indices, stop_above=cut)
         if sub is None:
             continue
         H = ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)

@@ -8,9 +8,9 @@ takes the orbits in index order and settles each undecided one with a single
 closure <x,y> of its least element y:
 
 - a solvable <x,y> puts every orbit that meets <x,y> inside Sol(x);
-- a nonsolvable <x,y>, or a closure passing |G|/2 (the whole group, which is
-  nonsolvable whenever G is), puts outside the orbits of every y^j x^k with
-  gcd(j, |y|) = 1, since <x, y^j x^k> = <x, y>.
+- a nonsolvable <x,y>, or a closure of index below 5 (``solvable_cut``),
+  puts outside the orbits of every y^j x^k with gcd(j, |y|) = 1, since
+  <x, y^j x^k> = <x, y>.
 
 Every other solvabilizer is materialized by conjugation equivariance:
 Sol(g x g^-1) = g Sol(x) g^-1.
@@ -30,6 +30,7 @@ from .group import (
     ElementSet,
     GroupTable,
     _generating_subset,
+    _orbit_labels,
     is_solvable,
 )
 
@@ -61,30 +62,21 @@ def _normalizer_orbits(table: GroupTable, x: int) -> np.ndarray:
     generates_x = np.zeros(table.order, dtype=bool)
     generates_x[table.lookup_images(_generator_rows(table, x))] = True
     normalizer = np.flatnonzero(generates_x[conj]).tolist()
-    label = np.arange(table.order)
-    perms = [table.conjugate_indices(g, label) for g in _generating_subset(table, normalizer)]
-    changed = True
-    while changed:
-        changed = False
-        for p in perms:
-            pulled = np.minimum(label, label[p])
-            if not np.array_equal(pulled, label):
-                label = pulled
-                changed = True
-    return label
+    perms = [table.conjugate_indices(g, np.arange(table.order)) for g in _generating_subset(table, normalizer)]
+    return _orbit_labels(table.order, perms)
 
 
 def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
     """Sol(x) as a boolean mask, by one closure per undecided N_G(<x>)-orbit."""
     n = table.order
-    half = None if table.is_group_solvable() else n // 2
+    cut = table.solvable_cut()
     label = _normalizer_orbits(table, x)
     x_powers = _power_rows(table, x)
     verdict = np.zeros(n, dtype=np.int8)  # per orbit label: 1 inside, -1 outside
     for y in np.flatnonzero(label == np.arange(n)).tolist():
         if verdict[y]:
             continue
-        H = table.closure_indices([x, y], stop_above=half)
+        H = table.closure_indices([x, y], stop_above=cut)
         if H is not None:
             if is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True, gens=[x, y])):
                 verdict[label[H]] = 1
@@ -286,7 +278,7 @@ def _orbit_representatives(table: GroupTable, subgroups: list[tuple[list[int], l
 
 def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[int]) -> list[int]:
     n = table.order
-    group_nonsolvable = not table.is_group_solvable()
+    cut = table.solvable_cut()
     cur = sorted(seed)
     in_cur = set(cur)
     failed: set[int] = set()  # nonsolvable adjunctions stay nonsolvable as cur grows
@@ -296,7 +288,7 @@ def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[i
         for g in range(1, n):
             if g in in_cur or g in failed:
                 continue
-            H2 = table.closure_indices(gens + [g], stop_above=n // 2 if group_nonsolvable else None)
+            H2 = table.closure_indices(gens + [g], stop_above=cut)
             if H2 is None:
                 failed.add(g)
                 continue
@@ -546,8 +538,6 @@ def _max_clique(verts: list[int], adj: dict[int, int], node_limit: int, time_lim
                 Q &= ~(1 << v)
                 avail &= ~adj.get(v, 0)
         return order
-
-    root_bound = 0
 
     def expand(P: int, clique: list[int]):
         nodes[0] += 1

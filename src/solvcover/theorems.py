@@ -45,10 +45,6 @@ class Certificate:
     mode: str                      # "all" | "involutions"
     elements: list[Permutation]
 
-    @property
-    def claimed_size(self) -> int:
-        return len(self.elements)
-
 
 def verify_certificate(table: GroupTable, cert: Certificate) -> bool:
     """True iff the solvabilizers of the certificate elements cover the group.
@@ -195,9 +191,6 @@ def attach_computed(report: BoundReport, alpha: Optional[CoverOutcome],
 
 
 # -- conjecture cross-check --------------------------------------------------------
-
-
-_SIMPLE_KINDS = ("psl2", "alternating")
 
 
 def _is_simple_spec(spec: GroupSpec) -> bool:

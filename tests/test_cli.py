@@ -40,6 +40,30 @@ def test_solve_symmetric6(tmp_path):
     assert rec.alpha.render_value() == "9"
 
 
+def test_solve_product_order_without_enumeration(tmp_path):
+    # 168 * 360 = 60480 is above the default enumeration cap
+    out = tmp_path / "p.result"
+    assert run_cli("solve", "--group", "product(psl2(7),psl2(9))", "--out", str(out)) == 0
+    assert "order: 60480" in out.read_text()
+
+
+def test_solve_wreath_builds_only_the_base(tmp_path, monkeypatch):
+    from solvcover import cli, cover
+
+    built = []
+
+    def recording_build(spec, cap=sc.DEFAULT_CAP):
+        built.append(str(spec))
+        return sc.build(spec, cap)
+
+    monkeypatch.setattr(cli, "build", recording_build)
+    monkeypatch.setattr(cover, "build", recording_build)
+    out = tmp_path / "w.result"
+    assert run_cli("solve", "--group", "wreath(psl2(4),2,cycle)", "--mode", "all", "--out", str(out)) == 0
+    assert built and set(built) == {"psl2(4)"}
+    assert "order: 7200" in out.read_text()
+
+
 def test_solve_solvable_group_errors(capsys):
     assert run_cli("solve", "--group", "symmetric(4)") == 1
     assert "GroupSolvable" in capsys.readouterr().err
@@ -147,8 +171,11 @@ def test_cap_env_override(monkeypatch, capsys):
 
 
 def test_console_script_installed():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(sc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "solvcover.cli", "solve",
                            "--group", "alternating(5)"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "alpha = 3" in proc.stdout

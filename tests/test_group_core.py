@@ -96,6 +96,30 @@ def test_power_subgroup_containment(s5):
             assert sc.subgroup_closure(s5, [xn]).issubset(full)
 
 
+@pytest.mark.parametrize("spec_text", ["symmetric(5)", "pgl2(7)", "alternating(6)", "m10", "gl2(5)"])
+def test_closure_matches_oracle(spec_text):
+    t = sc.build(sc.parse_spec(spec_text))
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 3):
+        seeds = [int(s) for s in rng.integers(1, t.order, size=k)]
+        brute = oracles.closure_of({tuple(t.imgs[s].tolist()) for s in seeds})
+        H = sorted(t.find_permutation(sc.Permutation(p)) for p in brute)
+        assert t.closure_indices(seeds) == H
+        assert t.closure_indices(seeds, stop_above=len(H)) == H
+        assert t.closure_indices(seeds, stop_above=len(H) - 1) is None
+
+
+def test_solvable_cut_keeps_index_five(a5, s4):
+    # A4 = <(1,2,3), (1,2)(3,4)> has index exactly 5 in A5
+    seeds = [a5.find_permutation(p) for p in perms("(1,2,3)", "(1,2)(3,4)", degree=5)]
+    cut = a5.solvable_cut()
+    assert a5.order // cut == 5
+    H = a5.closure_indices(seeds, stop_above=cut)
+    assert H is not None and len(H) == 12
+    assert sc.is_solvable(a5, sc.ElementSet.from_indices(a5, H, is_subgroup=True))
+    assert s4.solvable_cut() is None
+
+
 # -- derived subgroup and solvability -------------------------------------------
 
 
@@ -224,6 +248,26 @@ def test_class_partition_properties(s5):
         w = int(cp.conjugator[x])
         rep = cp.representatives[cid]
         assert s5.mul(s5.mul(w, rep), int(s5.inverse_of[w])) == int(x)
+
+
+@pytest.mark.parametrize("spec_text", ["symmetric(5)", "pgl2(7)", "m10", "gl2(5)"])
+def test_classes_match_brute_partition(spec_text):
+    t = sc.build(sc.parse_spec(spec_text))
+    elems = [tuple(row) for row in t.imgs.tolist()]
+    index = {p: i for i, p in enumerate(elems)}
+    brute = [-1] * t.order
+    n_classes = 0
+    for x in range(t.order):
+        if brute[x] < 0:
+            for g in elems:
+                brute[index[oracles.compose(oracles.compose(g, elems[x]), oracles.inverse(g))]] = n_classes
+            n_classes += 1
+    cp = sc.conjugacy_classes(t)
+    assert cp.class_of.tolist() == brute
+    for x in range(t.order):
+        w = elems[int(cp.conjugator[x])]
+        rep = elems[cp.representatives[cp.class_of[x]]]
+        assert oracles.compose(oracles.compose(w, rep), oracles.inverse(w)) == elems[x]
 
 
 def test_classes_conjugation_invariant(a5):
