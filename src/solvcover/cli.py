@@ -8,7 +8,6 @@ The enumeration cap honors SOLVCOVER_CAP when --cap is absent.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from . import cover
 from .constructions import build, parse_spec
 from .cover import INTERVAL, MODE_ALL, MODE_INVOLUTIONS, SolveBudget
 from .errors import SolvcoverError
-from .group import DEFAULT_CAP, enumerate_group
+from .group import DEFAULT_CAP
 from .perm import format_cycles
 from .records import OutcomeRecord, ResultRecord, parse_certificate_lines
 from .theorems import Certificate, first_uncovered, verify_certificate
@@ -30,36 +29,18 @@ def _cap_from(args) -> int:
     return int(env) if env else DEFAULT_CAP
 
 
-def _spec_order(spec, cap: int) -> int:
-    """Group order; |A x B| = |A||B| and |H wr K| = |H|^n |K| are not enumerated."""
-    if spec.kind == "product":
-        return math.prod(_spec_order(s, cap) for s in spec.params)
-    if spec.kind == "wreath":
-        base, n, top = spec.params
-        return _spec_order(base, cap) ** n * enumerate_group(list(top), cap).order
-    return build(spec, cap).order
-
-
 def cmd_solve(args) -> int:
     cap = _cap_from(args)
     spec = parse_spec(args.group)
     budget = SolveBudget(time_limit=args.time_limit, node_limit=args.node_limit)
     modes = [MODE_ALL, MODE_INVOLUTIONS] if args.mode == "both" else (
         [MODE_ALL] if args.mode == "all" else [MODE_INVOLUTIONS])
-    # one table serves every mode, so classes, radical and Sol are shared;
-    # product and wreath specs go through solve_spec's own paths
-    table = None if spec.kind in ("wreath", "product") else build(spec, cap)
-    try:
-        order = table.order if table is not None else _spec_order(spec, cap)
-    except SolvcoverError:
-        order = None
+    # classes, radicals and Sol live on the tables, so every mode shares them
+    order, solve = cover.spec_solver(spec, budget, cap)
     rec = ResultRecord(group=str(spec), order=order)
     exit_code = 0
     for mode in modes:
-        if table is not None:
-            out = cover.solve_alpha(table, mode, budget)
-        else:
-            out = cover.solve_spec(spec, mode, budget, cap)
+        out = solve(mode)
         orec = OutcomeRecord.from_outcome(out, with_certificate=args.emit_certificate)
         if mode == MODE_ALL:
             rec.alpha = orec

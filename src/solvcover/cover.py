@@ -7,23 +7,33 @@ first hit is optimal.  Branching picks the uncovered target with the fewest
 remaining candidates; the first chosen candidate is restricted to
 conjugacy-class representatives (conjugating an optimal cover is again an
 optimal cover, so the lowest class present may be normalized to its
-representative).   Pruning bounds, cheapest first: universe density, a greedy
-packing of candidate-disjoint targets, and the class-counting bound, an exact
-small integer program over (candidate class) x (target orbit) coverage counts
-solved by bounded enumeration.
+representative).  Pruning bounds, cheapest first: universe density, the
+class-counting bound (an exact small integer program over (candidate class) x
+(target orbit) coverage counts, memoized), and a greedy packing of
+candidate-disjoint targets.
+
+Each node carries a coverage vector, cov[i] = |row_i & uncovered| for the
+available candidates, kept incrementally: a child's vector is its parent's
+minus the target x candidate matrix rows of the targets it newly covers, so
+the density bound is cov.max() and the branching order sorts by cov.  One
+sweep over the uncovered targets gives both the packing and the branching
+target.  The integer program enumerates all classes but the last, whose count
+follows in closed form.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .constructions import GroupSpec, build
-from .errors import BadParameter, GroupSolvable, InfeasibleUniverse
-from .group import DEFAULT_CAP, GroupTable, quotient_by, solvable_radical
+from .errors import BadParameter, GroupSolvable, InfeasibleUniverse, SolvcoverError
+from .group import DEFAULT_CAP, GroupTable, enumerate_group, quotient_by, solvable_radical
 from .perm import Permutation
 from .solvabilizer import CoverInstance, reduce_instance, sol_incidence
 
@@ -107,18 +117,9 @@ class _ClassCountingBound:
         cands = instance.candidates
         self.cls_ids = sorted({c.class_id for c in cands})
         self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
-        self.cand_class_pos = {}
-        for k, mem in enumerate(self.members):
-            for i in mem:
-                self.cand_class_pos[i] = k
-        tids = sorted(set(instance.target_class))
-        self.tmasks = []
-        for t in tids:
-            m = 0
-            for u, tc in enumerate(instance.target_class):
-                if tc == t:
-                    m |= 1 << u
-            self.tmasks.append(m)
+        self.class_masks = [sum(1 << i for i in mem) for mem in self.members]
+        self.tmasks = [sum(1 << u for u, tc in enumerate(instance.target_class) if tc == t)
+                       for t in sorted(set(instance.target_class))]
         self.k = [
             [max((cands[i].row & tm).bit_count() for i in mem) for tm in self.tmasks]
             for mem in self.members
@@ -135,7 +136,7 @@ class _ClassCountingBound:
 
     def bound(self, uncovered: int, avail: int) -> int:
         rhs = tuple((uncovered & tm).bit_count() for tm in self.tmasks)
-        ubs = tuple(sum(1 for i in mem if (avail >> i) & 1) for mem in self.members)
+        ubs = tuple((avail & cm).bit_count() for cm in self.class_masks)
         key = (rhs, ubs)
         hit = self._memo.get(key)
         if hit is not None:
@@ -145,39 +146,55 @@ class _ClassCountingBound:
         return val
 
     def _solve_ip(self, rhs, ubs) -> int:
-        ncls, ntc = len(self.members), len(rhs)
+        """Least sum(x) with sum_c k[c][t] x_c >= rhs[t], 0 <= x_c <= ubs[c]; 1 << 30 if none.
+
+        Depth-first over the classes, largest count first.  reach[c][t] is the
+        largest coefficient on orbit t among the available classes c, c+1, ...,
+        so what a count of class c leaves on orbit t needs at least
+        ceil(left / reach[c+1][t]) more members.  For the last class that is
+        its least sufficient count, taken in closed form.  Going down from the
+        largest useful count, that need only grows, and when class c covers
+        orbit t at least as well as every later class, take + need is a lower
+        bound for every smaller take too: either one failing ends the loop.
+        """
         if not any(rhs):
             return 0
-        best = sum(ubs) + 1
+        if not ubs:
+            return 1 << 30
         k = self.k
+        last = len(ubs) - 1
+        reach = [[0] * len(rhs)]
+        for c in range(last, -1, -1):
+            reach.append([max(a, b) for a, b in zip(reach[-1], k[c])] if ubs[c] else reach[-1])
+        reach.reverse()
+        best = sum(ubs) + 1
 
         def dfs(c, need, used):
             nonlocal best
-            if used >= best:
-                return
-            if not any(need):
-                best = used
-                return
-            if c == ncls:
-                return
-            opt = 0
-            for t in range(ntc):
-                if need[t]:
-                    mx = max((k[d][t] for d in range(c, ncls) if ubs[d]), default=0)
-                    if mx == 0:
-                        return
-                    opt = max(opt, -(-need[t] // mx))
-            if used + opt >= best:
-                return
-            hi = 0
-            for t in range(ntc):
-                if need[t] and k[c][t]:
-                    hi = max(hi, -(-need[t] // k[c][t]))
-            hi = min(hi, ubs[c])
+            kc = k[c]
+            hi = min(max((-(-n // a) for n, a in zip(need, kc) if n > 0 and a), default=0), ubs[c])
             for take in range(hi, -1, -1):
-                dfs(c + 1, tuple(max(0, need[t] - take * k[c][t]) for t in range(ntc)), used + take)
+                more = 0
+                for n, a, r in zip(need, kc, reach[c + 1]):
+                    n -= take * a
+                    if n > 0:
+                        if not r:
+                            return
+                        m = -(-n // r)
+                        if a >= r and used + take + m >= best:
+                            return
+                        if m > more:
+                            more = m
+                if c + 1 == last and more > ubs[last]:
+                    return
+                if used + take + more >= best:
+                    continue
+                if c + 1 == last or not more:
+                    best = used + take + more
+                else:
+                    dfs(c + 1, [n - take * a for n, a in zip(need, kc)], used + take)
 
-        dfs(0, tuple(rhs), 0)
+        dfs(0, rhs, 0)
         return best if best <= sum(ubs) else 1 << 30
 
 
@@ -196,10 +213,7 @@ def lower_bound(instance: CoverInstance) -> int:
     """Best of the density, packing, and class-counting bounds."""
     if instance.size == 0:
         return 0
-    solver = _Search(instance)
-    full = instance.full_mask()
-    avail = (1 << len(instance.candidates)) - 1
-    return max(solver.cheap_bounds(full, avail), solver.ccb.bound(full, avail))
+    return _Search(instance).root_bound()
 
 
 # -- branch and bound -------------------------------------------------------------
@@ -213,45 +227,92 @@ class _OutOfBudget(Exception):
     pass
 
 
+def _bit_matrix(masks: Sequence[int], width: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row r holds bits 0 .. width-1 of masks[r]."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """Inverse of _bit_matrix: one int bitmask per row."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+@lru_cache(maxsize=64)
+def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(n), shared read-only (building it costs more than a node's arithmetic)."""
+    rows, cols = np.tril_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 class _Search:
+    """Iterative-deepening branch and bound; see the module docstring.
+
+    Next to its bitmasks each node carries two float32 vectors: ``unc``, 0/1
+    per target (1 = uncovered), and ``cov``, the coverage vector, whose
+    entries for unavailable candidates are <= 0 (set to 0 when a candidate is
+    chosen or excluded, they only decrease after that).  All children's
+    vectors come from one product with the target x candidate matrix ``hit``.
+    Every entry is a small integer, so float32 is exact and the products run
+    through BLAS.
+    """
+
     def __init__(self, instance: CoverInstance):
         self.inst = instance
         self.cands = instance.candidates
         self.nu = instance.size
         self.full = instance.full_mask()
-        self.cols = []
-        for u in range(self.nu):
-            m = 0
-            for i, c in enumerate(self.cands):
-                if (c.row >> u) & 1:
-                    m |= 1 << i
-            self.cols.append(m)
+        hit = _bit_matrix([c.row for c in self.cands], self.nu).T  # hit[t, i]: candidate i covers t
+        self.cols = _row_masks(hit)                                # per target: its candidates
+        self.hit = hit.astype(np.float32)
+        self.row_vecs = np.ascontiguousarray(self.hit.T)
         self.ccb = _ClassCountingBound(instance)
         self.nodes = 0
 
-    def cheap_bounds(self, uncovered: int, avail: int) -> int:
-        best_cov = 0
-        a = avail
-        while a:
-            i = (a & -a).bit_length() - 1
-            a &= a - 1
-            c = (self.cands[i].row & uncovered).bit_count()
-            if c > best_cov:
-                best_cov = c
-        if best_cov == 0:
-            return 1 << 30
-        nu = uncovered.bit_count()
-        density = -(-nu // best_cov)
-        packing, used = 0, 0
+    def _sweep(self, uncovered: int, avail: int) -> tuple[int, int]:
+        """One pass over the uncovered targets: (packing, branching column).
+
+        The packing greedily counts targets whose available candidates are
+        disjoint from those of the targets counted before; the branching
+        column is the available candidates of the first target with the
+        fewest (0 when some target has none).
+        """
+        cols = self.cols
+        packing, used, pick, pick_n = 0, 0, 0, 1 << 30
         u = uncovered
         while u:
-            t = (u & -u).bit_length() - 1
-            u &= u - 1
-            col = self.cols[t] & avail
+            low = u & -u
+            u ^= low
+            col = cols[low.bit_length() - 1] & avail
+            n = col.bit_count()
+            if n < pick_n:
+                pick_n, pick = n, col
             if col and not (col & used):
                 packing += 1
                 used |= col
-        return max(density, packing)
+        return packing, pick
+
+    def _density(self, uncovered: int, cov: np.ndarray) -> int:
+        best_cov = int(cov.max(initial=0))
+        return -(-uncovered.bit_count() // best_cov) if best_cov else 1 << 30
+
+    def root_bound(self) -> int:
+        """Best of the density, packing and class-counting bounds at the root."""
+        avail = (1 << len(self.cands)) - 1
+        cov = self.hit.sum(axis=0)
+        return max(self._density(self.full, cov), self._sweep(self.full, avail)[0],
+                   self.ccb.bound(self.full, avail))
+
+    def _children(self, cov, unc, picks, off_rows, off_cols):
+        """Vectors of the children choosing picks[j]; (off_rows, off_cols) are zeroed."""
+        newly = self.row_vecs[picks] * unc
+        covs = cov - newly @ self.hit
+        covs[off_rows, off_cols] = 0
+        return covs, unc - newly
 
     def solve(self, budget: SolveBudget, floor: int, root_symmetry: bool = True) -> CoverOutcome:
         t0 = time.monotonic()
@@ -264,8 +325,7 @@ class _Search:
                                 seconds=time.monotonic() - t0)
         incumbent = greedy_cover(self.inst)
         ub = len(incumbent)
-        lo = max(floor, self.cheap_bounds(self.full, avail), self.ccb.bound(self.full, avail))
-        lo = min(lo, ub)
+        lo = min(max(floor, self.root_bound()), ub)
         timed_out = False
         while lo < ub:
             self.best = lo + 1
@@ -295,22 +355,32 @@ class _Search:
         )
 
     def _root(self, avail: int):
+        cov = self.hit.sum(axis=0)
+        unc = np.ones(self.nu, dtype=np.float32)
         if not (self.root_symmetry and self.inst.conjugation_symmetric):
-            self._descend(self.full, avail, 0, [])
+            self._descend(self.full, avail, 0, [], cov, unc)
             return
         # first candidate restricted to class representatives: branch k fixes
         # the lowest candidate class present in the cover and includes its
         # least member; classes are whole conjugation orbits, so any cover
         # normalizes into exactly one branch
+        members = self.ccb.members
+        reps = [mem[0] for mem in members]
+        off_rows, off_cols = [], []
+        for j, rep in enumerate(reps):
+            zeroed = [rep] + [i for mem in members[:j] for i in mem]
+            off_rows += [j] * len(zeroed)
+            off_cols += zeroed
+        covs, uncs = self._children(cov, unc, reps, off_rows, off_cols)
         excluded = 0
-        for mem in self.ccb.members:
-            rep = mem[0]
+        for j, (mem, rep) in enumerate(zip(members, reps)):
             row = self.cands[rep].row
-            self._descend(self.full & ~row, (avail & ~excluded) & ~(1 << rep), 1, [rep])
+            self._descend(self.full & ~row, (avail & ~excluded) & ~(1 << rep), 1, [rep], covs[j], uncs[j])
             for i in mem:
                 excluded |= 1 << i
 
-    def _descend(self, uncovered: int, avail: int, depth: int, chosen: list[int]):
+    def _descend(self, uncovered: int, avail: int, depth: int, chosen: list[int],
+                 cov: np.ndarray, unc: np.ndarray):
         self.nodes += 1
         if self.nodes > self.node_limit or (self.nodes % 256 == 0 and time.monotonic() > self.deadline):
             raise _OutOfBudget
@@ -320,35 +390,31 @@ class _Search:
             raise _FoundCover
         if depth + 1 >= self.best:
             return
-        bound = self.cheap_bounds(uncovered, avail)
-        if depth + bound >= self.best:
+        if depth + self._density(uncovered, cov) >= self.best:
             return
         if depth + self.ccb.bound(uncovered, avail) >= self.best:
             return
-        # branch on the uncovered target with fewest remaining candidates
-        u, pick_col, pick_n = uncovered, 0, 1 << 30
-        while u:
-            t = (u & -u).bit_length() - 1
-            u &= u - 1
-            col = self.cols[t] & avail
-            n = col.bit_count()
-            if n == 0:
-                return
-            if n < pick_n:
-                pick_n, pick_col = n, col
-                if n == 1:
-                    break
+        packing, pick = self._sweep(uncovered, avail)
+        if not pick or depth + packing >= self.best:
+            return
+        # branch on the uncovered target with fewest remaining candidates,
+        # largest coverage first (a stable sort keeps ties in index order)
         order = []
-        a = pick_col
+        a = pick
         while a:
-            i = (a & -a).bit_length() - 1
-            a &= a - 1
-            order.append(i)
-        order.sort(key=lambda i: -(self.cands[i].row & uncovered).bit_count())
+            low = a & -a
+            a ^= low
+            order.append(low.bit_length() - 1)
+        keys = cov.tolist()
+        order.sort(key=lambda i: -keys[i])
+        # child j zeroes the candidates it chose or excluded: order[:j + 1]
+        off_rows, off_pos = _lower_triangle(len(order))
+        covs, uncs = self._children(cov, unc, order, off_rows, np.asarray(order)[off_pos])
         excluded = 0
-        for i in order:
+        for j, i in enumerate(order):
             chosen.append(i)
-            self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen)
+            self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen,
+                          covs[j], uncs[j])
             chosen.pop()
             excluded |= 1 << i
 
@@ -466,13 +532,37 @@ def solve_wreath(base_table: GroupTable, mode: str = MODE_ALL,
                         notes=[f"wreath bound: 3 <= alpha <= alpha(base) = {base.render()}"])
 
 
-def solve_spec(spec: GroupSpec, mode: str = MODE_ALL, budget: Optional[SolveBudget] = None,
-               cap: int = DEFAULT_CAP) -> CoverOutcome:
-    """Dispatch: product/wreath fast paths when available, else build and solve."""
+def spec_solver(spec: GroupSpec, budget: Optional[SolveBudget] = None,
+                cap: int = DEFAULT_CAP) -> tuple[Optional[int], Callable[[str], CoverOutcome]]:
+    """(group order, solve(mode)) for a spec, each table built once for every mode.
+
+    Products and wreath products are not enumerated: |A x B| = |A||B| and the
+    product theorems solve from the factors; |H wr K| = |H|^n |K| and mode
+    all takes the wreath bound from the base (involution mode builds the
+    group).  The order is None when the wreath's top group cannot be built.
+    """
     budget = budget or SolveBudget()
     if spec.kind == "product":
         factors = [build(s, cap) for s in spec.params]
-        return solve_product(factors, mode, budget)
-    if spec.kind == "wreath" and mode == MODE_ALL:
-        return solve_wreath(build(spec.params[0], cap), mode, budget)
-    return solve_alpha(build(spec, cap), mode, budget)
+        return math.prod(t.order for t in factors), lambda mode: solve_product(factors, mode, budget)
+    if spec.kind == "wreath":
+        base_spec, n, top = spec.params
+        base = build(base_spec, cap)
+        try:
+            order = base.order ** n * enumerate_group(list(top), cap).order
+        except SolvcoverError:
+            order = None
+
+        def solve(mode):
+            if mode == MODE_ALL:
+                return solve_wreath(base, mode, budget)
+            return solve_alpha(build(spec, cap), mode, budget)
+        return order, solve
+    table = build(spec, cap)
+    return table.order, lambda mode: solve_alpha(table, mode, budget)
+
+
+def solve_spec(spec: GroupSpec, mode: str = MODE_ALL, budget: Optional[SolveBudget] = None,
+               cap: int = DEFAULT_CAP) -> CoverOutcome:
+    """Dispatch: product/wreath fast paths when available, else build and solve."""
+    return spec_solver(spec, budget, cap)[1](mode)

@@ -149,8 +149,9 @@ class GroupTable:
         return self._index_of(self.imgs[np.asarray(idx)[:, None], self._base_imgs[g]])
 
     def conjugate_indices(self, g: int, idx: np.ndarray) -> np.ndarray:
-        """Indices of g t g^-1 for each t in idx."""
-        return self.mul_right(self.mul_left(g, idx), int(self.inverse_of[g]))
+        """Indices of g t g^-1 for each t in idx, from (g t g^-1)[b] = g[t[g^-1[b]]] on the base."""
+        pts = self.imgs[int(self.inverse_of[g])][self.base]
+        return self._index_of(self.imgs[g][self.imgs[np.asarray(idx)[:, None], pts]])
 
     # -- closure -----------------------------------------------------------
 

@@ -100,7 +100,6 @@ class SolvabilizerIncidence:
         self.classes: ClassPartition = table.conjugacy_classes()
         self.radical: ElementSet = table.solvable_radical_set()
         self._rep_sol: dict[int, np.ndarray] = {}
-        self._sol_cache: dict[int, np.ndarray] = {}
 
     def rep_sol(self, cid: int) -> np.ndarray:
         mask = self._rep_sol.get(cid)
@@ -114,20 +113,14 @@ class SolvabilizerIncidence:
         return mask
 
     def sol(self, x: int) -> np.ndarray:
-        """Sol(x) mask for any element, via Sol(x) = w Sol(rep) w^-1."""
+        """Sol(x) mask for any element, via Sol(x) = w Sol(rep) w^-1 (not cached)."""
         x = int(x)
-        cached = self._sol_cache.get(x)
-        if cached is not None:
-            return cached
-        cid = int(self.classes.class_of[x])
-        rep_mask = self.rep_sol(cid)
+        rep_mask = self.rep_sol(int(self.classes.class_of[x]))
         w = int(self.classes.conjugator[x])
         if w == 0:
-            mask = rep_mask
-        else:
-            mask = np.zeros(self.table.order, dtype=bool)
-            mask[self.table.conjugate_indices(w, np.where(rep_mask)[0])] = True
-        self._sol_cache[x] = mask
+            return rep_mask
+        mask = np.zeros(self.table.order, dtype=bool)
+        mask[self.table.conjugate_indices(w, np.flatnonzero(rep_mask))] = True
         return mask
 
     def sol_set(self, x: int) -> ElementSet:

@@ -4,10 +4,12 @@ Everything here works directly on permutation tuples or raw index sets with
 no shortcuts, so engine results can be checked against an independent path.
 """
 
+import time
 from itertools import combinations
 
 import numpy as np
 
+from solvcover.cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, SolveBudget, greedy_cover
 from solvcover.group import ElementSet, is_solvable
 
 
@@ -201,3 +203,215 @@ def cyclic_subgroups_brute(table):
 def maximal_cyclic_brute(table):
     subs = cyclic_subgroups_brute(table)
     return {s for s in subs if not any(s < t for t in subs)}
+
+
+def min_count_enumerated(k, rhs, ubs):
+    """Least sum(x) over every vector 0 <= x_c <= ubs[c] with sum_c k[c][t] x_c >= rhs[t].
+
+    Plain enumeration of the whole box (vectorized); 1 << 30 when no vector
+    qualifies, as the class-counting bound reports it.
+    """
+    if not ubs:
+        return 0 if not any(rhs) else 1 << 30
+    grid = np.stack(np.meshgrid(*[np.arange(u + 1) for u in ubs], indexing="ij"), axis=-1).reshape(-1, len(ubs))
+    ok = (grid @ np.array(k, dtype=np.int64).reshape(len(ubs), len(rhs)) >= np.array(rhs)).all(axis=1)
+    return int(grid[ok].sum(axis=1).min()) if ok.any() else 1 << 30
+
+
+class ScanningClassCountingBound:
+    """The class-counting bound with a generic depth-first search over every class.
+
+    The engine's former version: per-class available counts by a loop over
+    the members, suffix maxima recomputed at every level, and no closed form
+    for the last class.
+    """
+
+    def __init__(self, instance):
+        cands = instance.candidates
+        self.cls_ids = sorted({c.class_id for c in cands})
+        self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
+        self.tmasks = []
+        for t in sorted(set(instance.target_class)):
+            m = 0
+            for u, tc in enumerate(instance.target_class):
+                if tc == t:
+                    m |= 1 << u
+            self.tmasks.append(m)
+        self.k = [
+            [max((cands[i].row & tm).bit_count() for i in mem) for tm in self.tmasks]
+            for mem in self.members
+        ]
+        self._memo = {}
+
+    def bound(self, uncovered, avail):
+        rhs = tuple((uncovered & tm).bit_count() for tm in self.tmasks)
+        ubs = tuple(sum(1 for i in mem if (avail >> i) & 1) for mem in self.members)
+        key = (rhs, ubs)
+        if key not in self._memo:
+            self._memo[key] = self.solve_ip(rhs, ubs)
+        return self._memo[key]
+
+    def solve_ip(self, rhs, ubs):
+        ncls, ntc = len(self.members), len(rhs)
+        if not any(rhs):
+            return 0
+        best = sum(ubs) + 1
+        k = self.k
+
+        def dfs(c, need, used):
+            nonlocal best
+            if used >= best:
+                return
+            if not any(need):
+                best = used
+                return
+            if c == ncls:
+                return
+            opt = 0
+            for t in range(ntc):
+                if need[t]:
+                    mx = max((k[d][t] for d in range(c, ncls) if ubs[d]), default=0)
+                    if mx == 0:
+                        return
+                    opt = max(opt, -(-need[t] // mx))
+            if used + opt >= best:
+                return
+            hi = 0
+            for t in range(ntc):
+                if need[t] and k[c][t]:
+                    hi = max(hi, -(-need[t] // k[c][t]))
+            hi = min(hi, ubs[c])
+            for take in range(hi, -1, -1):
+                dfs(c + 1, tuple(max(0, need[t] - take * k[c][t]) for t in range(ntc)), used + take)
+
+        dfs(0, tuple(rhs), 0)
+        return best if best <= sum(ubs) else 1 << 30
+
+
+class _Found(Exception):
+    pass
+
+
+class _Budget(Exception):
+    pass
+
+
+class ScanningSearch:
+    """The engine's former branch and bound, which rescans candidates at every node.
+
+    Same iterative deepening, root symmetry, bounds and branching rule as
+    `cover._Search`, with each node's coverage counts taken afresh from the
+    candidate rows; the incremental search must match it node for node.
+    """
+
+    def __init__(self, instance):
+        self.inst = instance
+        self.cands = instance.candidates
+        self.full = instance.full_mask()
+        self.cols = []
+        for u in range(instance.size):
+            m = 0
+            for i, c in enumerate(self.cands):
+                if (c.row >> u) & 1:
+                    m |= 1 << i
+            self.cols.append(m)
+        self.ccb = ScanningClassCountingBound(instance)
+        self.nodes = 0
+
+    def cheap_bounds(self, uncovered, avail):
+        best_cov = 0
+        a = avail
+        while a:
+            i = (a & -a).bit_length() - 1
+            a &= a - 1
+            best_cov = max(best_cov, (self.cands[i].row & uncovered).bit_count())
+        if best_cov == 0:
+            return 1 << 30
+        density = -(-uncovered.bit_count() // best_cov)
+        packing, used = 0, 0
+        u = uncovered
+        while u:
+            t = (u & -u).bit_length() - 1
+            u &= u - 1
+            col = self.cols[t] & avail
+            if col and not (col & used):
+                packing += 1
+                used |= col
+        return max(density, packing)
+
+    def solve(self, budget=None, root_symmetry=True):
+        budget = budget or SolveBudget()
+        self.deadline = time.monotonic() + budget.time_limit
+        self.node_limit = budget.node_limit
+        self.root_symmetry = root_symmetry
+        avail = (1 << len(self.cands)) - 1
+        if not self.inst.feasible():
+            return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only)
+        incumbent = greedy_cover(self.inst)
+        ub = len(incumbent)
+        lo = max(self.inst.alpha_floor, self.cheap_bounds(self.full, avail), self.ccb.bound(self.full, avail))
+        lo = min(lo, ub)
+        timed_out = False
+        while lo < ub:
+            self.best = lo + 1
+            self.found = None
+            try:
+                self._root(avail)
+            except _Found:
+                pass
+            except _Budget:
+                timed_out = True
+                break
+            if self.found is not None:
+                incumbent = [self.cands[i].element for i in self.found]
+                ub = lo = len(self.found)
+            else:
+                lo += 1
+        return CoverOutcome(INTERVAL if timed_out else EXACT, lo, ub, incumbent,
+                            self.inst.involutions_only, nodes=self.nodes)
+
+    def _root(self, avail):
+        if not (self.root_symmetry and self.inst.conjugation_symmetric):
+            self._descend(self.full, avail, 0, [])
+            return
+        excluded = 0
+        for mem in self.ccb.members:
+            rep = mem[0]
+            self._descend(self.full & ~self.cands[rep].row, (avail & ~excluded) & ~(1 << rep), 1, [rep])
+            for i in mem:
+                excluded |= 1 << i
+
+    def _descend(self, uncovered, avail, depth, chosen):
+        self.nodes += 1
+        if self.nodes > self.node_limit or (self.nodes % 256 == 0 and time.monotonic() > self.deadline):
+            raise _Budget
+        if not uncovered:
+            self.best = depth
+            self.found = list(chosen)
+            raise _Found
+        if depth + 1 >= self.best:
+            return
+        if depth + self.cheap_bounds(uncovered, avail) >= self.best:
+            return
+        if depth + self.ccb.bound(uncovered, avail) >= self.best:
+            return
+        u, pick_col, pick_n = uncovered, 0, 1 << 30
+        while u:
+            t = (u & -u).bit_length() - 1
+            u &= u - 1
+            col = self.cols[t] & avail
+            n = col.bit_count()
+            if n == 0:
+                return
+            if n < pick_n:
+                pick_n, pick_col = n, col
+                if n == 1:
+                    break
+        order = [i for i in range(len(self.cands)) if (pick_col >> i) & 1]
+        order.sort(key=lambda i: -(self.cands[i].row & uncovered).bit_count())
+        excluded = 0
+        for i in order:
+            chosen.append(i)
+            self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen)
+            chosen.pop()
+            excluded |= 1 << i

@@ -47,7 +47,9 @@ def test_solve_product_order_without_enumeration(tmp_path):
     assert "order: 60480" in out.read_text()
 
 
-def test_solve_wreath_builds_only_the_base(tmp_path, monkeypatch):
+@pytest.fixture
+def recorded_builds(monkeypatch):
+    """Spec texts of every group the CLI and the cover pipeline build."""
     from solvcover import cli, cover
 
     built = []
@@ -58,10 +60,22 @@ def test_solve_wreath_builds_only_the_base(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build", recording_build)
     monkeypatch.setattr(cover, "build", recording_build)
+    return built
+
+
+def test_solve_wreath_builds_only_the_base(tmp_path, recorded_builds):
     out = tmp_path / "w.result"
     assert run_cli("solve", "--group", "wreath(psl2(4),2,cycle)", "--mode", "all", "--out", str(out)) == 0
-    assert built and set(built) == {"psl2(4)"}
+    assert recorded_builds == ["psl2(4)"]
     assert "order: 7200" in out.read_text()
+
+
+def test_solve_product_builds_each_factor_once(tmp_path, recorded_builds):
+    out = tmp_path / "p.result"
+    assert run_cli("solve", "--group", "product(psl2(7),psl2(9))", "--mode", "both", "--out", str(out)) == 0
+    assert sorted(recorded_builds) == ["psl2(7)", "psl2(9)"]
+    rec = ResultRecord.from_text(out.read_text())
+    assert (rec.order, rec.alpha.render_value(), rec.alpha_inv.render_value()) == (60480, "5", "9")
 
 
 def test_solve_solvable_group_errors(capsys):

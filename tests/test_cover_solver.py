@@ -1,8 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 import solvcover as sc
+from solvcover.cover import _ClassCountingBound
 from solvcover.solvabilizer import Candidate, CoverInstance
+from solvcover.theorems import Certificate, verify_certificate
 
 import oracles
 
@@ -173,6 +177,99 @@ def test_monotonicity_probes(a5_instance):
     inst3.universe = list(range(nu - 1))
     inst3.target_class = [0] * (nu - 1)
     assert sc.solve_exact(inst3).lower <= base
+
+
+# -- incremental search against the scanning oracle ---------------------------------
+
+# the golden groups of order <= 720 (tests/test_acceptance.py); PSL(2,7) and
+# PSL(2,11) have no involution instance (alpha_inv is infinite)
+SMALL_GOLDEN = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)",
+                "psl2(8)", "psl2(11)", "m10", "pgl2(9)", "symmetric(6)"]
+SMALL_GOLDEN_INSTANCES = [(g, m) for g in SMALL_GOLDEN for m in ("all", "involutions")
+                          if (g, m) not in {("psl2(7)", "involutions"), ("psl2(11)", "involutions")}]
+
+
+@lru_cache(maxsize=None)
+def golden_instance(spec_text, mode):
+    """Reduced instance of a golden group; all of them have a trivial radical."""
+    table = sc.build(sc.parse_spec(spec_text))
+    return sc.reduce_instance(sc.sol_incidence(table), involutions_only=(mode == "involutions"))
+
+
+def outcome_key(out):
+    return out.status, out.lower, out.upper, out.nodes, out.certificate
+
+
+@pytest.mark.parametrize("spec_text,mode", SMALL_GOLDEN_INSTANCES)
+def test_search_matches_scanning_oracle(spec_text, mode):
+    inst = golden_instance(spec_text, mode)
+    assert outcome_key(sc.solve_exact(inst)) == outcome_key(oracles.ScanningSearch(inst).solve())
+
+
+def test_search_matches_scanning_oracle_without_root_symmetry(a5_instance, s5_instance):
+    for inst in (a5_instance, s5_instance):
+        new = sc.solve_exact(inst, root_symmetry=False)
+        old = oracles.ScanningSearch(inst).solve(root_symmetry=False)
+        assert outcome_key(new) == outcome_key(old)
+
+
+def test_search_matches_scanning_oracle_on_synthetics():
+    # every candidate is its own class, so the class-counting program has up to 12 classes
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        nu = int(rng.integers(3, 11))
+        rows = [int(rng.integers(1, 1 << nu)) for _ in range(int(rng.integers(3, 13)))]
+        inst = synthetic_instance(rows)
+        inst.universe = list(range(nu))
+        inst.target_class = [int(c) for c in rng.integers(0, 3, size=nu)]
+        for sym in (False, True):
+            inst.conjugation_symmetric = sym
+            new = sc.solve_exact(inst)
+            old = oracles.ScanningSearch(inst).solve()
+            assert outcome_key(new) == outcome_key(old), (trial, sym)
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(6)", "pgl2(9)", "psl2(11)"])
+def test_class_counting_program_matches_enumeration(spec_text):
+    rng = np.random.default_rng(13)
+    for mode in ("all", "involutions"):
+        if (spec_text, mode) not in SMALL_GOLDEN_INSTANCES:
+            continue
+        ccb = _ClassCountingBound(golden_instance(spec_text, mode))
+        orbit_sizes = [tm.bit_count() for tm in ccb.tmasks]
+        class_sizes = [len(mem) for mem in ccb.members]
+        for _ in range(150):
+            rhs = tuple(int(rng.integers(0, s + 1)) for s in orbit_sizes)
+            ubs = tuple(int(rng.integers(0, s + 1)) for s in class_sizes)
+            assert ccb._solve_ip(rhs, ubs) == oracles.min_count_enumerated(ccb.k, rhs, ubs), (mode, rhs, ubs)
+
+
+def test_class_counting_program_matches_enumeration_on_synthetics():
+    # 2-5 classes of 1-4 candidates over 1-4 target orbits, so every depth of the search runs
+    rng = np.random.default_rng(17)
+    for trial in range(80):
+        nu, ncls = int(rng.integers(4, 12)), int(rng.integers(2, 6))
+        cands = [Candidate(i, 2, True, c, int(rng.integers(0, 1 << nu)))
+                 for i, c in enumerate(np.repeat(np.arange(ncls), rng.integers(1, 5, size=ncls)).tolist())]
+        inst = CoverInstance(universe=list(range(nu)), target_class=rng.integers(0, 4, size=nu).tolist(),
+                             candidates=cands, involutions_only=False)
+        ccb = _ClassCountingBound(inst)
+        for _ in range(20):
+            rhs = tuple(int(rng.integers(0, tm.bit_count() + 1)) for tm in ccb.tmasks)
+            ubs = tuple(int(rng.integers(0, len(mem) + 1)) for mem in ccb.members)
+            assert ccb._solve_ip(rhs, ubs) == oracles.min_count_enumerated(ccb.k, rhs, ubs), (trial, rhs, ubs)
+
+
+@pytest.mark.parametrize("mode", ["all", "involutions"])
+def test_node_limit_interval_matches_oracle(mode):
+    table = sc.build(sc.pgl2(9))
+    budget = sc.SolveBudget(node_limit=500)
+    out = sc.solve_alpha(table, mode, budget)
+    assert out.status == sc.INTERVAL and out.nodes == budget.node_limit + 1
+    inst = sc.reduce_instance(sc.sol_incidence(table), involutions_only=(mode == "involutions"))
+    assert outcome_key(out) == outcome_key(oracles.ScanningSearch(inst).solve(budget))
+    assert out.lower <= 8 <= out.upper == len(out.certificate)
+    assert verify_certificate(table, Certificate(sc.pgl2(9), mode, out.certificate_perms))
 
 
 # -- pipelines ----------------------------------------------------------------------
