@@ -9,8 +9,17 @@ conjugacy-class representatives (conjugating an optimal cover is again an
 optimal cover, so the lowest class present may be normalized to its
 representative).  Pruning bounds, cheapest first: universe density, the
 class-counting bound (an exact small integer program over (candidate class) x
-(target orbit) coverage counts, memoized), and a greedy packing of
-candidate-disjoint targets.
+(target orbit) coverage counts, memoized), a greedy packing of
+candidate-disjoint targets, and last the Lagrangian relaxation of set cover
+(Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper. Res. 47, 1999): a few
+subgradient steps on float64 multipliers y >= 0 over the uncovered targets,
+warm-started from the parent's, whose value bounds the LP relaxation from
+below.  The same multipliers bound every child before it is entered, which
+fixes out the children whose reduced cost lifts them to the incumbent.  The
+root multipliers are the class-counting LP dual, optimal for the root LP.
+Every bound only cuts subtrees that hold no cover below the incumbent, so the
+search visits the nodes of the plain search in the same order, minus those,
+and returns the same first cover.
 
 Each node carries a coverage vector, cov[i] = |row_i & uncovered| for the
 available candidates, kept incrementally: a child's vector is its parent's
@@ -18,7 +27,8 @@ minus the target x candidate matrix rows of the targets it newly covers, so
 the density bound is cov.max() and the branching order sorts by cov.  One
 sweep over the uncovered targets gives both the packing and the branching
 target.  The integer program enumerates all classes but the last, whose count
-follows in closed form.
+follows in closed form.  Each subgradient step is two matrix-vector products
+with the float64 copy of the same matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -118,8 +128,10 @@ class _ClassCountingBound:
         self.cls_ids = sorted({c.class_id for c in cands})
         self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
         self.class_masks = [sum(1 << i for i in mem) for mem in self.members]
-        self.tmasks = [sum(1 << u for u, tc in enumerate(instance.target_class) if tc == t)
-                       for t in sorted(set(instance.target_class))]
+        orbit_ids = sorted(set(instance.target_class))
+        self.tmasks = [sum(1 << u for u, tc in enumerate(instance.target_class) if tc == t) for t in orbit_ids]
+        position = {t: o for o, t in enumerate(orbit_ids)}
+        self.target_orbit = [position[t] for t in instance.target_class]
         self.k = [
             [max((cands[i].row & tm).bit_count() for i in mem) for tm in self.tmasks]
             for mem in self.members
@@ -133,6 +145,48 @@ class _ClassCountingBound:
             coeffs = {self.cls_ids[ci]: self.k[ci][ti] for ci in range(len(self.members))}
             out.append((coeffs, tm.bit_count()))
         return out
+
+    def lp_dual(self) -> tuple[list[float], float, list[float]]:
+        """Optimal multipliers w (one per target orbit) of the program's LP relaxation at the root.
+
+        Primal simplex with Bland's rule on the dual LP
+            max sum_T |T| w_T - sum_c |c| v_c  s.t.  sum_T k[c][T] w_T - v_c <= 1,  w, v >= 0,
+        from the slack basis, which is feasible as every right-hand side is 1.
+        Returns (w, value, load): load[c] = sum_T k[c][T] w_T, so class c has
+        reduced cost 1 - load[c], and value = sum_T |T| w_T - sum_c |c| max(load[c] - 1, 0).
+        """
+        k, sizes = self.k, [tm.bit_count() for tm in self.tmasks]
+        nc, m = len(k), len(sizes)
+        rows = [[float(a) for a in k[c]] + [-float(c == j) for j in range(nc)] + [float(c == j) for j in range(nc)]
+                + [1.0] for c in range(nc)]
+        z = [float(a) for a in sizes] + [-float(len(mem)) for mem in self.members] + [0.0] * (nc + 1)
+        basis = list(range(m + nc, m + 2 * nc))
+        for _ in range(_SIMPLEX_PIVOTS):
+            enter = next((j for j in range(m + 2 * nc) if z[j] > _PIVOT_TOL), None)
+            if enter is None:
+                break
+            ratio = min(((row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > _PIVOT_TOL),
+                        default=None)
+            if ratio is None:
+                break
+            pivot = rows[ratio[2]]
+            f = pivot[enter]
+            pivot[:] = [a / f for a in pivot]
+            for row in rows:
+                if row is not pivot and row[enter]:
+                    f = row[enter]
+                    row[:] = [a - f * b for a, b in zip(row, pivot)]
+            f = z[enter]
+            z = [a - f * b for a, b in zip(z, pivot)]
+            basis[ratio[2]] = enter
+        w = [0.0] * m
+        for row, b in zip(rows, basis):
+            if b < m:
+                w[b] = max(row[-1], 0.0)
+        load = [sum(a * b for a, b in zip(kc, w)) for kc in k]
+        value = (sum(a * b for a, b in zip(sizes, w))
+                 - sum(len(mem) * max(x - 1, 0.0) for mem, x in zip(self.members, load)))
+        return w, value, load
 
     def bound(self, uncovered: int, avail: int) -> int:
         rhs = tuple((uncovered & tm).bit_count() for tm in self.tmasks)
@@ -219,6 +273,21 @@ def lower_bound(instance: CoverInstance) -> int:
 # -- branch and bound -------------------------------------------------------------
 
 
+# Lagrangian bound (see _Search): float64 error allowance, most subgradient
+# steps per node, nodes of a solve before the first ascent, and the pivot cap
+# and tolerance of the class-counting LP's simplex
+_EPS = 1e-6
+_NODE_STEPS = 20
+_PLAIN_NODES = 64
+_SIMPLEX_PIVOTS = 100
+_PIVOT_TOL = 1e-12
+
+
+def _ceil_bound(value: float) -> int:
+    """Integer lower bound from a float64 Lagrangian value: ceil(value - _EPS)."""
+    return math.ceil(value - _EPS)
+
+
 class _FoundCover(Exception):
     pass
 
@@ -259,6 +328,49 @@ class _Search:
     vectors come from one product with the target x candidate matrix ``hit``.
     Every entry is a small integer, so float32 is exact and the products run
     through BLAS.
+
+    A node also carries float64 multipliers ``y >= 0`` from its parent,
+    zeroed on covered targets before use.  For any such y, with s = y @ hit
+    and "available" the candidates with cov > 0 (the others are unavailable
+    or cover no uncovered target),
+
+        L(y) = sum_t y_t + sum_{i available} min(0, 1 - s_i)
+
+    is a lower bound on the number of further candidates any cover below the
+    node needs: it is the Lagrangian relaxation of the node's set-cover
+    program, so L(y) <= LP <= IP whether or not y is a good choice.  Bounds,
+    in order: density, class counting, packing, then, where none prunes,
+    ``_ascend``: at most ``_NODE_STEPS`` projected subgradient steps from the
+    y the parent handed down, each step aiming L half a unit past the pruning
+    level (Polyak's rule), stopping as soon as it prunes.  The node is pruned
+    when depth + ceil(L - eps) >= best.  Its best y, restricted to each
+    child's uncovered targets, then bounds every child in one batched
+    product before the child is entered: child j is skipped when
+    depth + 1 + ceil(L_j - eps) >= best, and still joins its later siblings'
+    excluded set, since its subtree holds no cover below best.  L_j is at
+    least L + (1 - s_i) - 1, the Lagrangian bound with the child's candidate
+    i fixed into the cover, so this is reduced-cost fixing and more.  A
+    visited child starts its ascent from that evaluation.  Since only
+    subtrees without a cover below best go, the depth-first order, the first
+    cover found and the certificate stay those of the search without the
+    Lagrangian (``tests/oracles.py::ScanningSearch``).
+
+    Why float64 and eps = 1e-6: L is a sum of at most |targets| + |candidates|
+    float64 terms, each a small multiple of the instance size at most, so its
+    rounding error, a few ulps per term, stays well below 1e-6 on instances
+    the group cap allows, and ceil(L - eps) never exceeds the ceiling of the
+    exact L(y) of the y actually held.  Without eps, sums that are exactly an
+    integer do come out a few ulps above it, and the search then misses
+    optima (PGL(2,9) and S6 among the golden groups).
+
+    The root multipliers are the class-counting LP dual (``lp_dual``),
+    constant on target orbits; for conjugation-symmetric instances they are
+    optimal for the root LP.  Root branch c is skipped by reduced-cost
+    fixing, when ceil(value + 1 - load[c] - eps) >= best.  The multipliers
+    are computed once per solve and shared by every deepening round.  The
+    first ``_PLAIN_NODES`` nodes of a solve run no ascent: a search that ends
+    within a few dozen nodes, as most small groups do, cannot win back its
+    cost, as one ascent costs about as much as ten nodes.
     """
 
     def __init__(self, instance: CoverInstance):
@@ -272,6 +384,11 @@ class _Search:
         self.row_vecs = np.ascontiguousarray(self.hit.T)
         self.ccb = _ClassCountingBound(instance)
         self.nodes = 0
+
+    @cached_property
+    def hit64(self) -> np.ndarray:
+        """float64 copy of ``hit`` for the Lagrangian (built at the first ascent)."""
+        return self.hit.astype(np.float64)
 
     def _sweep(self, uncovered: int, avail: int) -> tuple[int, int]:
         """One pass over the uncovered targets: (packing, branching column).
@@ -314,6 +431,49 @@ class _Search:
         covs[off_rows, off_cols] = 0
         return covs, unc - newly
 
+    def lagrangian(self, y: np.ndarray, act: np.ndarray):
+        """(L(y), s, over) for one node, or for a batch of nodes given one per row.
+
+        s = y @ hit and over marks the candidates in act with 1 - s < 0.  y
+        must be zero on covered targets; act marks the available candidates.
+        """
+        s = y @ self.hit64
+        over = (s > 1) & act
+        return y.sum(axis=-1) - np.where(over, s - 1, 0).sum(axis=-1), s, over
+
+    def _ascend(self, y: np.ndarray, unc: np.ndarray, cov: np.ndarray, need: int,
+                first: Optional[tuple[float, np.ndarray]] = None):
+        """(L, y) at the best of at most _NODE_STEPS evaluations of L, from y on.
+
+        first, when the parent computed it, is (L, s) at y, and y is then
+        already zero on covered targets.  Stops once ceil(L - eps) reaches
+        need.  Each step moves y along the subgradient 1 - hit @ over on the
+        uncovered targets, zeroed where y is 0 and it points down, by Polyak's
+        rule aimed at L = need - 1/2.
+        """
+        act = cov > 0
+        if first is None:
+            y = y * unc
+            L, s, over = self.lagrangian(y, act)
+        else:
+            L, s = first
+            over = (s > 1) & act
+        best = L, y
+        aim = need - 0.5
+        for _ in range(_NODE_STEPS - 1):
+            if _ceil_bound(L) >= need:
+                break
+            g = unc - self.hit64 @ over
+            g[(g < 0) & (y <= 0)] = 0
+            nrm = g @ g
+            if not nrm:
+                break  # over covers every uncovered target with y > 0 exactly once: y is optimal
+            y = np.maximum(y + (aim - L) / nrm * g, 0)
+            L, s, over = self.lagrangian(y, act)
+            if L > best[0]:
+                best = L, y
+        return best
+
     def solve(self, budget: SolveBudget, floor: int, root_symmetry: bool = True) -> CoverOutcome:
         t0 = time.monotonic()
         self.deadline = t0 + budget.time_limit
@@ -326,6 +486,9 @@ class _Search:
         incumbent = greedy_cover(self.inst)
         ub = len(incumbent)
         lo = min(max(floor, self.root_bound()), ub)
+        if lo < ub:
+            w, self.root_value, self.root_load = self.ccb.lp_dual()
+            self.y0 = np.array(w)[self.ccb.target_orbit]
         timed_out = False
         while lo < ub:
             self.best = lo + 1
@@ -358,12 +521,13 @@ class _Search:
         cov = self.hit.sum(axis=0)
         unc = np.ones(self.nu, dtype=np.float32)
         if not (self.root_symmetry and self.inst.conjugation_symmetric):
-            self._descend(self.full, avail, 0, [], cov, unc)
+            self._descend(self.full, avail, 0, [], cov, unc, self.y0, None)
             return
         # first candidate restricted to class representatives: branch k fixes
         # the lowest candidate class present in the cover and includes its
         # least member; classes are whole conjugation orbits, so any cover
-        # normalizes into exactly one branch
+        # normalizes into exactly one branch.  A branch whose class's reduced
+        # cost lifts the root bound to best holds no such cover and is skipped.
         members = self.ccb.members
         reps = [mem[0] for mem in members]
         off_rows, off_cols = [], []
@@ -374,13 +538,15 @@ class _Search:
         covs, uncs = self._children(cov, unc, reps, off_rows, off_cols)
         excluded = 0
         for j, (mem, rep) in enumerate(zip(members, reps)):
-            row = self.cands[rep].row
-            self._descend(self.full & ~row, (avail & ~excluded) & ~(1 << rep), 1, [rep], covs[j], uncs[j])
+            if _ceil_bound(self.root_value + 1 - self.root_load[j]) < self.best:
+                row = self.cands[rep].row
+                self._descend(self.full & ~row, (avail & ~excluded) & ~(1 << rep), 1, [rep], covs[j], uncs[j],
+                              self.y0, None)
             for i in mem:
                 excluded |= 1 << i
 
     def _descend(self, uncovered: int, avail: int, depth: int, chosen: list[int],
-                 cov: np.ndarray, unc: np.ndarray):
+                 cov: np.ndarray, unc: np.ndarray, y: np.ndarray, first: Optional[tuple[float, np.ndarray]]):
         self.nodes += 1
         if self.nodes > self.node_limit or (self.nodes % 256 == 0 and time.monotonic() > self.deadline):
             raise _OutOfBudget
@@ -397,6 +563,12 @@ class _Search:
         packing, pick = self._sweep(uncovered, avail)
         if not pick or depth + packing >= self.best:
             return
+        need = self.best - depth
+        ascended = self.nodes > _PLAIN_NODES
+        if ascended:
+            L, y = self._ascend(y, unc, cov, need, first)
+            if _ceil_bound(L) >= need:
+                return
         # branch on the uncovered target with fewest remaining candidates,
         # largest coverage first (a stable sort keeps ties in index order)
         order = []
@@ -410,12 +582,20 @@ class _Search:
         # child j zeroes the candidates it chose or excluded: order[:j + 1]
         off_rows, off_pos = _lower_triangle(len(order))
         covs, uncs = self._children(cov, unc, order, off_rows, np.asarray(order)[off_pos])
+        if ascended:
+            # every child's bound at the inherited multipliers, in one product
+            ys = y * uncs
+            Ls, ss, _ = self.lagrangian(ys, covs > 0)
+            firsts = list(zip(Ls.tolist(), ss))
+        else:
+            ys, firsts = [y] * len(order), [None] * len(order)
         excluded = 0
         for j, i in enumerate(order):
-            chosen.append(i)
-            self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen,
-                          covs[j], uncs[j])
-            chosen.pop()
+            if firsts[j] is None or _ceil_bound(firsts[j][0]) < need - 1:
+                chosen.append(i)
+                self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen,
+                              covs[j], uncs[j], ys[j], firsts[j])
+                chosen.pop()
             excluded |= 1 << i
 
 

@@ -299,9 +299,12 @@ class _Budget(Exception):
 class ScanningSearch:
     """The engine's former branch and bound, which rescans candidates at every node.
 
-    Same iterative deepening, root symmetry, bounds and branching rule as
-    `cover._Search`, with each node's coverage counts taken afresh from the
-    candidate rows; the incremental search must match it node for node.
+    Same iterative deepening, root symmetry, cheap bounds and branching rule
+    as `cover._Search`, with each node's coverage counts taken afresh from the
+    candidate rows and no Lagrangian bound.  The search must return its
+    status, bounds and first cover, in no more nodes: the Lagrangian bound
+    and fixing only cut subtrees of this tree that hold no cover below the
+    incumbent.
     """
 
     def __init__(self, instance):

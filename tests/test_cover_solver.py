@@ -1,9 +1,11 @@
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import solvcover as sc
+from solvcover import cover
 from solvcover.cover import _ClassCountingBound
 from solvcover.solvabilizer import Candidate, CoverInstance
 from solvcover.theorems import Certificate, verify_certificate
@@ -197,23 +199,46 @@ def golden_instance(spec_text, mode):
 
 
 def outcome_key(out):
-    return out.status, out.lower, out.upper, out.nodes, out.certificate
+    return out.status, out.lower, out.upper, out.certificate
+
+
+def assert_within_oracle(new, old):
+    """The oracle's status, bounds and first cover, found in no more nodes.
+
+    The Lagrangian bound only prunes subtrees holding no cover below the
+    incumbent, so the depth-first order and the first cover found stay the oracle's.
+    """
+    assert outcome_key(new) == outcome_key(old)
+    assert new.nodes <= old.nodes
+
+
+def solve_both_ways(monkeypatch, inst, **kwargs):
+    """solve_exact as shipped, and with the ascent and fixing at every node from the first."""
+    default = sc.solve_exact(inst, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(cover, "_PLAIN_NODES", 0)
+        eager = sc.solve_exact(inst, **kwargs)
+    return default, eager
 
 
 @pytest.mark.parametrize("spec_text,mode", SMALL_GOLDEN_INSTANCES)
-def test_search_matches_scanning_oracle(spec_text, mode):
+def test_search_matches_scanning_oracle(monkeypatch, spec_text, mode):
     inst = golden_instance(spec_text, mode)
-    assert outcome_key(sc.solve_exact(inst)) == outcome_key(oracles.ScanningSearch(inst).solve())
+    old = oracles.ScanningSearch(inst).solve()
+    for new in solve_both_ways(monkeypatch, inst):
+        assert_within_oracle(new, old)
+        if spec_text == "pgl2(9)":
+            assert new.nodes < old.nodes
 
 
-def test_search_matches_scanning_oracle_without_root_symmetry(a5_instance, s5_instance):
+def test_search_matches_scanning_oracle_without_root_symmetry(monkeypatch, a5_instance, s5_instance):
     for inst in (a5_instance, s5_instance):
-        new = sc.solve_exact(inst, root_symmetry=False)
         old = oracles.ScanningSearch(inst).solve(root_symmetry=False)
-        assert outcome_key(new) == outcome_key(old)
+        for new in solve_both_ways(monkeypatch, inst, root_symmetry=False):
+            assert_within_oracle(new, old)
 
 
-def test_search_matches_scanning_oracle_on_synthetics():
+def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
     # every candidate is its own class, so the class-counting program has up to 12 classes
     rng = np.random.default_rng(7)
     for trial in range(60):
@@ -224,9 +249,118 @@ def test_search_matches_scanning_oracle_on_synthetics():
         inst.target_class = [int(c) for c in rng.integers(0, 3, size=nu)]
         for sym in (False, True):
             inst.conjugation_symmetric = sym
-            new = sc.solve_exact(inst)
             old = oracles.ScanningSearch(inst).solve()
-            assert outcome_key(new) == outcome_key(old), (trial, sym)
+            for new in solve_both_ways(monkeypatch, inst):
+                assert outcome_key(new) == outcome_key(old), (trial, sym)
+                assert new.nodes <= old.nodes, (trial, sym)
+
+
+# -- Lagrangian bound --------------------------------------------------------------
+
+# (target x candidate incidence, y): L(y) is exactly 1, the optimum, but numpy's
+# float64 sums come out a few ulps above 1; the eps allowance keeps ceil at 1
+FLOAT_EDGE_CASES = [
+    ([[1, 1], [1, 1], [0, 1], [0, 1]], [0.3, 0.2, 0.6, 0.7]),
+    ([[1, 1, 0], [1, 0, 0], [1, 0, 1], [1, 1, 1]], [0.2, 0.6, 0.4, 0.05]),
+    ([[0, 1], [0, 1], [0, 1], [0, 1], [1, 1]], [0.15, 0.6, 0.6, 0.6, 0.7]),
+]
+
+
+def instance_from_incidence(incidence):
+    nu = len(incidence)
+    rows = [sum(1 << t for t in range(nu) if incidence[t][i]) for i in range(len(incidence[0]))]
+    inst = synthetic_instance(rows)
+    inst.universe, inst.target_class = list(range(nu)), [0] * nu
+    return inst
+
+
+def residual_vectors(search, uncovered, avail):
+    """(unc, cov) of a node: uncovered targets, coverage of the available candidates."""
+    unc = np.array([(uncovered >> t) & 1 for t in range(search.nu)], dtype=np.float32)
+    cov = np.array([(c.row & uncovered).bit_count() if (avail >> i) & 1 else 0
+                    for i, c in enumerate(search.cands)], dtype=np.float32)
+    return unc, cov
+
+
+def test_lagrangian_never_exceeds_min_cover_on_synthetics():
+    rng = np.random.default_rng(23)
+    checked = 0
+    for trial in range(200):
+        nu = int(rng.integers(2, 9))
+        rows = [int(rng.integers(1, 1 << nu)) for _ in range(int(rng.integers(2, 9)))]
+        inst = synthetic_instance(rows)
+        inst.universe, inst.target_class = list(range(nu)), [0] * nu
+        search = cover._Search(inst)
+        # a random node: some targets covered, some candidates gone
+        uncovered = int(rng.integers(1, 1 << nu))
+        avail = int(rng.integers(1, 1 << len(rows)))
+        exact = oracles.min_cover_size([r & uncovered for i, r in enumerate(rows) if (avail >> i) & 1],
+                                       target=uncovered)
+        if exact is None:
+            continue
+        unc, cov = residual_vectors(search, uncovered, avail)
+        for _ in range(10):
+            y = rng.exponential(0.5, size=nu) * unc
+            L, s, _ = search.lagrangian(y, cov > 0)
+            assert cover._ceil_bound(L) <= exact, (trial, y)
+            # fixing an available candidate into the cover adds its reduced cost 1 - s_i
+            for i in np.flatnonzero(cov > 0):
+                rest = uncovered & ~rows[i]
+                others = [r & rest for j, r in enumerate(rows) if (avail >> j) & 1 and j != i]
+                with_i = 1 + (oracles.min_cover_size(others, target=rest) if rest else 0)
+                assert cover._ceil_bound(L + 1 - s[i]) <= with_i, (trial, i, y)
+        checked += 1
+    assert checked > 100
+    for incidence, y in FLOAT_EDGE_CASES:
+        search = cover._Search(instance_from_incidence(incidence))
+        L, _, _ = search.lagrangian(np.array(y), np.ones(len(incidence[0]), dtype=bool))
+        assert cover._ceil_bound(L) <= 1 == oracles.min_cover_size(
+            [c.row for c in search.cands], target=search.full)
+
+
+def residual_lp(linprog, search, unc, cov):
+    """Optimum of the node's LP relaxation; None when some uncovered target has no candidate."""
+    rows, cols = np.flatnonzero(unc), np.flatnonzero(cov > 0)
+    a = search.hit64[np.ix_(rows, cols)]
+    if not len(rows):
+        return 0.0
+    if (a.sum(axis=1) == 0).any():
+        return None
+    res = linprog(np.ones(len(cols)), A_ub=-a, b_ub=-np.ones(len(rows)), bounds=(0, 1), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("spec_text,mode", SMALL_GOLDEN_INSTANCES)
+def test_lagrangian_bound_within_residual_lp(spec_text, mode):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    inst = golden_instance(spec_text, mode)
+    search = cover._Search(inst)
+    w, value, load = search.ccb.lp_dual()
+    y0 = np.array(w)[search.ccb.target_orbit]
+    unc, cov = residual_vectors(search, search.full, (1 << len(search.cands)) - 1)
+    root = residual_lp(linprog, search, unc, cov)
+    # the class-counting LP is the root LP, so the orbit-constant seed is optimal there
+    assert value == pytest.approx(root, abs=1e-9)
+    assert search.lagrangian(y0, cov > 0)[0] == pytest.approx(root, abs=1e-9)
+    rng = np.random.default_rng(len(spec_text))
+    n = len(search.cands)
+    for _ in range(8):
+        # a random node: a few candidates chosen, a few more excluded
+        picked = rng.permutation(n)[:int(rng.integers(1, 8))]
+        uncovered = search.full
+        for i in picked[:max(1, len(picked) // 2)]:
+            uncovered &= ~search.cands[i].row
+        avail = (1 << n) - 1
+        for i in picked:
+            avail &= ~(1 << int(i))
+        unc, cov = residual_vectors(search, uncovered, avail)
+        lp = residual_lp(linprog, search, unc, cov)
+        if lp is None or not uncovered:
+            continue
+        L, _ = search._ascend(y0 * unc, unc, cov, need=1 << 20)
+        assert L <= lp + 1e-9
+        assert cover._ceil_bound(L) <= math.ceil(lp - 1e-9)
 
 
 @pytest.mark.parametrize("spec_text", ["alternating(6)", "pgl2(9)", "psl2(11)"])
@@ -262,14 +396,22 @@ def test_class_counting_program_matches_enumeration_on_synthetics():
 
 @pytest.mark.parametrize("mode", ["all", "involutions"])
 def test_node_limit_interval_matches_oracle(mode):
+    # the oracle needs thousands of nodes; the Lagrangian search finishes within
+    # 500 and still stops as an interval on 40 (before its first ascent)
     table = sc.build(sc.pgl2(9))
-    budget = sc.SolveBudget(node_limit=500)
-    out = sc.solve_alpha(table, mode, budget)
-    assert out.status == sc.INTERVAL and out.nodes == budget.node_limit + 1
     inst = sc.reduce_instance(sc.sol_incidence(table), involutions_only=(mode == "involutions"))
-    assert outcome_key(out) == outcome_key(oracles.ScanningSearch(inst).solve(budget))
-    assert out.lower <= 8 <= out.upper == len(out.certificate)
-    assert verify_certificate(table, Certificate(sc.pgl2(9), mode, out.certificate_perms))
+    for node_limit in (500, 40):
+        budget = sc.SolveBudget(node_limit=node_limit)
+        out = sc.solve_alpha(table, mode, budget)
+        old = oracles.ScanningSearch(inst).solve(budget)
+        assert old.status == sc.INTERVAL
+        if node_limit == 500:
+            assert out.status == sc.EXACT and out.nodes <= node_limit
+        else:
+            assert out.status == sc.INTERVAL and out.nodes == node_limit + 1
+        assert old.lower <= out.lower <= 8 <= out.upper <= old.upper
+        assert out.upper == len(out.certificate)
+        assert verify_certificate(table, Certificate(sc.pgl2(9), mode, out.certificate_perms))
 
 
 # -- pipelines ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 import solvcover as sc
+from solvcover.theorems import Certificate, verify_certificate
 
 
 @pytest.mark.slow
@@ -20,8 +21,20 @@ def test_product_psl24_psl24_materialized_agreement():
 def test_pgl2_13():
     out = sc.solve_alpha(sc.build(sc.pgl2(13)), "all", sc.SolveBudget(time_limit=600))
     assert out.status == sc.EXACT and out.lower == 13
+    assert out.nodes < 1000
     inv = sc.solve_alpha(sc.build(sc.pgl2(13)), "involutions", sc.SolveBudget(time_limit=600))
     assert inv.status == sc.EXACT and inv.lower == 13
+    assert inv.nodes < 1000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mode", ["all", "involutions"])
+def test_pgl2_17_closes_under_default_budget(mode):
+    # open at [16,17] without the Lagrangian bound (millions of nodes in 60 s)
+    table = sc.build(sc.pgl2(17))
+    out = sc.solve_alpha(table, mode)
+    assert out.status == sc.EXACT and out.lower == 17
+    assert verify_certificate(table, Certificate(sc.pgl2(17), mode, out.certificate_perms))
 
 
 @pytest.mark.slow
