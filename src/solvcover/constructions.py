@@ -396,38 +396,6 @@ def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> GroupTable:
     return enumerate_group(generators_for(spec, cap), cap)
 
 
-def expected_order(spec: GroupSpec) -> Optional[int]:
-    """Known closed-form order, used as a construction self-check."""
-    k, p = spec.kind, spec.params
-    if k == "symmetric":
-        import math
-        return math.factorial(p[0])
-    if k == "alternating":
-        import math
-        return math.factorial(p[0]) // 2
-    if k == "dihedral":
-        return 2 * p[0]
-    if k in ("psl2", "pgl2", "pgammal2", "gl2"):
-        q = p[0]
-        pf = factor_prime_power(q)
-        if pf is None:
-            return None
-        base = q * (q * q - 1)
-        if k == "psl2":
-            return base // (2 if pf[0] != 2 else 1)
-        if k == "pgl2":
-            return base
-        if k == "pgammal2":
-            return base * pf[1]
-        return (q * q - 1) * (q * q - q)
-    if k == "m10":
-        return 720
-    if k == "product":
-        a, b = expected_order(p[0]), expected_order(p[1])
-        return None if a is None or b is None else a * b
-    return None
-
-
 # -- textual spec format -------------------------------------------------------
 
 

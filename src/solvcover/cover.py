@@ -474,11 +474,10 @@ class _Search:
                 best = L, y
         return best
 
-    def solve(self, budget: SolveBudget, floor: int, root_symmetry: bool = True) -> CoverOutcome:
+    def solve(self, budget: SolveBudget, floor: int) -> CoverOutcome:
         t0 = time.monotonic()
         self.deadline = t0 + budget.time_limit
         self.node_limit = budget.node_limit
-        self.root_symmetry = root_symmetry
         avail = (1 << len(self.cands)) - 1
         if not self.inst.feasible():
             return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only,
@@ -520,7 +519,7 @@ class _Search:
     def _root(self, avail: int):
         cov = self.hit.sum(axis=0)
         unc = np.ones(self.nu, dtype=np.float32)
-        if not (self.root_symmetry and self.inst.conjugation_symmetric):
+        if not self.inst.conjugation_symmetric:
             self._descend(self.full, avail, 0, [], cov, unc, self.y0, None)
             return
         # first candidate restricted to class representatives: branch k fixes
@@ -599,11 +598,10 @@ class _Search:
             excluded |= 1 << i
 
 
-def solve_exact(instance: CoverInstance, budget: Optional[SolveBudget] = None,
-                root_symmetry: bool = True) -> CoverOutcome:
+def solve_exact(instance: CoverInstance, budget: Optional[SolveBudget] = None) -> CoverOutcome:
     """Minimum cover of the instance: Exact, Interval (budget hit), or Infeasible."""
     budget = budget or SolveBudget()
-    out = _Search(instance).solve(budget, floor=instance.alpha_floor, root_symmetry=root_symmetry)
+    out = _Search(instance).solve(budget, floor=instance.alpha_floor)
     out.notes = list(instance.notes)
     return out
 

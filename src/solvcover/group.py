@@ -133,20 +133,12 @@ class GroupTable:
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.imgs[i])
 
-    def elements(self) -> list[Permutation]:
-        """All elements in index order (index 0 is the identity)."""
-        return [self.permutation(i) for i in range(self.order)]
-
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_left(i, np.array([j]))[0])
 
     def mul_left(self, g: int, idx: np.ndarray) -> np.ndarray:
         """Indices of elem_g ∘ elem_j for each j in idx; products need only base images."""
         return self._index_of(self.imgs[g][self._base_imgs[idx]])
-
-    def mul_right(self, idx: np.ndarray, g: int) -> np.ndarray:
-        """Indices of elem_i ∘ elem_g for each i in idx."""
-        return self._index_of(self.imgs[np.asarray(idx)[:, None], self._base_imgs[g]])
 
     def conjugate_indices(self, g: int, idx: np.ndarray) -> np.ndarray:
         """Indices of g t g^-1 for each t in idx, from (g t g^-1)[b] = g[t[g^-1[b]]] on the base."""
@@ -544,26 +536,46 @@ def quotient_by(table: GroupTable, N: ElementSet) -> GroupTable:
 
 
 def index_two_subgroups(table: GroupTable) -> list[ElementSet]:
-    """All index-2 subgroups, via the subgroup generated by squares and commutators.
+    """All index-2 subgroups: the kernels of the homomorphisms G -> Z2.
 
-    Each result carries a small generating subset of itself as ``gens``;
-    ``constructions`` builds M10 and squished products from them, so they fix
-    the element order of those tables.
+    The squares generate a normal subgroup S with elementary abelian
+    quotient, and every kernel contains S.  A homomorphism is a 0/1 value per
+    generator that is consistent on the cosets of S: each coset is labelled
+    by the parity of a breadth-first path to it along the generators, and an
+    assignment is kept when every generator moves each coset to one whose
+    label differs by the generator's value.  Kernels come sorted by their
+    sorted coset ids.  Each result carries a small generating subset of
+    itself as ``gens``; ``constructions`` builds M10 and squished products
+    from them, so they fix the element order of those tables.
     """
-    squares = np.take_along_axis(table.imgs, table.imgs, axis=1)
-    seed = set(table.lookup_images(squares).tolist()) | _commutators(table, table.generator_indices)
-    seed.discard(0)
-    S = table.closure_indices(sorted(seed))
-    k = table.order // len(S)
-    if k == 1:
+    squares = table.lookup_images(np.take_along_axis(table.imgs, table.imgs, axis=1))
+    S = table.closure_indices(squares.tolist())
+    if len(S) == table.order:
         return []
     coset_of, reps = _left_cosets(table, np.array(S))
-    qmul = [coset_of[table.mul_left(r, reps)].tolist() for r in reps]
+    acts = [coset_of[table.mul_left(g, reps)] for g in table.generator_indices]
+    path = np.zeros((len(reps), len(acts)), dtype=np.int64)  # generator parities from S to each coset
+    reached = np.zeros(len(reps), dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        layer = []
+        for i, act in enumerate(acts):
+            src = frontier[~reached[act[frontier]]]
+            img = act[src]
+            reached[img] = True
+            path[img] = path[src]
+            path[img, i] ^= 1
+            layer.append(img)
+        frontier = np.concatenate(layer)
+    kernels = []
+    for bits in itertools.product((0, 1), repeat=len(acts)):
+        label = path @ np.array(bits) % 2
+        if any(bits) and all(np.array_equal(label[act], label ^ b) for act, b in zip(acts, bits)):
+            kernels.append(np.flatnonzero(label == 0).tolist())
     out = []
-    for combo in itertools.combinations(range(1, k), k // 2 - 1):
-        sub = {0, *combo}
-        if all(qmul[a][b] in sub for a in sub for b in sub):
-            mask = np.isin(coset_of, list(sub))
-            gens = _generating_subset(table, np.where(mask)[0].tolist())
-            out.append(ElementSet(table, mask, is_subgroup=True, gens=gens))
+    for kernel in sorted(kernels):
+        mask = np.isin(coset_of, kernel)
+        gens = _generating_subset(table, np.flatnonzero(mask).tolist())
+        out.append(ElementSet(table, mask, is_subgroup=True, gens=gens))
     return out

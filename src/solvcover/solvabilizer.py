@@ -270,29 +270,31 @@ def _orbit_representatives(table: GroupTable, subgroups: list[tuple[list[int], l
 
 
 def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[int]) -> list[int]:
-    n = table.order
+    """Adjoin the least element that keeps <gens> solvable until none does.
+
+    Only elements of Sol(h) for every generator h are tried: otherwise <h,g>
+    is a nonsolvable subgroup of <gens,g>.  A failed adjunction stays failed
+    as the subgroup grows, so it leaves ``allowed`` for good.
+    """
+    inc = sol_incidence(table)
     cut = table.solvable_cut()
+    allowed = np.ones(table.order, dtype=bool)
+    for h in gens:
+        allowed &= inc.sol(h)
     cur = sorted(seed)
-    in_cur = set(cur)
-    failed: set[int] = set()  # nonsolvable adjunctions stay nonsolvable as cur grows
-    restart = True
-    while restart:
-        restart = False
-        for g in range(1, n):
-            if g in in_cur or g in failed:
-                continue
+    allowed[cur] = False
+    while True:
+        for g in np.flatnonzero(allowed).tolist():
             H2 = table.closure_indices(gens + [g], stop_above=cut)
-            if H2 is None:
-                failed.add(g)
-                continue
-            if is_solvable(table, ElementSet.from_indices(table, H2, is_subgroup=True, gens=gens + [g])):
-                cur = H2
-                in_cur = set(cur)
-                gens = gens + [g]
-                restart = True
+            if H2 is not None and is_solvable(
+                    table, ElementSet.from_indices(table, H2, is_subgroup=True, gens=gens + [g])):
+                cur, gens = H2, gens + [g]
+                allowed &= inc.sol(g)
+                allowed[cur] = False
                 break
-            failed.add(g)
-    return cur
+            allowed[g] = False
+        else:
+            return cur
 
 
 # -- cover instance reduction ---------------------------------------------------
@@ -318,7 +320,6 @@ class CoverInstance:
     #: only then may the solver restrict its first pick to class representatives
     conjugation_symmetric: bool = False
     notes: list[str] = field(default_factory=list)
-    merged_into: dict[int, int] = field(default_factory=dict)  # dropped elem -> kept elem
 
     @property
     def size(self) -> int:
@@ -334,8 +335,8 @@ class CoverInstance:
         return m == self.full_mask()
 
 
-def maximal_cyclic_generators(table: GroupTable) -> list[int]:
-    """Canonical generator (least index among generators) per maximal cyclic subgroup.
+def _canonical_generators(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Least generator of <x> for every x, and whether <x> lies inside a bigger cyclic subgroup.
 
     One pass over the power maps z -> z^k, k = 2..max order: <x> is strictly
     inside a bigger cyclic subgroup exactly when x = z^k for some z of larger
@@ -352,6 +353,12 @@ def maximal_cyclic_generators(table: GroupTable) -> list[int]:
         inside_bigger[power[orders > orders[power]]] = True
         gen = (k < orders) & (np.gcd(k, orders) == 1)
         canonical[gen] = np.minimum(canonical[gen], power[gen])
+    return canonical, inside_bigger
+
+
+def maximal_cyclic_generators(table: GroupTable) -> list[int]:
+    """Canonical generator (least index among generators) per maximal cyclic subgroup."""
+    canonical, inside_bigger = _canonical_generators(table)
     return sorted(set(canonical[1:][~inside_bigger[1:]].tolist()))
 
 
@@ -393,22 +400,14 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     classes = incidence.classes
     # dedupe identical rows (keep least element), then drop dominated rows
     by_row: dict[int, int] = {}
-    merged: dict[int, int] = {}
     for x in cand_elems:
-        r = rows[x]
-        if r not in by_row:
-            by_row[r] = x
-        else:
-            merged[x] = by_row[r]
+        by_row.setdefault(rows[x], x)
     uniq = sorted(by_row.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
     if prune_dominated:
         kept: list[tuple[int, int]] = []
         for r, x in uniq:
-            dominator = next((x2 for r2, x2 in kept if (r | r2) == r2), None)
-            if dominator is None:
+            if not any((r | r2) == r2 for r2, _ in kept):
                 kept.append((r, x))
-            else:
-                merged[x] = dominator
     else:
         kept = uniq
     notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
@@ -425,7 +424,6 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         alpha_floor=3,
         conjugation_symmetric=True,
         notes=notes,
-        merged_into=merged,
     )
     if not inst.feasible():
         if involutions_only:
@@ -439,14 +437,14 @@ def _target_orbits(classes: ClassPartition, table: GroupTable, universe: list[in
 
     <s> and <t> are conjugate exactly when a generator of <s> is conjugate to
     one of <t>, so the least conjugacy class among the generators of <t>
-    names the orbit; ids are numbered in order of first appearance.
+    names the orbit; ids are numbered in order of first appearance.  The
+    generators of <t> are the elements whose canonical generator is t.
     """
+    canonical, _ = _canonical_generators(table)
+    key = np.full(table.order, classes.count, dtype=np.int64)
+    np.minimum.at(key, canonical, classes.class_of)
     ids: dict[int, int] = {}
-    out = []
-    for t in universe:
-        key = int(classes.class_of[table.lookup_images(_generator_rows(table, t))].min())
-        out.append(ids.setdefault(key, len(ids)))
-    return out
+    return [ids.setdefault(k, len(ids)) for k in key[universe].tolist()]
 
 
 # -- clique numbers -------------------------------------------------------------
@@ -471,16 +469,11 @@ class CliqueResult:
 def mu_s(table: GroupTable, node_limit: int = 10 ** 7, time_limit: float = 60.0) -> CliqueResult:
     """Largest set of pairwise non-solvabilized elements (max clique)."""
     inc = sol_incidence(table)
-    rad = inc.radical.mask
-    verts = [x for x in range(1, table.order) if not rad[x]]
-    adj = {}
-    for x in verts:
-        sol_x = inc.sol(x)
-        m = 0
-        for y in verts:
-            if y != x and not sol_x[y]:
-                m |= 1 << y
-        adj[x] = m
+    nonradical = ~inc.radical.mask  # the identity lies in the radical
+    verts = np.flatnonzero(nonradical).tolist()
+    # bit y of adj[x] is set when y lies outside Sol(x); x never does
+    adj = {x: int.from_bytes(np.packbits(~inc.sol(x) & nonradical, bitorder="little").tobytes(), "little")
+           for x in verts}
     return _max_clique(verts, adj, node_limit, time_limit)
 
 

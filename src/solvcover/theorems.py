@@ -16,9 +16,7 @@ import numpy as np
 
 from .constructions import (
     GroupSpec,
-    Matrix2,
     build,
-    expected_order,
     gl2_cover_elements,
     project_to_psl,
     psl2,

@@ -4,13 +4,16 @@ Everything here works directly on permutation tuples or raw index sets with
 no shortcuts, so engine results can be checked against an independent path.
 """
 
+import math
 import time
 from itertools import combinations
 
 import numpy as np
 
 from solvcover.cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, SolveBudget, greedy_cover
+from solvcover.fields import factor_prime_power
 from solvcover.group import ElementSet, is_solvable
+from solvcover.solvabilizer import _generator_rows
 
 
 def compose(p, q):
@@ -22,6 +25,36 @@ def inverse(p):
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
+
+
+def expected_order(spec):
+    """Closed-form order of a named group, or None when no formula is known."""
+    k, p = spec.kind, spec.params
+    if k == "symmetric":
+        return math.factorial(p[0])
+    if k == "alternating":
+        return math.factorial(p[0]) // 2
+    if k == "dihedral":
+        return 2 * p[0]
+    if k in ("psl2", "pgl2", "pgammal2", "gl2"):
+        q = p[0]
+        pf = factor_prime_power(q)
+        if pf is None:
+            return None
+        base = q * (q * q - 1)
+        if k == "psl2":
+            return base // (2 if pf[0] != 2 else 1)
+        if k == "pgl2":
+            return base
+        if k == "pgammal2":
+            return base * pf[1]
+        return (q * q - 1) * (q * q - q)
+    if k == "m10":
+        return 720
+    if k == "product":
+        a, b = expected_order(p[0]), expected_order(p[1])
+        return None if a is None or b is None else a * b
+    return None
 
 
 def closure_of(perms):
@@ -146,6 +179,59 @@ def sol_pairwise(table, x):
         else:
             known_out[y] = True
     return sol
+
+
+def extend_to_maximal_solvable_scanning(table, seed, gens):
+    """The census extension trying every element, the engine's former path.
+
+    Scans the elements in index order, adjoins the first one that keeps
+    <gens> solvable and restarts; a nonsolvable adjunction stays nonsolvable
+    as the subgroup grows, so it is not tried again.
+    """
+    cut = table.solvable_cut()
+    cur = sorted(seed)
+    skip = set(cur)  # members of cur, and failed adjunctions
+    restart = True
+    while restart:
+        restart = False
+        for g in range(1, table.order):
+            if g in skip:
+                continue
+            H = table.closure_indices(gens + [g], stop_above=cut)
+            if H is not None and is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True,
+                                                                            gens=gens + [g])):
+                cur, gens = H, gens + [g]
+                skip.update(cur)
+                restart = True
+                break
+            skip.add(g)
+    return cur
+
+
+def mu_s_graph_pairwise(incidence):
+    """Vertices (nonradical elements) and adjacency bitmasks of the mu_s graph, pair by pair."""
+    table = incidence.table
+    rad = incidence.radical.mask
+    verts = [x for x in range(1, table.order) if not rad[x]]
+    adj = {}
+    for x in verts:
+        sol_x = incidence.sol(x)
+        m = 0
+        for y in verts:
+            if y != x and not sol_x[y]:
+                m |= 1 << y
+        adj[x] = m
+    return verts, adj
+
+
+def target_orbits_per_target(classes, table, universe):
+    """Orbit ids of the universe targets from the generators of each <t>, one target at a time."""
+    ids = {}
+    out = []
+    for t in universe:
+        key = int(classes.class_of[table.lookup_images(_generator_rows(table, t))].min())
+        out.append(ids.setdefault(key, len(ids)))
+    return out
 
 
 def union_check_elementwise(incidence, involutions_only=False):
@@ -342,11 +428,10 @@ class ScanningSearch:
                 used |= col
         return max(density, packing)
 
-    def solve(self, budget=None, root_symmetry=True):
+    def solve(self, budget=None):
         budget = budget or SolveBudget()
         self.deadline = time.monotonic() + budget.time_limit
         self.node_limit = budget.node_limit
-        self.root_symmetry = root_symmetry
         avail = (1 << len(self.cands)) - 1
         if not self.inst.feasible():
             return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only)
@@ -374,7 +459,7 @@ class ScanningSearch:
                             self.inst.involutions_only, nodes=self.nodes)
 
     def _root(self, avail):
-        if not (self.root_symmetry and self.inst.conjugation_symmetric):
+        if not self.inst.conjugation_symmetric:
             self._descend(self.full, avail, 0, [])
             return
         excluded = 0

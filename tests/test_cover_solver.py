@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -112,7 +113,7 @@ def test_solve_psl27(psl27):
 def test_root_symmetry_preserves_optimum(a5_instance, s5_instance):
     for inst in (a5_instance, s5_instance):
         with_sym = sc.solve_exact(inst)
-        without = sc.solve_exact(inst, root_symmetry=False)
+        without = sc.solve_exact(dataclasses.replace(inst, conjugation_symmetric=False))
         assert with_sym.status == without.status == sc.EXACT
         assert with_sym.lower == without.lower
 
@@ -212,12 +213,12 @@ def assert_within_oracle(new, old):
     assert new.nodes <= old.nodes
 
 
-def solve_both_ways(monkeypatch, inst, **kwargs):
+def solve_both_ways(monkeypatch, inst):
     """solve_exact as shipped, and with the ascent and fixing at every node from the first."""
-    default = sc.solve_exact(inst, **kwargs)
+    default = sc.solve_exact(inst)
     with monkeypatch.context() as m:
         m.setattr(cover, "_PLAIN_NODES", 0)
-        eager = sc.solve_exact(inst, **kwargs)
+        eager = sc.solve_exact(inst)
     return default, eager
 
 
@@ -233,8 +234,9 @@ def test_search_matches_scanning_oracle(monkeypatch, spec_text, mode):
 
 def test_search_matches_scanning_oracle_without_root_symmetry(monkeypatch, a5_instance, s5_instance):
     for inst in (a5_instance, s5_instance):
-        old = oracles.ScanningSearch(inst).solve(root_symmetry=False)
-        for new in solve_both_ways(monkeypatch, inst, root_symmetry=False):
+        inst = dataclasses.replace(inst, conjugation_symmetric=False)
+        old = oracles.ScanningSearch(inst).solve()
+        for new in solve_both_ways(monkeypatch, inst):
             assert_within_oracle(new, old)
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,16 @@ def test_pgammal29_has_three_index_two_subgroups():
     subs = sc.index_two_subgroups(t)
     assert len(subs) == 3
     assert all(len(H) == 720 for H in subs)
+
+
+def test_index_two_subgroups_of_elementary_abelian_32():
+    # (Z2)^5 has 31 index-2 subgroups among C(31, 15) coset subsets of the right size
+    t = sc.build(sc.parse_spec("raw((1,2);(3,4);(5,6);(7,8);(9,10))"))
+    start = time.perf_counter()
+    subs = sc.index_two_subgroups(t)
+    assert time.perf_counter() - start < 5
+    assert len({H.fingerprint() for H in subs}) == len(subs) == 31
+    assert all(len(H) == 16 and H.verify_subgroup() for H in subs)
 
 
 # -- generators carried on element sets ------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import solvcover as sc
+from solvcover import solvabilizer
 from solvcover.solvabilizer import _sol_of_rep
 
 import oracles
@@ -55,11 +56,13 @@ def test_sol_of_matches_pairwise_definition(a5):
             assert mask[int(y)] == oracles.is_solvable_brute(perms)
 
 
-#: Golden-table groups; the four largest take about 40 s more with the pairwise oracle.
-SOL_GROUPS = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)",
-              "psl2(8)", "psl2(11)", "m10", "pgl2(9)", "symmetric(6)"] + [
-    pytest.param(g, marks=pytest.mark.slow)
-    for g in ("psl2(13)", "pgl2(11)", "pgammal2(9)", "pgammal2(8)")]
+#: The golden-table groups (tests/test_acceptance.py).
+GOLDEN_SPECS = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)",
+                "psl2(8)", "psl2(11)", "m10", "pgl2(9)", "symmetric(6)",
+                "psl2(13)", "pgl2(11)", "pgammal2(9)", "pgammal2(8)"]
+
+#: The four largest take about 40 s more with the pairwise oracle.
+SOL_GROUPS = GOLDEN_SPECS[:10] + [pytest.param(g, marks=pytest.mark.slow) for g in GOLDEN_SPECS[10:]]
 
 
 @pytest.mark.parametrize("spec_text", SOL_GROUPS)
@@ -116,6 +119,22 @@ def test_s5_transposition_memberships(s5, s5_census):
             assert got == {24: 3, 12: 4}
         else:  # double transpositions: 1 S4, 2 AGL(1,5), 2 D12
             assert got == {24: 1, 20: 2, 12: 2}
+
+
+#: The scanning extension takes about 9 s on these and 24 s on PGL(2,13).
+CENSUS_GROUPS = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)", "psl2(11)",
+                 "m10", pytest.param("pgl2(13)", marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("spec_text", CENSUS_GROUPS)
+def test_census_matches_scanning_extension(monkeypatch, spec_text):
+    new = sc.maximal_solvable_subgroups(sc.build(sc.parse_spec(spec_text)))
+    monkeypatch.setattr(solvabilizer, "_extend_to_maximal_solvable", oracles.extend_to_maximal_solvable_scanning)
+    old = sc.maximal_solvable_subgroups(sc.build(sc.parse_spec(spec_text)))  # own caches
+    assert [H.mask.tobytes() for H in new.subgroups] == [H.mask.tobytes() for H in old.subgroups]
+    assert new.class_of_subgroup == old.class_of_subgroup
+    assert new.class_orders == old.class_orders
+    assert new.class_counts == old.class_counts
 
 
 def test_census_members_are_maximal_solvable(a5, a5_census):
@@ -185,6 +204,15 @@ def test_universe_matches_brute_maximal_cyclic(spec_text):
         assert t == min(u for u in sub if table.order_of[u] == table.order_of[t])
 
 
+@pytest.mark.parametrize("spec_text", GOLDEN_SPECS)
+def test_target_orbits_match_per_target_oracle(spec_text):
+    table = sc.build(sc.parse_spec(spec_text))
+    classes = table.conjugacy_classes()
+    universe = sc.maximal_cyclic_generators(table)
+    assert solvabilizer._target_orbits(classes, table, universe) == \
+        oracles.target_orbits_per_target(classes, table, universe)
+
+
 def test_a5_involution_covers_two_c5_targets(a5, a5_instance):
     five_positions = [i for i, t in enumerate(a5_instance.universe) if a5.order_of[t] == 5]
     for c in a5_instance.candidates:
@@ -223,6 +251,15 @@ def test_mu_a5(a5):
 def test_mu_s_a5(a5):
     mu = sc.mu_s(a5)
     assert mu.exact and mu.lower == 8
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "alternating(6)", "pgl2(7)"])
+def test_mu_s_graph_matches_pairwise(monkeypatch, spec_text):
+    table = sc.build(sc.parse_spec(spec_text))
+    graphs = []
+    monkeypatch.setattr(solvabilizer, "_max_clique", lambda verts, adj, *limits: graphs.append((verts, adj)))
+    sc.mu_s(table)
+    assert graphs == [oracles.mu_s_graph_pairwise(sc.sol_incidence(table))]
 
 
 def test_known_eight_element_generating_set(a5):
