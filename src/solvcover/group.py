@@ -7,7 +7,12 @@ are vectorized over the image matrix; element sets are boolean masks.
 
 Products compose right-to-left; enumeration is breadth-first over left
 multiplication by the generators (generator-major within a layer), which
-fixes a deterministic element order reproducible across runs.
+fixes a deterministic element order reproducible across runs.  The walks
+are batched: enumeration deduplicates each (layer, generator) batch of rows
+at once, element orders come from one pass over the cycle lengths of every
+row, and a subgroup closure looks up every seed times its whole frontier
+in one product per layer.  Solvability is decided from the order alone
+when that suffices (below 60, or at most two prime divisors).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import (
     NotASubgroup,
     NotNormal,
 )
-from .perm import Permutation, perm_order
+from .perm import Permutation
 
 DEFAULT_CAP = 20000
 
@@ -42,10 +47,11 @@ class GroupTable:
         inv_imgs = np.empty_like(imgs)
         inv_imgs[np.arange(self.order)[:, None], imgs] = np.arange(self.degree)[None, :]
         self.inverse_of = self.lookup_images(inv_imgs)
-        self.order_of = np.array([perm_order(imgs[i]) for i in range(self.order)])
+        self.order_of = _element_orders(imgs)
         self._solvable_cache: dict[bytes, bool] = {}
         self._classes: Optional[ClassPartition] = None
         self._radical: Optional[ElementSet] = None
+        self._cyclic: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._group_solvable: Optional[bool] = None
 
     # -- construction ------------------------------------------------------
@@ -59,47 +65,58 @@ class GroupTable:
             raise BadParameter("generators must share a degree")
         if cap < 1:
             raise BadParameter("cap must be >= 1")
-        gen_imgs = [np.asarray(g.images, dtype=np.int16) for g in generators]
-        ident = np.arange(degree, dtype=np.int16)
+        gen_imgs = np.stack([np.asarray(g.images, dtype=np.int16) for g in generators])
+        row = np.dtype((np.void, gen_imgs.itemsize * degree))  # one row as one comparable key
+        ident = np.arange(degree, dtype=np.int16)[None, :]
         elems = [ident]
-        index = {ident.tobytes(): 0}
-        frontier = [ident]
-        while frontier:
-            nxt = []
+        known = ident.view(row).ravel()  # keys of every element so far, sorted
+        count = 1
+        frontier = ident
+        while len(frontier):
+            layer = []
             for g in gen_imgs:
-                prods = g[np.stack(frontier)]  # left multiplication, layer batch
-                for row in prods:
-                    k = row.tobytes()
-                    if k not in index:
-                        index[k] = len(elems)
-                        elems.append(row)
-                        nxt.append(row)
-                        if len(elems) > cap:
-                            raise CapExceeded(cap)
-            frontier = nxt
-        imgs = np.stack(elems)
-        gen_idx = [index[g.tobytes()] for g in gen_imgs]
-        return cls(imgs, gen_idx)
+                prods = g[frontier]  # left multiplication, layer batch
+                keys = prods.view(row).ravel()
+                pos = np.searchsorted(known, keys)
+                fresh = known[np.minimum(pos, len(known) - 1)] != keys
+                keys, prods = keys[fresh], prods[fresh]
+                uniq, first = np.unique(keys, return_index=True)
+                known = np.insert(known, np.searchsorted(known, uniq), uniq)
+                new = prods[np.sort(first)]  # first occurrences, in batch order
+                count += len(new)
+                if count > cap:
+                    raise CapExceeded(cap)
+                layer.append(new)
+            frontier = np.concatenate(layer)
+            elems += layer
+        table = cls(np.concatenate(elems), [])
+        table.generator_indices = table.lookup_images(gen_imgs).tolist()
+        return table
 
     def _build_lookup(self):
-        # greedy base: fewest points whose images separate all elements
+        """Greedy base, with the element keys sorted for lookup.
+
+        The elements that agree on the base points so far are the cosets of
+        their pointwise stabilizer S, and a next point p splits each coset
+        into |p^S| parts; the base takes the point with the largest S-orbit
+        (the least such point) until every element has its own key.
+        """
         n, d = self.order, self.degree
         base = []
         key = np.zeros(n, dtype=np.int64)
+        stab = np.ones(n, dtype=bool)
         distinct = 1
         while distinct < n:
-            best, best_count = -1, distinct
-            for p in range(d):
-                c = len(np.unique(key * d + self.imgs[:, p]))
-                if c > best_count:
-                    best, best_count = p, c
-                    if c == n:
-                        break
-            if best < 0:
+            hit = np.zeros((d, d), dtype=bool)
+            hit[np.arange(d), self.imgs[stab]] = True  # hit[p, s(p)] for s in S
+            orbit = hit.sum(axis=1)
+            best = int(np.argmax(orbit))
+            if orbit[best] == 1:
                 raise InternalInconsistency("image matrix contains duplicate rows")
             base.append(best)
-            key = key * d + self.imgs[:, base[-1]]
-            distinct = len(np.unique(key))
+            key = key * d + self.imgs[:, best]
+            stab &= self.imgs[:, best] == best
+            distinct *= int(orbit[best])
             if d ** len(base) >= 2 ** 62:
                 raise InternalInconsistency("base key overflow")
         self.base = np.array(base, dtype=np.int64)
@@ -108,6 +125,8 @@ class GroupTable:
         order = np.argsort(key, kind="stable")
         self._sorted_keys = key[order]
         self._sorted_pos = order
+        if (np.diff(self._sorted_keys) == 0).any():
+            raise InternalInconsistency("image matrix contains duplicate rows")
 
     # -- lookup and multiplication -----------------------------------------
 
@@ -151,23 +170,32 @@ class GroupTable:
         """Sorted indices of the subgroup generated by seeds.
 
         Breadth-first orbit of the identity under left multiplication by the
-        seeds (positive words suffice in a finite group), one seed times the
-        frontier per batch.  Returns None exactly when the subgroup has more
-        than stop_above elements; the size is checked once per layer.
+        seeds (positive words suffice in a finite group).  Each layer forms
+        every seed times every frontier element in one base-image product and
+        one lookup, split into blocks of at most |G| rows to bound memory.
+        Returns None exactly when the subgroup has more than stop_above
+        elements; the size is checked once per layer.
         """
         seeds = [int(s) for s in dict.fromkeys(seeds) if s != 0]
         if not seeds:
             return [0]
+        seed_imgs = self.imgs[seeds]
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
+        slot = np.empty(self.order, dtype=np.int64)  # for deduplication without sorting
         count = 1
         frontier = np.zeros(1, dtype=np.int64)
         while len(frontier):
+            base = self._base_imgs[frontier]
+            block = max(1, self.order // len(frontier))  # seeds per lookup
             layer = []
-            for g in seeds:
-                # injective in frontier, seen marked per seed: no duplicates
-                img = self.mul_left(g, frontier)
+            for lo in range(0, len(seeds), block):
+                prods = np.take(seed_imgs[lo:lo + block], base, axis=1)  # seed x frontier x base point
+                img = self._index_of(prods.reshape(-1, base.shape[1]))
                 img = img[~seen[img]]
+                at = np.arange(len(img))
+                slot[img] = at  # one write per distinct element survives
+                img = img[slot[img] == at]
                 seen[img] = True
                 layer.append(img)
             frontier = np.concatenate(layer)
@@ -196,6 +224,12 @@ class GroupTable:
         if self._radical is None:
             self._radical = _compute_radical(self)
         return self._radical
+
+    def cyclic_generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Power-map summary ``(canonical, inside_bigger)``; see _compute_cyclic_generators."""
+        if self._cyclic is None:
+            self._cyclic = _compute_cyclic_generators(self)
+        return self._cyclic
 
     def is_group_solvable(self) -> bool:
         if self._group_solvable is None:
@@ -299,6 +333,30 @@ class ClassPartition:
 # -- spec operations ---------------------------------------------------------
 
 
+def _element_orders(imgs: np.ndarray) -> np.ndarray:
+    """Order of every permutation row: the lcm of its cycle lengths.
+
+    Rows are raised to successive powers together; a point's cycle length is
+    the first power that fixes it, and a row is done once all its points
+    have one, so the pass takes as many steps as the longest cycle.
+    """
+    n, d = imgs.shape
+    points = np.arange(d)
+    out = np.ones(n, dtype=np.int64)
+    rows, x, power = np.arange(n), imgs, imgs  # the rows not done yet, and their k-th powers
+    cycle = np.zeros((n, d), dtype=np.int64)
+    k = 1
+    while len(rows):
+        cycle[(cycle == 0) & (power == points)] = k
+        done = (cycle > 0).all(axis=1)
+        if done.any():
+            out[rows[done]] = np.lcm.reduce(cycle[done], axis=1)
+            rows, x, power, cycle = rows[~done], x[~done], power[~done], cycle[~done]
+        power = np.take_along_axis(x, power, axis=1)  # x^(k+1)(p) = x(x^k(p))
+        k += 1
+    return out
+
+
 def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> GroupTable:
     """Breadth-first closure of the generators; identity gets index 0."""
     return GroupTable.from_generators(generators, cap)
@@ -356,15 +414,26 @@ def _left_cosets(table: GroupTable, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     """Left cosets xH of the subgroup with indices idx.
 
     Returns the coset id of every element and the least element of each coset
-    (coset ids are numbered in order of their least element).
+    (coset ids are numbered in order of their least element).  The group's
+    generators permute the left cosets, g(xH) = (gx)H, transitively, so a
+    breadth-first walk from H reaches them all; each generator moves the
+    whole frontier of cosets in one lookup.
     """
-    coset_of = np.full(table.order, -1, dtype=np.int64)
-    reps = []
-    for x in range(table.order):
-        if coset_of[x] < 0:
-            coset_of[table.mul_left(x, idx)] = len(reps)
-            reps.append(x)
-    return coset_of, np.array(reps)
+    least = np.full(table.order, -1, dtype=np.int64)  # least element of each element's coset
+    frontier = np.asarray(idx, dtype=np.int64)[None, :]  # one coset per row
+    least[frontier] = frontier.min()
+    while len(frontier):
+        layer = []
+        for g in table.generator_indices:
+            img = table.mul_left(g, frontier.ravel()).reshape(frontier.shape)
+            img = img[least[img[:, 0]] < 0]
+            low, first = np.unique(img.min(axis=1), return_index=True)  # one row per new coset
+            img = img[first]
+            least[img] = low[:, None]
+            layer.append(img)
+        frontier = np.concatenate(layer)
+    reps, coset_of = np.unique(least, return_inverse=True)
+    return coset_of, reps
 
 
 def _is_normal(table: GroupTable, idx: np.ndarray) -> bool:
@@ -417,19 +486,42 @@ def _normal_closure_within(table: GroupTable, seeds: list[int], ambient_gens: Se
         gens.extend(sorted(new)[:4])
 
 
+def _solvable_by_order(n: int) -> bool:
+    """Whether every group of order n is solvable.
+
+    True below 60 (A5 is the least nonsolvable group) and for n = p^a q^b
+    (Burnside's p^a q^b theorem); False otherwise, which decides nothing.
+    """
+    if n < 60:
+        return True
+    primes, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            primes += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + (n > 1) <= 2
+
+
 def is_solvable(table: GroupTable, H: ElementSet) -> bool:
-    """Whether the derived series of H reaches the trivial subgroup."""
+    """Whether the derived series of H reaches the trivial subgroup.
+
+    Stops with True at the first term whose order alone forces solvability.
+    """
     _require_subgroup(table, H)
+    if _solvable_by_order(len(H)):
+        return True
     key = H.fingerprint()
     cached = table._solvable_cache.get(key)
     if cached is not None:
         return cached
     cur = H
     while True:
-        if len(cur) == 1:
+        nxt = derived_subgroup(table, cur)
+        if _solvable_by_order(len(nxt)):
             verdict = True
             break
-        nxt = derived_subgroup(table, cur)
         if len(nxt) == len(cur):
             verdict = False
             break
@@ -472,6 +564,27 @@ def _compute_classes(table: GroupTable) -> ClassPartition:
             layer.append(cp[t])
         frontier = np.concatenate(layer)
     return ClassPartition(class_of, reps.tolist(), conjor)
+
+
+def _compute_cyclic_generators(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Least generator of <x> for every x, and whether <x> lies inside a bigger cyclic subgroup.
+
+    One pass over the power maps z -> z^k, k = 2..max order: <x> is strictly
+    inside a bigger cyclic subgroup exactly when x = z^k for some z of larger
+    order, and the generators of <x> are the powers x^k with gcd(k, |x|) = 1.
+    """
+    n = table.order
+    orders = table.order_of
+    canonical = np.arange(n)
+    inside_bigger = np.zeros(n, dtype=bool)
+    rows = table.imgs
+    for k in range(2, int(orders.max()) + 1):
+        rows = np.take_along_axis(rows, table.imgs, axis=1)  # z^k = z^(k-1)∘z
+        power = table.lookup_images(rows)
+        inside_bigger[power[orders > orders[power]]] = True
+        gen = (k < orders) & (np.gcd(k, orders) == 1)
+        canonical[gen] = np.minimum(canonical[gen], power[gen])
+    return canonical, inside_bigger
 
 
 def conjugacy_classes(table: GroupTable) -> ClassPartition:

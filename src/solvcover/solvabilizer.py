@@ -335,30 +335,9 @@ class CoverInstance:
         return m == self.full_mask()
 
 
-def _canonical_generators(table: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """Least generator of <x> for every x, and whether <x> lies inside a bigger cyclic subgroup.
-
-    One pass over the power maps z -> z^k, k = 2..max order: <x> is strictly
-    inside a bigger cyclic subgroup exactly when x = z^k for some z of larger
-    order, and the generators of <x> are the powers x^k with gcd(k, |x|) = 1.
-    """
-    n = table.order
-    orders = table.order_of
-    canonical = np.arange(n)
-    inside_bigger = np.zeros(n, dtype=bool)
-    rows = table.imgs
-    for k in range(2, int(orders.max()) + 1):
-        rows = np.take_along_axis(rows, table.imgs, axis=1)  # z^k = z^(k-1)∘z
-        power = table.lookup_images(rows)
-        inside_bigger[power[orders > orders[power]]] = True
-        gen = (k < orders) & (np.gcd(k, orders) == 1)
-        canonical[gen] = np.minimum(canonical[gen], power[gen])
-    return canonical, inside_bigger
-
-
 def maximal_cyclic_generators(table: GroupTable) -> list[int]:
     """Canonical generator (least index among generators) per maximal cyclic subgroup."""
-    canonical, inside_bigger = _canonical_generators(table)
+    canonical, inside_bigger = table.cyclic_generators()
     return sorted(set(canonical[1:][~inside_bigger[1:]].tolist()))
 
 
@@ -440,7 +419,7 @@ def _target_orbits(classes: ClassPartition, table: GroupTable, universe: list[in
     names the orbit; ids are numbered in order of first appearance.  The
     generators of <t> are the elements whose canonical generator is t.
     """
-    canonical, _ = _canonical_generators(table)
+    canonical, _ = table.cyclic_generators()
     key = np.full(table.order, classes.count, dtype=np.int64)
     np.minimum.at(key, canonical, classes.class_of)
     ids: dict[int, int] = {}

@@ -11,8 +11,9 @@ from itertools import combinations
 import numpy as np
 
 from solvcover.cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, SolveBudget, greedy_cover
+from solvcover.errors import CapExceeded
 from solvcover.fields import factor_prime_power
-from solvcover.group import ElementSet, is_solvable
+from solvcover.group import ElementSet, derived_subgroup, is_solvable
 from solvcover.solvabilizer import _generator_rows
 
 
@@ -55,6 +56,89 @@ def expected_order(spec):
         a, b = expected_order(p[0]), expected_order(p[1])
         return None if a is None or b is None else a * b
     return None
+
+
+def enumerate_per_row(generators, cap):
+    """Image matrix and generator indices by the engine's former enumeration.
+
+    Breadth-first over left multiplication by the generators (generator-major
+    within a layer), one dict lookup per product row.
+    """
+    gen_imgs = [np.asarray(g.images, dtype=np.int16) for g in generators]
+    ident = np.arange(generators[0].degree, dtype=np.int16)
+    elems = [ident]
+    index = {ident.tobytes(): 0}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in gen_imgs:
+            for row in g[np.stack(frontier)]:
+                k = row.tobytes()
+                if k not in index:
+                    index[k] = len(elems)
+                    elems.append(row)
+                    nxt.append(row)
+                    if len(elems) > cap:
+                        raise CapExceeded(cap)
+        frontier = nxt
+    return np.stack(elems), [index[g.tobytes()] for g in gen_imgs]
+
+
+def greedy_base(imgs):
+    """The engine's former base choice: per point, count the distinct (key, image) pairs."""
+    n, d = imgs.shape
+    base = []
+    key = np.zeros(n, dtype=np.int64)
+    while len(np.unique(key)) < n:
+        counts = [len(np.unique(key * d + imgs[:, p])) for p in range(d)]
+        base.append(int(np.argmax(counts)))
+        key = key * d + imgs[:, base[-1]]
+    return base
+
+
+def closure_per_seed(table, seeds, stop_above=None):
+    """The engine's former closure walk: one lookup per seed per layer."""
+    seeds = [int(s) for s in dict.fromkeys(seeds) if s != 0]
+    if not seeds:
+        return [0]
+    seen = np.zeros(table.order, dtype=bool)
+    seen[0] = True
+    count = 1
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        layer = []
+        for g in seeds:
+            img = table.mul_left(g, frontier)
+            img = img[~seen[img]]
+            seen[img] = True
+            layer.append(img)
+        frontier = np.concatenate(layer)
+        count += len(frontier)
+        if stop_above is not None and count > stop_above:
+            return None
+    return np.flatnonzero(seen).tolist()
+
+
+def left_cosets_loop(table, idx):
+    """Coset id per element and least element per coset, by the engine's former element loop."""
+    coset_of = np.full(table.order, -1, dtype=np.int64)
+    reps = []
+    for x in range(table.order):
+        if coset_of[x] < 0:
+            coset_of[table.mul_left(x, idx)] = len(reps)
+            reps.append(x)
+    return coset_of, np.array(reps)
+
+
+def solvable_by_derived_series(table, H):
+    """Whether the derived series of H reaches 1, computed to the end with no order rule."""
+    cur = H
+    while len(cur) > 1:
+        nxt = derived_subgroup(table, cur)
+        if len(nxt) == len(cur):
+            return False
+        cur = nxt
+    return True
 
 
 def closure_of(perms):

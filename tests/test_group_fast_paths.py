@@ -1,0 +1,129 @@
+"""Differential tests: the batched group-engine walks against the paths they replaced.
+
+Enumeration, the lookup base, element orders, subgroup closure, left cosets
+and the order-based solvability rule must agree exactly with the per-row,
+per-point, per-element and per-seed references in ``oracles``.
+"""
+
+import numpy as np
+import pytest
+
+import solvcover as sc
+from solvcover import group
+from solvcover.constructions import generators_for
+from solvcover.perm import perm_order
+
+import oracles
+from test_acceptance import GOLDEN
+
+ENUM_SPECS = [g[0] for g in GOLDEN] + [
+    "gl2(3)", "gl2(5)", "product(psl2(7),symmetric(3))", "wreath(symmetric(3),2,cycle)",
+    "raw((1,2,3,4,5,6,7);(1,2)(3,6))",
+]
+
+
+@pytest.mark.parametrize("spec_text", ENUM_SPECS)
+def test_enumeration_and_orders_match_per_row_oracle(spec_text):
+    gens = generators_for(sc.parse_spec(spec_text))
+    t = sc.enumerate_group(gens)
+    imgs, gen_idx = oracles.enumerate_per_row(gens, cap=group.DEFAULT_CAP)
+    assert t.imgs.dtype == imgs.dtype and t.imgs.tobytes() == imgs.tobytes()
+    assert t.generator_indices == gen_idx
+    assert t.base.tolist() == oracles.greedy_base(imgs)
+    assert t.order_of.tolist() == [perm_order(row) for row in t.imgs]
+
+
+def test_enumeration_keeps_repeated_and_identity_generators():
+    p = sc.parse_cycles("(1,2,3)", 4)
+    gens = [sc.Permutation(range(4)), p, sc.parse_cycles("(1,2)(3,4)", 4), p]
+    t = sc.enumerate_group(gens)
+    imgs, gen_idx = oracles.enumerate_per_row(gens, cap=group.DEFAULT_CAP)
+    assert t.imgs.tobytes() == imgs.tobytes()
+    assert t.generator_indices == gen_idx == [0, 1, 2, 1]
+
+
+@pytest.mark.parametrize("spec_text", ["symmetric(5)", "pgl2(7)", "m10"])
+def test_cap_exceeded_fires_just_below_the_order(spec_text):
+    gens = generators_for(sc.parse_spec(spec_text))
+    n = sc.enumerate_group(gens).order
+    assert sc.enumerate_group(gens, cap=n).order == n
+    with pytest.raises(sc.CapExceeded):
+        sc.enumerate_group(gens, cap=n - 1)
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "pgl2(7)", "m10", "gl2(5)", "pgammal2(8)"])
+def test_closure_matches_per_seed_walk(spec_text):
+    t = sc.build(sc.parse_spec(spec_text))
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        seeds = rng.integers(0, t.order, size=rng.integers(1, 6)).tolist()
+        H = oracles.closure_per_seed(t, seeds)
+        assert t.closure_indices(seeds) == H
+        for stop in (len(H), len(H) - 1, len(H) // 2):
+            assert t.closure_indices(seeds, stop_above=stop) == oracles.closure_per_seed(t, seeds, stop)
+    squares = t.lookup_images(np.take_along_axis(t.imgs, t.imgs, axis=1)).tolist()
+    assert t.closure_indices(squares) == oracles.closure_per_seed(t, squares)
+
+
+def _coset_cases():
+    for q in (4, 5, 7):
+        t = sc.build(sc.gl2(q))
+        yield f"gl2({q}) center", t, sc.solvable_radical(t)
+    for spec_text in ("pgammal2(9)", "symmetric(5)", "m10", "squished(symmetric(5),symmetric(5))"):
+        t = sc.build(sc.parse_spec(spec_text))
+        squares = t.lookup_images(np.take_along_axis(t.imgs, t.imgs, axis=1)).tolist()
+        yield f"{spec_text} squares", t, sc.subgroup_closure(t, squares)
+        for i, H in enumerate(sc.index_two_subgroups(t)):
+            yield f"{spec_text} index-2 #{i}", t, H
+
+
+def test_left_cosets_match_element_loop():
+    seen = 0
+    for name, t, H in _coset_cases():
+        coset_of, reps = group._left_cosets(t, H.indices())
+        want_of, want_reps = oracles.left_cosets_loop(t, H.indices())
+        assert np.array_equal(coset_of, want_of), name
+        assert np.array_equal(reps, want_reps), name
+        seen += 1
+    assert seen >= 12
+
+
+@pytest.mark.parametrize("q", [4, 5, 7])
+def test_quotient_matches_table_from_element_loop_cosets(q):
+    t = sc.build(sc.gl2(q))
+    rad = sc.solvable_radical(t)
+    coset_of, reps = oracles.left_cosets_loop(t, rad.indices())
+    qgens = [sc.Permutation(coset_of[t.mul_left(g, reps)]) for g in t.generator_indices]
+    want = sc.enumerate_group(qgens)
+    got = sc.quotient_by(t, rad)
+    assert got.order == q * (q * q - 1)  # PGL(2,q)
+    assert got.imgs.tobytes() == want.imgs.tobytes()
+    assert got.generator_indices == want.generator_indices
+
+
+def test_order_rule():
+    solvable_orders = [1, 2, 30, 42, 56, 72, 2 ** 6 * 3 ** 4, 5 ** 3 * 7]
+    assert all(group._solvable_by_order(n) for n in solvable_orders)
+    assert not any(group._solvable_by_order(n) for n in (60, 120, 168, 360, 720, 1092))
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "psl2(7)", "alternating(6)", "symmetric(6)", "pgl2(9)"])
+def test_order_rule_agrees_with_full_derived_series(spec_text):
+    # every <x,y> up to conjugacy: x runs over class representatives
+    t = sc.build(sc.parse_spec(spec_text))
+    subgroups = {}
+    for x in t.conjugacy_classes().representatives:
+        for y in range(t.order):
+            H = sc.subgroup_closure(t, [x, y])
+            subgroups.setdefault(H.fingerprint(), H)
+    nonsolvable_orders = set()
+    for H in subgroups.values():
+        fresh = sc.ElementSet(t, H.mask, is_subgroup=True, gens=H.gens)
+        verdict = oracles.solvable_by_derived_series(t, fresh)
+        assert sc.is_solvable(t, H) == verdict
+        if not verdict:
+            nonsolvable_orders.add(len(H))
+            assert not group._solvable_by_order(len(H))
+    want = {"alternating(5)": {60}, "psl2(7)": {168}, "alternating(6)": {60, 360},
+            "symmetric(6)": {60, 120, 360, 720}, "pgl2(9)": {60, 360, 720}}[spec_text]
+    assert want <= nonsolvable_orders
