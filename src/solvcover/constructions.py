@@ -327,15 +327,12 @@ def _squished_generators(spec_a: GroupSpec, spec_b: GroupSpec, cap: int) -> list
     return out
 
 
-def _m10_generators(cap: int) -> list[Permutation]:
-    t = build(pgammal2(9), cap)
+def _m10_generators() -> list[Permutation]:
+    """M10 = <PSL(2,9), delta phi>: the index-2 subgroup of PGammaL(2,9) holding
+    neither delta (z -> a z, a primitive) nor the Frobenius phi."""
     F = field_ops(9)
-    mult = t.find_permutation(mobius_permutation(F, F.primitive_element(), 0, 0, 1))
-    frob = t.find_permutation(frobenius_permutation(F))
-    for H in index_two_subgroups(t):
-        if mult not in H and frob not in H:
-            return [t.permutation(i) for i in H.gens]
-    raise BadParameter("M10 not found inside PGammaL(2,9)")  # unreachable
+    delta = mobius_permutation(F, F.primitive_element(), 0, 0, 1)
+    return _psl2_generators(9) + [delta * frobenius_permutation(F)]
 
 
 # -- build --------------------------------------------------------------------
@@ -375,7 +372,7 @@ def generators_for(spec: GroupSpec, cap: int = DEFAULT_CAP) -> list[Permutation]
     if k == "gl2":
         return _gl2_generators(p[0])
     if k == "m10":
-        return _m10_generators(cap)
+        return _m10_generators()
     if k == "product":
         return _product_generators(generators_for(p[0], cap), generators_for(p[1], cap))
     if k == "wreath":

@@ -7,28 +7,28 @@ first hit is optimal.  Branching picks the uncovered target with the fewest
 remaining candidates; the first chosen candidate is restricted to
 conjugacy-class representatives (conjugating an optimal cover is again an
 optimal cover, so the lowest class present may be normalized to its
-representative).  Pruning bounds, cheapest first: universe density, the
-class-counting bound (an exact small integer program over (candidate class) x
-(target orbit) coverage counts, memoized), a greedy packing of
-candidate-disjoint targets, and last the Lagrangian relaxation of set cover
-(Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper. Res. 47, 1999): a few
-subgradient steps on float64 multipliers y >= 0 over the uncovered targets,
-warm-started from the parent's, whose value bounds the LP relaxation from
-below.  The same multipliers bound every child before it is entered, which
-fixes out the children whose reduced cost lifts them to the incumbent.  The
-root multipliers are the class-counting LP dual, optimal for the root LP.
-Every bound only cuts subtrees that hold no cover below the incumbent, so the
-search visits the nodes of the plain search in the same order, minus those,
-and returns the same first cover.
+representative).  Pruning bounds, cheapest first: universe density, a
+greedy packing of candidate-disjoint targets, and the Lagrangian relaxation of
+set cover (Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper. Res. 47,
+1999): a few subgradient steps on float64 multipliers y >= 0 over the
+uncovered targets, warm-started from the parent's, whose value bounds the LP
+relaxation from below.  The multipliers a node holds bound every child before
+it is entered, which fixes out the children whose reduced cost lifts them to
+the incumbent.  The root multipliers are the dual of the class-counting LP
+(the set-cover LP with candidates grouped by conjugacy class and targets by
+orbit), optimal for the root LP of a conjugation-symmetric instance; the
+ceiling of its value is the root's class-counting bound.  Every bound only
+cuts subtrees that hold no cover below the incumbent, so the search visits the
+nodes of the plain search in the same order, minus those, and returns the
+same first cover.
 
 Each node carries a coverage vector, cov[i] = |row_i & uncovered| for the
 available candidates, kept incrementally: a child's vector is its parent's
 minus the target x candidate matrix rows of the targets it newly covers, so
 the density bound is cov.max() and the branching order sorts by cov.  One
 sweep over the uncovered targets gives both the packing and the branching
-target.  The integer program enumerates all classes but the last, whose count
-follows in closed form.  Each subgradient step is two matrix-vector products
-with the float64 copy of the same matrix.
+target.  Each subgradient step is two matrix-vector products with the
+float64 copy of the same matrix.
 """
 
 from __future__ import annotations
@@ -113,21 +113,20 @@ def greedy_cover(instance: CoverInstance) -> list[int]:
 
 
 class _ClassCountingBound:
-    """Exact min-count bound from per-class coverage counts.
+    """The class-counting program: set cover counted per candidate class.
 
     For each candidate conjugacy class c and target orbit T the coverage count
     |row(x) & T| is constant over x in c (conjugation permutes T and maps rows
-    accordingly); the bound minimizes the total candidate count subject to
-    sum_c k[c][T] * x_c >= |uncovered & T| for every T, with x_c capped by the
-    number of available class members.  Solved exactly by bounded enumeration
-    over the handful of classes; values are memoized.
+    accordingly); a cover with x_c members of class c then has
+    sum_c k[c][T] * x_c >= |T| for every T, with x_c at most the class size.
+    The least sum of x_c in the LP relaxation of that program is a lower
+    bound on the cover size, and its dual gives the root multipliers.
     """
 
     def __init__(self, instance: CoverInstance):
         cands = instance.candidates
         self.cls_ids = sorted({c.class_id for c in cands})
         self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
-        self.class_masks = [sum(1 << i for i in mem) for mem in self.members]
         orbit_ids = sorted(set(instance.target_class))
         self.tmasks = [sum(1 << u for u, tc in enumerate(instance.target_class) if tc == t) for t in orbit_ids]
         position = {t: o for o, t in enumerate(orbit_ids)}
@@ -136,9 +135,8 @@ class _ClassCountingBound:
             [max((cands[i].row & tm).bit_count() for i in mem) for tm in self.tmasks]
             for mem in self.members
         ]
-        self._memo: dict[tuple, int] = {}
 
-    def constraint_rows(self, instance: CoverInstance):
+    def constraint_rows(self):
         """(coefficients, rhs) per target orbit, for reporting and tests."""
         out = []
         for ti, tm in enumerate(self.tmasks):
@@ -188,79 +186,15 @@ class _ClassCountingBound:
                  - sum(len(mem) * max(x - 1, 0.0) for mem, x in zip(self.members, load)))
         return w, value, load
 
-    def bound(self, uncovered: int, avail: int) -> int:
-        rhs = tuple((uncovered & tm).bit_count() for tm in self.tmasks)
-        ubs = tuple((avail & cm).bit_count() for cm in self.class_masks)
-        key = (rhs, ubs)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        val = self._solve_ip(rhs, ubs)
-        self._memo[key] = val
-        return val
-
-    def _solve_ip(self, rhs, ubs) -> int:
-        """Least sum(x) with sum_c k[c][t] x_c >= rhs[t], 0 <= x_c <= ubs[c]; 1 << 30 if none.
-
-        Depth-first over the classes, largest count first.  reach[c][t] is the
-        largest coefficient on orbit t among the available classes c, c+1, ...,
-        so what a count of class c leaves on orbit t needs at least
-        ceil(left / reach[c+1][t]) more members.  For the last class that is
-        its least sufficient count, taken in closed form.  Going down from the
-        largest useful count, that need only grows, and when class c covers
-        orbit t at least as well as every later class, take + need is a lower
-        bound for every smaller take too: either one failing ends the loop.
-        """
-        if not any(rhs):
-            return 0
-        if not ubs:
-            return 1 << 30
-        k = self.k
-        last = len(ubs) - 1
-        reach = [[0] * len(rhs)]
-        for c in range(last, -1, -1):
-            reach.append([max(a, b) for a, b in zip(reach[-1], k[c])] if ubs[c] else reach[-1])
-        reach.reverse()
-        best = sum(ubs) + 1
-
-        def dfs(c, need, used):
-            nonlocal best
-            kc = k[c]
-            hi = min(max((-(-n // a) for n, a in zip(need, kc) if n > 0 and a), default=0), ubs[c])
-            for take in range(hi, -1, -1):
-                more = 0
-                for n, a, r in zip(need, kc, reach[c + 1]):
-                    n -= take * a
-                    if n > 0:
-                        if not r:
-                            return
-                        m = -(-n // r)
-                        if a >= r and used + take + m >= best:
-                            return
-                        if m > more:
-                            more = m
-                if c + 1 == last and more > ubs[last]:
-                    return
-                if used + take + more >= best:
-                    continue
-                if c + 1 == last or not more:
-                    best = used + take + more
-                else:
-                    dfs(c + 1, [n - take * a for n, a in zip(need, kc)], used + take)
-
-        dfs(0, rhs, 0)
-        return best if best <= sum(ubs) else 1 << 30
-
 
 def class_counting_bound(instance: CoverInstance) -> int:
-    """The class-counting lower bound of the full instance."""
-    b = _ClassCountingBound(instance)
-    return b.bound(instance.full_mask(), (1 << len(instance.candidates)) - 1)
+    """The class-counting lower bound of the full instance: the ceiling of its LP value."""
+    return _ceil_bound(_ClassCountingBound(instance).lp_dual()[1])
 
 
 def class_counting_rows(instance: CoverInstance):
     """Constraint rows (class coverage coefficients, target count) per target orbit."""
-    return _ClassCountingBound(instance).constraint_rows(instance)
+    return _ClassCountingBound(instance).constraint_rows()
 
 
 def lower_bound(instance: CoverInstance) -> int:
@@ -339,21 +273,22 @@ class _Search:
     is a lower bound on the number of further candidates any cover below the
     node needs: it is the Lagrangian relaxation of the node's set-cover
     program, so L(y) <= LP <= IP whether or not y is a good choice.  Bounds,
-    in order: density, class counting, packing, then, where none prunes,
-    ``_ascend``: at most ``_NODE_STEPS`` projected subgradient steps from the
-    y the parent handed down, each step aiming L half a unit past the pruning
-    level (Polyak's rule), stopping as soon as it prunes.  The node is pruned
-    when depth + ceil(L - eps) >= best.  Its best y, restricted to each
-    child's uncovered targets, then bounds every child in one batched
-    product before the child is entered: child j is skipped when
+    in order: density, packing, then, where neither prunes, ``_ascend``: at
+    most ``_NODE_STEPS`` projected subgradient steps from the y the parent
+    handed down, each step aiming L half a unit past the pruning level
+    (Polyak's rule), stopping as soon as it prunes.  The node is pruned when
+    depth + ceil(L - eps) >= best.  Last, the child check: the node's y
+    (its best after the ascent, else the one inherited), restricted to each
+    child's uncovered targets, bounds every child in one batched product
+    before the child is entered: child j is skipped when
     depth + 1 + ceil(L_j - eps) >= best, and still joins its later siblings'
     excluded set, since its subtree holds no cover below best.  L_j is at
     least L + (1 - s_i) - 1, the Lagrangian bound with the child's candidate
     i fixed into the cover, so this is reduced-cost fixing and more.  A
-    visited child starts its ascent from that evaluation.  Since only
-    subtrees without a cover below best go, the depth-first order, the first
-    cover found and the certificate stay those of the search without the
-    Lagrangian (``tests/oracles.py::ScanningSearch``).
+    visited child starts from that evaluation.  Since only subtrees without a
+    cover below best go, the depth-first order, the first cover found and the
+    certificate stay those of the search without the Lagrangian
+    (``tests/oracles.py::ScanningSearch``).
 
     Why float64 and eps = 1e-6: L is a sum of at most |targets| + |candidates|
     float64 terms, each a small multiple of the instance size at most, so its
@@ -365,12 +300,16 @@ class _Search:
 
     The root multipliers are the class-counting LP dual (``lp_dual``),
     constant on target orbits; for conjugation-symmetric instances they are
-    optimal for the root LP.  Root branch c is skipped by reduced-cost
-    fixing, when ceil(value + 1 - load[c] - eps) >= best.  The multipliers
-    are computed once per solve and shared by every deepening round.  The
-    first ``_PLAIN_NODES`` nodes of a solve run no ascent: a search that ends
-    within a few dozen nodes, as most small groups do, cannot win back its
-    cost, as one ascent costs about as much as ten nodes.
+    optimal for the root LP.  That LP is solved once per solve: its value,
+    rounded up, is the class-counting term of the root bound, its dual seeds
+    every deepening round, and root branch c is skipped by reduced-cost
+    fixing, when ceil(value + 1 - load[c] - eps) >= best.
+
+    The first ``_PLAIN_NODES`` nodes of a solve run no ascent, only the child
+    check at the multipliers they inherit.  One ascent costs about as much as
+    ten nodes, and a search that ends within a few dozen nodes, as the A6 and
+    PSL(2,8) searches do, cannot win that back: ascending from the first node
+    shortens the larger searches but slows those small ones by 7-10%.
     """
 
     def __init__(self, instance: CoverInstance):
@@ -383,11 +322,13 @@ class _Search:
         self.hit = hit.astype(np.float32)
         self.row_vecs = np.ascontiguousarray(self.hit.T)
         self.ccb = _ClassCountingBound(instance)
+        w, self.root_value, self.root_load = self.ccb.lp_dual()
+        self.y0 = np.array(w)[self.ccb.target_orbit]
         self.nodes = 0
 
     @cached_property
     def hit64(self) -> np.ndarray:
-        """float64 copy of ``hit`` for the Lagrangian (built at the first ascent)."""
+        """float64 copy of ``hit`` for the Lagrangian (built at its first use)."""
         return self.hit.astype(np.float64)
 
     def _sweep(self, uncovered: int, avail: int) -> tuple[int, int]:
@@ -422,7 +363,7 @@ class _Search:
         avail = (1 << len(self.cands)) - 1
         cov = self.hit.sum(axis=0)
         return max(self._density(self.full, cov), self._sweep(self.full, avail)[0],
-                   self.ccb.bound(self.full, avail))
+                   _ceil_bound(self.root_value))
 
     def _children(self, cov, unc, picks, off_rows, off_cols):
         """Vectors of the children choosing picks[j]; (off_rows, off_cols) are zeroed."""
@@ -485,9 +426,6 @@ class _Search:
         incumbent = greedy_cover(self.inst)
         ub = len(incumbent)
         lo = min(max(floor, self.root_bound()), ub)
-        if lo < ub:
-            w, self.root_value, self.root_load = self.ccb.lp_dual()
-            self.y0 = np.array(w)[self.ccb.target_orbit]
         timed_out = False
         while lo < ub:
             self.best = lo + 1
@@ -557,14 +495,11 @@ class _Search:
             return
         if depth + self._density(uncovered, cov) >= self.best:
             return
-        if depth + self.ccb.bound(uncovered, avail) >= self.best:
-            return
         packing, pick = self._sweep(uncovered, avail)
         if not pick or depth + packing >= self.best:
             return
         need = self.best - depth
-        ascended = self.nodes > _PLAIN_NODES
-        if ascended:
+        if self.nodes > _PLAIN_NODES:
             L, y = self._ascend(y, unc, cov, need, first)
             if _ceil_bound(L) >= need:
                 return
@@ -581,19 +516,15 @@ class _Search:
         # child j zeroes the candidates it chose or excluded: order[:j + 1]
         off_rows, off_pos = _lower_triangle(len(order))
         covs, uncs = self._children(cov, unc, order, off_rows, np.asarray(order)[off_pos])
-        if ascended:
-            # every child's bound at the inherited multipliers, in one product
-            ys = y * uncs
-            Ls, ss, _ = self.lagrangian(ys, covs > 0)
-            firsts = list(zip(Ls.tolist(), ss))
-        else:
-            ys, firsts = [y] * len(order), [None] * len(order)
+        # every child's bound at this node's multipliers, in one product
+        ys = y * uncs
+        Ls, ss, _ = self.lagrangian(ys, covs > 0)
         excluded = 0
-        for j, i in enumerate(order):
-            if firsts[j] is None or _ceil_bound(firsts[j][0]) < need - 1:
+        for j, (i, L) in enumerate(zip(order, Ls.tolist())):
+            if _ceil_bound(L) < need - 1:
                 chosen.append(i)
                 self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen,
-                              covs[j], uncs[j], ys[j], firsts[j])
+                              covs[j], uncs[j], ys[j], (L, ss[j]))
                 chosen.pop()
             excluded |= 1 << i
 

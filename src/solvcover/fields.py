@@ -43,6 +43,11 @@ def factor_prime_power(q: int):
     return None
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime (a prime power with exponent 1)."""
+    return factor_prime_power(n) == (n, 1)
+
+
 class GF:
     """Arithmetic suite for GF(q): add, mul, inv, frobenius, squareness."""
 

@@ -658,8 +658,8 @@ def index_two_subgroups(table: GroupTable) -> list[ElementSet]:
     assignment is kept when every generator moves each coset to one whose
     label differs by the generator's value.  Kernels come sorted by their
     sorted coset ids.  Each result carries a small generating subset of
-    itself as ``gens``; ``constructions`` builds M10 and squished products
-    from them, so they fix the element order of those tables.
+    itself as ``gens``; ``constructions`` builds squished products from
+    them, so they fix the element order of those tables.
     """
     squares = table.lookup_images(np.take_along_axis(table.imgs, table.imgs, axis=1))
     S = table.closure_indices(squares.tolist())

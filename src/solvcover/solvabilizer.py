@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GroupSolvable, InfeasibleUniverse, InternalInconsistency, NotTwoGenerated
+from .fields import is_prime
 from .group import (
     ClassPartition,
     ElementSet,
@@ -33,11 +34,6 @@ from .group import (
     _orbit_labels,
     is_solvable,
 )
-
-_PRIMES = frozenset(
-    p for p in range(2, 20000) if p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-)
-
 
 def _power_rows(table: GroupTable, g: int) -> list[np.ndarray]:
     """Image rows of g^1, g^2, ..., g^m = 1, where m is the order of g."""
@@ -192,7 +188,7 @@ class MaximalSolvableCensus:
         return mask
 
 
-def maximal_solvable_subgroups(table: GroupTable, warn: bool = True) -> MaximalSolvableCensus:
+def maximal_solvable_subgroups(table: GroupTable) -> MaximalSolvableCensus:
     """Census of the maximal solvable subgroups.
 
     Seeds are the distinct solvable <rep, y> subgroups seen by the incidence
@@ -204,7 +200,7 @@ def maximal_solvable_subgroups(table: GroupTable, warn: bool = True) -> MaximalS
         full = ElementSet.full(table)
         return MaximalSolvableCensus([full], [0], [table.order], [1])
     inc = sol_incidence(table)
-    if len(inc.radical) > 1 and warn:
+    if len(inc.radical) > 1:
         import warnings
 
         warnings.warn("census on a group with nontrivial radical", stacklevel=2)
@@ -303,8 +299,6 @@ def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[i
 @dataclass
 class Candidate:
     element: int
-    order: int
-    is_involution: bool
     class_id: int
     row: int  # coverage bitmask over universe positions
 
@@ -367,7 +361,8 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     if involutions_only:
         cand_elems = [x for x in range(1, table.order) if orders[x] == 2 and not rad_mask[x]]
     else:
-        cand_elems = [x for x in range(1, table.order) if orders[x] in _PRIMES and not rad_mask[x]]
+        prime_orders = {o for o in set(orders.tolist()) if is_prime(o)}
+        cand_elems = [x for x in range(1, table.order) if orders[x] in prime_orders and not rad_mask[x]]
     notes.append(f"universe {len(universe)} maximal cyclic targets; raw candidates {len(cand_elems)}")
     # coverage rows via columns: t in Sol(x) iff x in Sol(t)
     rows = {x: 0 for x in cand_elems}
@@ -391,7 +386,7 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         kept = uniq
     notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
     candidates = [
-        Candidate(x, int(orders[x]), orders[x] == 2, int(classes.class_of[x]), r)
+        Candidate(x, int(classes.class_of[x]), r)
         for r, x in sorted(kept, key=lambda rx: rx[1])
     ]
     target_class = _target_orbits(classes, table, universe)

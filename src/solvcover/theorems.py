@@ -29,7 +29,7 @@ from .errors import (
     ElementNotInGroup,
     EvenFieldOrder,
 )
-from .fields import factor_prime_power
+from .fields import factor_prime_power, is_prime
 from .group import DEFAULT_CAP, GroupTable
 from .perm import Permutation
 from .solvabilizer import sol_incidence
@@ -106,10 +106,6 @@ class BoundReport:
         return [b for b in self.bounds if b.kind == "upper" and b.applies_to in (mode, "both")]
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 def family_bounds(spec: GroupSpec) -> BoundReport:
     """Every theorem bound applicable to the spec (empty for unknown families)."""
     rep = BoundReport(spec)
@@ -121,7 +117,7 @@ def family_bounds(spec: GroupSpec) -> BoundReport:
         if pf is None:
             raise BadParameter(f"{q} is not a prime power")
         char, f = pf
-        if char == 2 and _is_prime(f):
+        if char == 2 and is_prime(f):
             rep.bounds.append(TheoremBound("lower", q - 1, "both", "PSL(2,2^p) exact value q-1"))
             rep.bounds.append(TheoremBound("upper", q - 1, "both", "PSL(2,2^p) exact value q-1"))
         if f == 1 and q % 4 == 1 and q > 5:
@@ -136,12 +132,12 @@ def family_bounds(spec: GroupSpec) -> BoundReport:
                 flagged=True,
                 note="conflicts with the computed table at p = 7 and p = 11; reported verbatim",
             ))
-        if char == 3 and f > 1 and _is_prime(f) and f % 2 == 1:
+        if char == 3 and f > 1 and is_prime(f) and f % 2 == 1:
             rep.bounds.append(TheoremBound("lower", (3 * q - 1) // 2, "alpha", "PSL(2,3^p) counting"))
     elif k == "sz":
         q = p[0]
         pf = factor_prime_power(q)
-        if pf is None or pf[0] != 2 or not _is_prime(pf[1]) or pf[1] == 2:
+        if pf is None or pf[0] != 2 or not is_prime(pf[1]) or pf[1] == 2:
             raise BadParameter("Sz(q) needs q = 2^p with p an odd prime")
         rep.bounds.append(TheoremBound("lower", q * q + 1, "alpha", "Sz(2^p) Sylow counting"))
     elif k == "alternating" and p[0] == 5:

@@ -10,10 +10,11 @@ from itertools import combinations
 
 import numpy as np
 
+from solvcover.constructions import build, frobenius_permutation, mobius_permutation, pgammal2
 from solvcover.cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, SolveBudget, greedy_cover
 from solvcover.errors import CapExceeded
-from solvcover.fields import factor_prime_power
-from solvcover.group import ElementSet, derived_subgroup, is_solvable
+from solvcover.fields import factor_prime_power, field_ops
+from solvcover.group import ElementSet, derived_subgroup, index_two_subgroups, is_solvable
 from solvcover.solvabilizer import _generator_rows
 
 
@@ -56,6 +57,17 @@ def expected_order(spec):
         a, b = expected_order(p[0]), expected_order(p[1])
         return None if a is None or b is None else a * b
     return None
+
+
+def m10_inside_pgammal2():
+    """Image rows of M10 as the engine first derived it: the index-2 subgroup
+    of PGammaL(2,9) that holds neither z -> a z (a primitive) nor the Frobenius."""
+    t = build(pgammal2(9))
+    F = field_ops(9)
+    mult = t.find_permutation(mobius_permutation(F, F.primitive_element(), 0, 0, 1))
+    frob = t.find_permutation(frobenius_permutation(F))
+    (H,) = [H for H in index_two_subgroups(t) if mult not in H and frob not in H]
+    return {tuple(t.imgs[i].tolist()) for i in np.flatnonzero(H.mask)}
 
 
 def enumerate_per_row(generators, cap):
@@ -471,10 +483,10 @@ class ScanningSearch:
 
     Same iterative deepening, root symmetry, cheap bounds and branching rule
     as `cover._Search`, with each node's coverage counts taken afresh from the
-    candidate rows and no Lagrangian bound.  The search must return its
-    status, bounds and first cover, in no more nodes: the Lagrangian bound
-    and fixing only cut subtrees of this tree that hold no cover below the
-    incumbent.
+    candidate rows, the class-counting integer program at every node and no
+    Lagrangian bound.  The search must return its status, bounds and first
+    cover, in no more nodes: the Lagrangian bound and fixing only cut
+    subtrees of this tree that hold no cover below the incumbent.
     """
 
     def __init__(self, instance):

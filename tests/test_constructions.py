@@ -36,6 +36,11 @@ def test_m10():
     assert orders == [1, 2, 3, 4, 5, 8]  # M10 has no order-6 elements, unlike S6/PGL2(9)
 
 
+def test_m10_is_the_index_two_subgroup_of_pgammal29():
+    t = sc.build(sc.m10())
+    assert {tuple(row) for row in t.imgs.tolist()} == oracles.m10_inside_pgammal2()
+
+
 def test_product_order():
     t = sc.build(sc.direct_product(sc.psl2(4), sc.symmetric(3)))
     assert t.order == 360

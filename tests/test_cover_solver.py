@@ -7,7 +7,6 @@ import pytest
 
 import solvcover as sc
 from solvcover import cover
-from solvcover.cover import _ClassCountingBound
 from solvcover.solvabilizer import Candidate, CoverInstance
 from solvcover.theorems import Certificate, verify_certificate
 
@@ -17,7 +16,7 @@ import oracles
 def synthetic_instance(rows, involutions_only=False, floor=0):
     """Instance from explicit coverage bitmask rows (element = position)."""
     nu = max(m.bit_length() for m in rows)
-    cands = [Candidate(i, 2, True, i, r) for i, r in enumerate(rows)]
+    cands = [Candidate(i, i, r) for i, r in enumerate(rows)]
     return CoverInstance(universe=list(range(nu)), target_class=[0] * nu,
                          candidates=cands, involutions_only=involutions_only,
                          alpha_floor=floor)
@@ -199,6 +198,19 @@ def golden_instance(spec_text, mode):
     return sc.reduce_instance(sc.sol_incidence(table), involutions_only=(mode == "involutions"))
 
 
+@pytest.mark.parametrize("spec_text,mode", SMALL_GOLDEN_INSTANCES)
+def test_root_bound_equals_class_counting_program(spec_text, mode):
+    # ceil(class LP) is as strong as the integer class-counting program at the root
+    inst = golden_instance(spec_text, mode)
+    full, avail = inst.full_mask(), (1 << len(inst.candidates)) - 1
+    ccb = oracles.ScanningClassCountingBound(inst)
+    program = ccb.bound(full, avail)
+    assert program == oracles.min_count_enumerated(ccb.k, [tm.bit_count() for tm in ccb.tmasks],
+                                                   [len(mem) for mem in ccb.members])
+    assert sc.class_counting_bound(inst) == program
+    assert sc.lower_bound(inst) == max(oracles.ScanningSearch(inst).cheap_bounds(full, avail), program)
+
+
 def outcome_key(out):
     return out.status, out.lower, out.upper, out.certificate
 
@@ -363,37 +375,6 @@ def test_lagrangian_bound_within_residual_lp(spec_text, mode):
         L, _ = search._ascend(y0 * unc, unc, cov, need=1 << 20)
         assert L <= lp + 1e-9
         assert cover._ceil_bound(L) <= math.ceil(lp - 1e-9)
-
-
-@pytest.mark.parametrize("spec_text", ["alternating(6)", "pgl2(9)", "psl2(11)"])
-def test_class_counting_program_matches_enumeration(spec_text):
-    rng = np.random.default_rng(13)
-    for mode in ("all", "involutions"):
-        if (spec_text, mode) not in SMALL_GOLDEN_INSTANCES:
-            continue
-        ccb = _ClassCountingBound(golden_instance(spec_text, mode))
-        orbit_sizes = [tm.bit_count() for tm in ccb.tmasks]
-        class_sizes = [len(mem) for mem in ccb.members]
-        for _ in range(150):
-            rhs = tuple(int(rng.integers(0, s + 1)) for s in orbit_sizes)
-            ubs = tuple(int(rng.integers(0, s + 1)) for s in class_sizes)
-            assert ccb._solve_ip(rhs, ubs) == oracles.min_count_enumerated(ccb.k, rhs, ubs), (mode, rhs, ubs)
-
-
-def test_class_counting_program_matches_enumeration_on_synthetics():
-    # 2-5 classes of 1-4 candidates over 1-4 target orbits, so every depth of the search runs
-    rng = np.random.default_rng(17)
-    for trial in range(80):
-        nu, ncls = int(rng.integers(4, 12)), int(rng.integers(2, 6))
-        cands = [Candidate(i, 2, True, c, int(rng.integers(0, 1 << nu)))
-                 for i, c in enumerate(np.repeat(np.arange(ncls), rng.integers(1, 5, size=ncls)).tolist())]
-        inst = CoverInstance(universe=list(range(nu)), target_class=rng.integers(0, 4, size=nu).tolist(),
-                             candidates=cands, involutions_only=False)
-        ccb = _ClassCountingBound(inst)
-        for _ in range(20):
-            rhs = tuple(int(rng.integers(0, tm.bit_count() + 1)) for tm in ccb.tmasks)
-            ubs = tuple(int(rng.integers(0, len(mem) + 1)) for mem in ccb.members)
-            assert ccb._solve_ip(rhs, ubs) == oracles.min_count_enumerated(ccb.k, rhs, ubs), (trial, rhs, ubs)
 
 
 @pytest.mark.parametrize("mode", ["all", "involutions"])

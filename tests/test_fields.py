@@ -1,7 +1,7 @@
 import pytest
 
 import solvcover as sc
-from solvcover.fields import GF, factor_prime_power, field_ops
+from solvcover.fields import GF, factor_prime_power, field_ops, is_prime
 
 
 def test_factor_prime_power():
@@ -10,6 +10,15 @@ def test_factor_prime_power():
     assert factor_prime_power(13) == (13, 1)
     assert factor_prime_power(12) is None
     assert factor_prime_power(1) is None
+
+
+def test_is_prime_matches_sieve():
+    n = 20000
+    sieve = [False, False] + [True] * (n - 1)
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [is_prime(k) for k in range(n + 1)] == sieve
 
 
 def test_not_a_prime_power():

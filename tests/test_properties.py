@@ -88,7 +88,7 @@ def _random_subinstance(rng, inst):
         for u in keep:
             if (c.row >> u) & 1:
                 r |= 1 << remap[u]
-        new_cands.append(Candidate(c.element, c.order, c.is_involution, c.class_id, r))
+        new_cands.append(Candidate(c.element, c.class_id, r))
     return CoverInstance(universe=[inst.universe[u] for u in keep],
                          target_class=[inst.target_class[u] for u in keep],
                          candidates=new_cands, involutions_only=inst.involutions_only)

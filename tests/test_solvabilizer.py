@@ -216,7 +216,7 @@ def test_target_orbits_match_per_target_oracle(spec_text):
 def test_a5_involution_covers_two_c5_targets(a5, a5_instance):
     five_positions = [i for i, t in enumerate(a5_instance.universe) if a5.order_of[t] == 5]
     for c in a5_instance.candidates:
-        if c.is_involution:
+        if a5.order_of[c.element] == 2:
             hit = sum(1 for i in five_positions if (c.row >> i) & 1)
             assert hit == 2
 
@@ -224,7 +224,7 @@ def test_a5_involution_covers_two_c5_targets(a5, a5_instance):
 def test_candidates_are_prime_order_and_deduped(s5_instance, s5):
     rows = [c.row for c in s5_instance.candidates]
     assert len(rows) == len(set(rows))
-    assert all(c.order in (2, 3, 5) for c in s5_instance.candidates)
+    assert all(s5.order_of[c.element] in (2, 3, 5) for c in s5_instance.candidates)
     # no dominated rows remain
     for i, r in enumerate(rows):
         assert not any(i != j and (r | r2) == r2 for j, r2 in enumerate(rows))
