@@ -1,7 +1,9 @@
 """Command-line surface: solve, verify, table.
 
 Exit codes for solve: 0 on Exact/Infeasible, 2 when any requested mode ends
-as an Interval (budget hit), 1 on errors.  verify: 0 valid, 1 invalid.
+as an Interval (budget hit); verify: 0 valid, 1 invalid.  Every command exits
+1 on an error, a file it cannot read or write included, after printing one
+"error: <Type>: ..." line to stderr.
 The enumeration cap honors SOLVCOVER_CAP when --cap is absent.
 """
 
@@ -15,7 +17,7 @@ from pathlib import Path
 from . import cover
 from .constructions import build, parse_spec
 from .cover import INTERVAL, MODE_ALL, MODE_INVOLUTIONS, SolveBudget
-from .errors import SolvcoverError
+from .errors import BadParameter, SolvcoverError
 from .group import DEFAULT_CAP
 from .perm import format_cycles
 from .records import OutcomeRecord, ResultRecord, parse_certificate_lines
@@ -26,7 +28,10 @@ def _cap_from(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("SOLVCOVER_CAP")
-    return int(env) if env else DEFAULT_CAP
+    try:
+        return int(env) if env else DEFAULT_CAP
+    except ValueError:
+        raise BadParameter(f"SOLVCOVER_CAP must be an integer, got {env!r}") from None
 
 
 def cmd_solve(args) -> int:
@@ -139,7 +144,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SolvcoverError as e:
+    except (SolvcoverError, OSError) as e:  # OSError: an unreadable certificate or unwritable --out
         print(f"error: {e.__class__.__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -4,23 +4,23 @@ The solver runs iterative deepening on the optimum: for k = lb, lb+1, ... it
 searches for a cover of size <= k with the incumbent pinned to k+1, so the
 bound prunes at equality.  A completed round with no cover proves lb > k; the
 first hit is optimal.  Branching picks the uncovered target with the fewest
-remaining candidates; the first chosen candidate is restricted to
-conjugacy-class representatives (conjugating an optimal cover is again an
-optimal cover, so the lowest class present may be normalized to its
-representative).  Pruning bounds, cheapest first: universe density, a
-greedy packing of candidate-disjoint targets, and the Lagrangian relaxation of
-set cover (Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper. Res. 47,
-1999): a few subgradient steps on float64 multipliers y >= 0 over the
-uncovered targets, warm-started from the parent's, whose value bounds the LP
-relaxation from below.  The multipliers a node holds bound every child before
-it is entered, which fixes out the children whose reduced cost lifts them to
-the incumbent.  The root multipliers are the dual of the class-counting LP
-(the set-cover LP with candidates grouped by conjugacy class and targets by
-orbit), optimal for the root LP of a conjugation-symmetric instance; the
-ceiling of its value is the root's class-counting bound.  Every bound only
-cuts subtrees that hold no cover below the incumbent, so the search visits the
-nodes of the plain search in the same order, minus those, and returns the
-same first cover.
+remaining candidates, except at the root of a conjugation-symmetric instance,
+which branches on conjugacy-class representatives, each excluding its whole
+class (conjugating an optimal cover is again an optimal cover, so the lowest
+class present may be normalized to its representative).  Pruning bounds,
+cheapest first: universe density, a greedy packing of candidate-disjoint
+targets, and the Lagrangian relaxation of set cover (Beasley, EJOR 1990;
+Caprara, Fischetti, Toth, Oper. Res. 47, 1999): a few subgradient steps on
+float64 multipliers y >= 0 over the uncovered targets, warm-started from the
+parent's, whose value bounds the LP relaxation from below.  The multipliers a
+node holds bound every child before it is entered, which fixes out the
+children whose reduced cost lifts them to the incumbent.  The root multipliers
+are the dual of the class-counting LP (the set-cover LP with candidates
+grouped by conjugacy class and targets by orbit), optimal for the root LP of a
+conjugation-symmetric instance; the ceiling of its value is the root's
+class-counting bound.  Every bound only cuts subtrees that hold no cover below
+the incumbent, so the search visits the nodes of the plain search in the same
+order, minus those, and returns the same first cover.
 
 Each node carries a coverage vector, cov[i] = |row_i & uncovered| for the
 available candidates, kept incrementally: a child's vector is its parent's
@@ -144,14 +144,13 @@ class _ClassCountingBound:
             out.append((coeffs, tm.bit_count()))
         return out
 
-    def lp_dual(self) -> tuple[list[float], float, list[float]]:
+    def lp_dual(self) -> tuple[list[float], float]:
         """Optimal multipliers w (one per target orbit) of the program's LP relaxation at the root.
 
         Primal simplex with Bland's rule on the dual LP
             max sum_T |T| w_T - sum_c |c| v_c  s.t.  sum_T k[c][T] w_T - v_c <= 1,  w, v >= 0,
         from the slack basis, which is feasible as every right-hand side is 1.
-        Returns (w, value, load): load[c] = sum_T k[c][T] w_T, so class c has
-        reduced cost 1 - load[c], and value = sum_T |T| w_T - sum_c |c| max(load[c] - 1, 0).
+        Returns (w, value) with value = sum_T |T| w_T - sum_c |c| max(sum_T k[c][T] w_T - 1, 0).
         """
         k, sizes = self.k, [tm.bit_count() for tm in self.tmasks]
         nc, m = len(k), len(sizes)
@@ -181,10 +180,10 @@ class _ClassCountingBound:
         for row, b in zip(rows, basis):
             if b < m:
                 w[b] = max(row[-1], 0.0)
-        load = [sum(a * b for a, b in zip(kc, w)) for kc in k]
         value = (sum(a * b for a, b in zip(sizes, w))
-                 - sum(len(mem) * max(x - 1, 0.0) for mem, x in zip(self.members, load)))
-        return w, value, load
+                 - sum(len(mem) * max(sum(a * b for a, b in zip(kc, w)) - 1, 0.0)
+                       for mem, kc in zip(self.members, k)))
+        return w, value
 
 
 def class_counting_bound(instance: CoverInstance) -> int:
@@ -301,9 +300,11 @@ class _Search:
     The root multipliers are the class-counting LP dual (``lp_dual``),
     constant on target orbits; for conjugation-symmetric instances they are
     optimal for the root LP.  That LP is solved once per solve: its value,
-    rounded up, is the class-counting term of the root bound, its dual seeds
-    every deepening round, and root branch c is skipped by reduced-cost
-    fixing, when ceil(value + 1 - load[c] - eps) >= best.
+    rounded up, is the class-counting term of the root bound, and its dual
+    seeds every deepening round.  At a conjugation-symmetric root the child
+    check subsumes reduced-cost fixing by class: s_i <= load_c =
+    sum_T k[c][T] w_T for the pick i of class c (k is a maximum over the
+    class) and L >= value, so 1 + L_c >= value + 1 - load_c.
 
     The first ``_PLAIN_NODES`` nodes of a solve run no ascent, only the child
     check at the multipliers they inherit.  One ascent costs about as much as
@@ -322,9 +323,18 @@ class _Search:
         self.hit = hit.astype(np.float32)
         self.row_vecs = np.ascontiguousarray(self.hit.T)
         self.ccb = _ClassCountingBound(instance)
-        w, self.root_value, self.root_load = self.ccb.lp_dual()
+        w, self.root_value = self.ccb.lp_dual()
         self.y0 = np.array(w)[self.ccb.target_orbit]
         self.nodes = 0
+        # (picks, zeroed rows and columns of the children, excluded after each
+        # child) at a conjugation-symmetric root: branch j picks the least member
+        # of class j and zeroes classes 0..j-1, which the branches before it took
+        self.root_branches = None
+        if instance.conjugation_symmetric:
+            members = self.ccb.members
+            zeroed = [[mem[0]] + [i for low in members[:j] for i in low] for j, mem in enumerate(members)]
+            self.root_branches = ([mem[0] for mem in members], [j for j, z in enumerate(zeroed) for _ in z],
+                                  [i for z in zeroed for i in z], [sum(1 << i for i in mem) for mem in members])
 
     @cached_property
     def hit64(self) -> np.ndarray:
@@ -426,12 +436,14 @@ class _Search:
         incumbent = greedy_cover(self.inst)
         ub = len(incumbent)
         lo = min(max(floor, self.root_bound()), ub)
+        cov = self.hit.sum(axis=0)
+        unc = np.ones(self.nu, dtype=np.float32)
         timed_out = False
         while lo < ub:
             self.best = lo + 1
             self.found: Optional[list[int]] = None
             try:
-                self._root(avail)
+                self._descend(self.full, avail, 0, [], cov, unc, self.y0, None)
             except _FoundCover:
                 pass
             except _OutOfBudget:
@@ -454,34 +466,6 @@ class _Search:
             seconds=time.monotonic() - t0,
         )
 
-    def _root(self, avail: int):
-        cov = self.hit.sum(axis=0)
-        unc = np.ones(self.nu, dtype=np.float32)
-        if not self.inst.conjugation_symmetric:
-            self._descend(self.full, avail, 0, [], cov, unc, self.y0, None)
-            return
-        # first candidate restricted to class representatives: branch k fixes
-        # the lowest candidate class present in the cover and includes its
-        # least member; classes are whole conjugation orbits, so any cover
-        # normalizes into exactly one branch.  A branch whose class's reduced
-        # cost lifts the root bound to best holds no such cover and is skipped.
-        members = self.ccb.members
-        reps = [mem[0] for mem in members]
-        off_rows, off_cols = [], []
-        for j, rep in enumerate(reps):
-            zeroed = [rep] + [i for mem in members[:j] for i in mem]
-            off_rows += [j] * len(zeroed)
-            off_cols += zeroed
-        covs, uncs = self._children(cov, unc, reps, off_rows, off_cols)
-        excluded = 0
-        for j, (mem, rep) in enumerate(zip(members, reps)):
-            if _ceil_bound(self.root_value + 1 - self.root_load[j]) < self.best:
-                row = self.cands[rep].row
-                self._descend(self.full & ~row, (avail & ~excluded) & ~(1 << rep), 1, [rep], covs[j], uncs[j],
-                              self.y0, None)
-            for i in mem:
-                excluded |= 1 << i
-
     def _descend(self, uncovered: int, avail: int, depth: int, chosen: list[int],
                  cov: np.ndarray, unc: np.ndarray, y: np.ndarray, first: Optional[tuple[float, np.ndarray]]):
         self.nodes += 1
@@ -503,19 +487,24 @@ class _Search:
             L, y = self._ascend(y, unc, cov, need, first)
             if _ceil_bound(L) >= need:
                 return
-        # branch on the uncovered target with fewest remaining candidates,
-        # largest coverage first (a stable sort keeps ties in index order)
-        order = []
-        a = pick
-        while a:
-            low = a & -a
-            a ^= low
-            order.append(low.bit_length() - 1)
-        keys = cov.tolist()
-        order.sort(key=lambda i: -keys[i])
-        # child j zeroes the candidates it chose or excluded: order[:j + 1]
-        off_rows, off_pos = _lower_triangle(len(order))
-        covs, uncs = self._children(cov, unc, order, off_rows, np.asarray(order)[off_pos])
+        if depth == 0 and self.root_branches is not None:
+            order, off_rows, off_cols, excludes = self.root_branches
+        else:
+            # branch on the uncovered target with fewest remaining candidates,
+            # largest coverage first (a stable sort keeps ties in index order)
+            order = []
+            a = pick
+            while a:
+                low = a & -a
+                a ^= low
+                order.append(low.bit_length() - 1)
+            keys = cov.tolist()
+            order.sort(key=lambda i: -keys[i])
+            # child j zeroes the candidates it chose or excluded: order[:j + 1]
+            off_rows, off_pos = _lower_triangle(len(order))
+            off_cols = np.asarray(order)[off_pos]
+            excludes = [1 << i for i in order]
+        covs, uncs = self._children(cov, unc, order, off_rows, off_cols)
         # every child's bound at this node's multipliers, in one product
         ys = y * uncs
         Ls, ss, _ = self.lagrangian(ys, covs > 0)
@@ -526,7 +515,7 @@ class _Search:
                 self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen,
                               covs[j], uncs[j], ys[j], (L, ss[j]))
                 chosen.pop()
-            excluded |= 1 << i
+            excluded |= excludes[j]
 
 
 def solve_exact(instance: CoverInstance, budget: Optional[SolveBudget] = None) -> CoverOutcome:

@@ -94,18 +94,17 @@ class SolvabilizerIncidence:
     def __init__(self, table: GroupTable):
         self.table = table
         self.classes: ClassPartition = table.conjugacy_classes()
-        self.radical: ElementSet = table.solvable_radical_set()
         self._rep_sol: dict[int, np.ndarray] = {}
+
+    @property
+    def radical(self) -> ElementSet:
+        """R(G), computed on the table at first use; Sol needs none of it."""
+        return self.table.solvable_radical_set()
 
     def rep_sol(self, cid: int) -> np.ndarray:
         mask = self._rep_sol.get(cid)
         if mask is None:
-            rep = self.classes.representatives[cid]
-            if rep in self.radical:
-                mask = np.ones(self.table.order, dtype=bool)
-            else:
-                mask = _sol_of_rep(self.table, rep)
-            self._rep_sol[cid] = mask
+            mask = self._rep_sol[cid] = _sol_of_rep(self.table, self.classes.representatives[cid])
         return mask
 
     def sol(self, x: int) -> np.ndarray:

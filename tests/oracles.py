@@ -558,6 +558,7 @@ class ScanningSearch:
         if not self.inst.conjugation_symmetric:
             self._descend(self.full, avail, 0, [])
             return
+        self.nodes += 1
         excluded = 0
         for mem in self.ccb.members:
             rep = mem[0]

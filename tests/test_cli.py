@@ -184,6 +184,24 @@ def test_cap_env_override(monkeypatch, capsys):
     assert "CapExceeded" in capsys.readouterr().err
 
 
+def test_cap_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("SOLVCOVER_CAP", "abc")
+    assert run_cli("solve", "--group", "psl2(7)") == 1
+    assert "error: BadParameter: SOLVCOVER_CAP" in capsys.readouterr().err
+
+
+def test_verify_missing_certificate_file(tmp_path, capsys):
+    missing = tmp_path / "none.cert"
+    assert run_cli("verify", "--group", "alternating(5)", "--certificate", str(missing)) == 1
+    assert "error: FileNotFoundError" in capsys.readouterr().err
+
+
+def test_solve_out_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "absent" / "a5.result"
+    assert run_cli("solve", "--group", "alternating(5)", "--out", str(out)) == 1
+    assert "error: FileNotFoundError" in capsys.readouterr().err
+
+
 def test_console_script_installed():
     # the child imports the same package as this process, installed or not
     src = str(Path(sc.__file__).resolve().parent.parent)

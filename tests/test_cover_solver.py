@@ -350,7 +350,7 @@ def test_lagrangian_bound_within_residual_lp(spec_text, mode):
     linprog = pytest.importorskip("scipy.optimize").linprog
     inst = golden_instance(spec_text, mode)
     search = cover._Search(inst)
-    w, value, load = search.ccb.lp_dual()
+    w, value = search.ccb.lp_dual()
     y0 = np.array(w)[search.ccb.target_orbit]
     unc, cov = residual_vectors(search, search.full, (1 << len(search.cands)) - 1)
     root = residual_lp(linprog, search, unc, cov)
@@ -375,6 +375,23 @@ def test_lagrangian_bound_within_residual_lp(spec_text, mode):
         L, _ = search._ascend(y0 * unc, unc, cov, need=1 << 20)
         assert L <= lp + 1e-9
         assert cover._ceil_bound(L) <= math.ceil(lp - 1e-9)
+
+
+@pytest.mark.parametrize("spec_text,mode", SMALL_GOLDEN_INSTANCES)
+def test_root_child_check_subsumes_class_reduced_cost(spec_text, mode):
+    # the root's child check at y0 skips every class branch that reduced-cost
+    # fixing by class skips: class c has reduced cost 1 - load_c in the class LP
+    inst = golden_instance(spec_text, mode)
+    search = cover._Search(inst)
+    w, value = search.ccb.lp_dual()
+    load = [sum(a * b for a, b in zip(kc, w)) for kc in search.ccb.k]
+    picks, off_rows, off_cols, _ = search.root_branches
+    covs, uncs = search._children(search.hit.sum(axis=0), np.ones(search.nu, dtype=np.float32),
+                                  picks, off_rows, off_cols)
+    Ls, _, _ = search.lagrangian(search.y0 * uncs, covs > 0)
+    assert len(Ls) == len(load)
+    for L, load_c in zip(Ls.tolist(), load):
+        assert 1 + cover._ceil_bound(L) >= cover._ceil_bound(value + 1 - load_c)
 
 
 @pytest.mark.parametrize("mode", ["all", "involutions"])

@@ -40,10 +40,35 @@ def test_sol_contains_self_and_identity(psl27):
         assert mask[0] and mask[int(x)]
 
 
+def full_sol_mask(table):
+    """{x : Sol(x) = G} as a mask, from one Sol per conjugacy class (the radical is not read)."""
+    inc = sc.sol_incidence(table)
+    full = np.array([inc.rep_sol(cid).all() for cid in range(len(inc.classes.representatives))])
+    return full[inc.classes.class_of]
+
+
+def s5_x_s4_subgroups(count):
+    """Nonsolvable subgroups of S5 x S4, each generated by two elements drawn with a fixed seed."""
+    ambient = sc.build(sc.parse_spec("product(symmetric(5),symmetric(4))"))
+    rng = np.random.default_rng(5)
+    subgroups = []
+    while len(subgroups) < count:
+        sub = sc.enumerate_group([ambient.permutation(int(i)) for i in rng.integers(1, ambient.order, size=2)])
+        if not sub.is_group_solvable():
+            subgroups.append(sub)
+    return subgroups
+
+
+RADICAL_SPECS = ["gl2(5)", "product(alternating(5),symmetric(3))", "product(psl2(7),dihedral(4))",
+                 "alternating(5)", "pgl2(7)", "symmetric(6)"]
+
+
 def test_radical_elements_have_full_sol(sl25):
-    inc = sc.sol_incidence(sl25)
-    for x in inc.radical.indices():
-        assert inc.sol(int(x)).all()
+    # and only they: R(G) = {x : Sol(x) = G} (Guralnick, Kunyavskii, Plotkin, Shalev,
+    # J. Algebra 300, 2006), which verify_certificate relies on to reject radical elements
+    tables = [sl25] + [sc.build(sc.parse_spec(s)) for s in RADICAL_SPECS] + s5_x_s4_subgroups(6)
+    for table in tables:
+        assert np.array_equal(full_sol_mask(table), sc.solvable_radical(table).mask), table
 
 
 def test_sol_of_matches_pairwise_definition(a5):
