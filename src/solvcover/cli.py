@@ -2,8 +2,8 @@
 
 Exit codes for solve: 0 on Exact/Infeasible, 2 when any requested mode ends
 as an Interval (budget hit); verify: 0 valid, 1 invalid.  Every command exits
-1 on an error, a file it cannot read or write included, after printing one
-"error: <Type>: ..." line to stderr.
+1 on an error, a file or directory it cannot read or write included, after
+printing one "error: <Type>: ..." line to stderr.
 The enumeration cap honors SOLVCOVER_CAP when --cap is absent.
 """
 
@@ -83,6 +83,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if not Path(args.results).is_dir():
+        raise NotADirectoryError(f"no results directory {args.results!r}")
     rows = []
     for path in sorted(Path(args.results).glob("*.result")):
         rows.append(ResultRecord.from_text(path.read_text()))

@@ -34,24 +34,10 @@ class GroupSpec:
 
     def display_name(self) -> str:
         k, p = self.kind, self.params
-        if k == "symmetric":
-            return f"S{p[0]}"
-        if k == "alternating":
-            return f"A{p[0]}"
-        if k == "dihedral":
-            return f"D{2 * p[0]}"
-        if k == "psl2":
-            return f"PSL(2,{p[0]})"
-        if k == "pgl2":
-            return f"PGL(2,{p[0]})"
-        if k == "pgammal2":
-            return f"PGammaL(2,{p[0]})"
-        if k == "gl2":
-            return f"GL(2,{p[0]})"
+        if k in _INT_KINDS:
+            return _INT_KINDS[k][0](p[0])
         if k == "m10":
             return "M10"
-        if k == "sz":
-            return f"Sz({p[0]})"
         if k == "product":
             return " x ".join(s.display_name() for s in p)
         if k == "wreath":
@@ -108,6 +94,8 @@ def direct_product(a: GroupSpec, b: GroupSpec) -> GroupSpec:
 
 
 def wreath(base: GroupSpec, n: int, top: str | Sequence[Permutation] = "cycle") -> GroupSpec:
+    if n < 1:
+        raise BadParameter("wreath(base, n) needs n >= 1")
     if isinstance(top, str):
         top_perms = _top_keyword(top, n)
     else:
@@ -131,6 +119,38 @@ def _top_keyword(word: str, n: int) -> tuple:
             raise BadParameter("swap top requires n = 2")
         return (Permutation.from_cycles([(1, 2)], 2),)
     raise BadParameter(f"unknown wreath top keyword {word!r}")
+
+
+# -- generators of the kinds that take one integer ---------------------------
+
+
+def _symmetric_generators(n: int) -> list[Permutation]:
+    if n < 1:
+        raise BadParameter("symmetric(n) needs n >= 1")
+    if n == 1:
+        return [Permutation.identity(1)]
+    return [Permutation.from_cycles([(1, 2)], n),
+            Permutation.from_cycles([tuple(range(1, n + 1))], n)]
+
+
+def _alternating_generators(n: int) -> list[Permutation]:
+    if n < 3:
+        raise BadParameter("alternating(n) needs n >= 3")
+    long_cycle = tuple(range(1, n + 1)) if n % 2 == 1 else tuple(range(2, n + 1))
+    return [Permutation.from_cycles([(1, 2, 3)], n),
+            Permutation.from_cycles([long_cycle], n)]
+
+
+def _dihedral_generators(n: int) -> list[Permutation]:
+    if n < 3:
+        raise BadParameter("dihedral(n) needs n >= 3")
+    rot = Permutation.from_cycles([tuple(range(1, n + 1))], n)
+    refl = Permutation([(n - i) % n for i in range(n)])
+    return [rot, refl]
+
+
+def _sz_generators(q: int) -> list[Permutation]:
+    raise BadParameter("sz(q) is a bound-oracle descriptor only; no construction is provided")
 
 
 # -- projective and linear actions -------------------------------------------
@@ -337,40 +357,24 @@ def _m10_generators() -> list[Permutation]:
 
 # -- build --------------------------------------------------------------------
 
+#: the kinds that take one integer: display name and generators of each
+_INT_KINDS = {
+    "symmetric": (lambda n: f"S{n}", _symmetric_generators),
+    "alternating": (lambda n: f"A{n}", _alternating_generators),
+    "dihedral": (lambda n: f"D{2 * n}", _dihedral_generators),
+    "psl2": (lambda q: f"PSL(2,{q})", _psl2_generators),
+    "pgl2": (lambda q: f"PGL(2,{q})", _pgl2_generators),
+    "pgammal2": (lambda q: f"PGammaL(2,{q})", _pgammal2_generators),
+    "gl2": (lambda q: f"GL(2,{q})", _gl2_generators),
+    "sz": (lambda q: f"Sz({q})", _sz_generators),
+}
+
 
 def generators_for(spec: GroupSpec, cap: int = DEFAULT_CAP) -> list[Permutation]:
     """Permutation generators realizing the spec."""
     k, p = spec.kind, spec.params
-    if k == "symmetric":
-        n = p[0]
-        if n < 1:
-            raise BadParameter("symmetric(n) needs n >= 1")
-        if n == 1:
-            return [Permutation.identity(1)]
-        return [Permutation.from_cycles([(1, 2)], n),
-                Permutation.from_cycles([tuple(range(1, n + 1))], n)]
-    if k == "alternating":
-        n = p[0]
-        if n < 3:
-            raise BadParameter("alternating(n) needs n >= 3")
-        long_cycle = tuple(range(1, n + 1)) if n % 2 == 1 else tuple(range(2, n + 1))
-        return [Permutation.from_cycles([(1, 2, 3)], n),
-                Permutation.from_cycles([long_cycle], n)]
-    if k == "dihedral":
-        n = p[0]
-        if n < 3:
-            raise BadParameter("dihedral(n) needs n >= 3")
-        rot = Permutation.from_cycles([tuple(range(1, n + 1))], n)
-        refl = Permutation([(n - i) % n for i in range(n)])
-        return [rot, refl]
-    if k == "psl2":
-        return _psl2_generators(p[0])
-    if k == "pgl2":
-        return _pgl2_generators(p[0])
-    if k == "pgammal2":
-        return _pgammal2_generators(p[0])
-    if k == "gl2":
-        return _gl2_generators(p[0])
+    if k in _INT_KINDS:
+        return _INT_KINDS[k][1](p[0])
     if k == "m10":
         return _m10_generators()
     if k == "product":
@@ -383,8 +387,6 @@ def generators_for(spec: GroupSpec, cap: int = DEFAULT_CAP) -> list[Permutation]
         if not p:
             raise BadParameter("raw spec needs at least one permutation")
         return list(p)
-    if k == "sz":
-        raise BadParameter("sz(q) is a bound-oracle descriptor only; no construction is provided")
     raise BadParameter(f"unknown group spec kind {spec.kind!r}")
 
 
@@ -398,7 +400,7 @@ def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> GroupTable:
 
 def spec_to_text(spec: GroupSpec) -> str:
     k, p = spec.kind, spec.params
-    if k in ("symmetric", "alternating", "dihedral", "psl2", "pgl2", "pgammal2", "gl2", "sz"):
+    if k in _INT_KINDS:
         return f"{k}({p[0]})"
     if k == "m10":
         return "m10"
@@ -423,14 +425,12 @@ def parse_spec(text: str) -> GroupSpec:
     return spec
 
 
-_INT_KINDS = ("symmetric", "sym", "alternating", "alt", "dihedral",
-              "psl2", "pgl2", "pgammal2", "gl2", "sz")
 _KIND_ALIAS = {"sym": "symmetric", "alt": "alternating", "prod": "product",
                "direct_product": "product"}
 
 
 def _parse_spec_inner(s: str):
-    for kind in sorted(_INT_KINDS, key=len, reverse=True):
+    for kind in [*_INT_KINDS, *(a for a, k in _KIND_ALIAS.items() if k in _INT_KINDS)]:
         if s.startswith(kind + "("):
             rest = s[len(kind) + 1:]
             num, rest = _take_int(rest)
@@ -453,16 +453,9 @@ def _parse_spec_inner(s: str):
         rest = _expect(rest, ",")
         n, rest = _take_int(rest)
         rest = _expect(rest, ",")
-        if rest.startswith("cycle"):
-            top, rest = _top_keyword("cycle", n), rest[5:]
-        elif rest.startswith("swap"):
-            top, rest = _top_keyword("swap", n), rest[4:]
-        else:
-            body, rest = _take_until(rest, ")")
-            top = tuple(parse_cycles(c, n) for c in body.split(";"))
-            return GroupSpec("wreath", (base, n, top)), rest
-        rest = _expect(rest, ")")
-        return GroupSpec("wreath", (base, n, top)), rest
+        body, rest = _take_until(rest, ")")
+        top = body if body in ("cycle", "swap") else [parse_cycles(c, n) for c in body.split(";")]
+        return wreath(base, n, top), rest
     if s.startswith("raw("):
         body, rest = _take_until(s[4:], ")")
         from .perm import min_degree_of

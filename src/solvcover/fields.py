@@ -4,27 +4,12 @@ An element of GF(p^f) is the integer sum(c_i * p^i) of its coefficients in
 the polynomial basis.  Multiplication runs on exp/log tables built from the
 class of x, which is a primitive root for the moduli used here.  The modulus
 is the least monic polynomial (ordered by that same integer encoding) that
-is primitive irreducible; the table below pins the small cases, and larger
-field orders fall back to the identical search.
+is primitive irreducible, found by trying every candidate in that order.
 """
 
 from __future__ import annotations
 
 from .errors import BadParameter, NotAPrimePower
-
-#: least primitive irreducible modulus for f <= 4, keyed by (p, f); the value
-#: encodes the non-leading coefficients of x^f + ... as sum(c_i * p^i)
-_PINNED_MODULI = {
-    (2, 2): 3,      # x^2 + x + 1
-    (2, 3): 3,      # x^3 + x + 1
-    (2, 4): 3,      # x^4 + x + 1
-    (3, 2): 5,      # x^2 + x + 2
-    (3, 3): 7,      # x^3 + 2x + 1
-    (3, 4): 5,      # x^4 + x + 2
-    (5, 2): 7,      # x^2 + x + 2
-    (5, 3): 17,     # x^3 + 3x + 2
-    (7, 2): 10,     # x^2 + x + 3
-}
 
 
 def factor_prime_power(q: int):
@@ -93,9 +78,6 @@ class GF:
         return False
 
     def _pick_modulus(self) -> int:
-        pinned = _PINNED_MODULI.get((self.p, self.f))
-        if pinned is not None and self._is_primitive_modulus(pinned):
-            return pinned
         for c in range(self.q):
             if self._is_primitive_modulus(c):
                 return c

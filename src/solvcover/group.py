@@ -17,7 +17,6 @@ when that suffices (below 60, or at most two prime divisors).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -63,6 +62,8 @@ class GroupTable:
         degree = generators[0].degree
         if any(g.degree != degree for g in generators):
             raise BadParameter("generators must share a degree")
+        if degree < 1:
+            raise BadParameter("generators must act on at least one point")
         if cap < 1:
             raise BadParameter("cap must be >= 1")
         gen_imgs = np.stack([np.asarray(g.images, dtype=np.int16) for g in generators])
@@ -651,44 +652,41 @@ def quotient_by(table: GroupTable, N: ElementSet) -> GroupTable:
 def index_two_subgroups(table: GroupTable) -> list[ElementSet]:
     """All index-2 subgroups: the kernels of the homomorphisms G -> Z2.
 
-    The squares generate a normal subgroup S with elementary abelian
-    quotient, and every kernel contains S.  A homomorphism is a 0/1 value per
-    generator that is consistent on the cosets of S: each coset is labelled
-    by the parity of a breadth-first path to it along the generators, and an
-    assignment is kept when every generator moves each coset to one whose
-    label differs by the generator's value.  Kernels come sorted by their
-    sorted coset ids.  Each result carries a small generating subset of
-    itself as ``gens``; ``constructions`` builds squished products from
-    them, so they fix the element order of those tables.
+    One breadth-first walk along the generators labels each element x with
+    path[x], the bitmask of the generators used an odd number of times on
+    the way to it.  A bitmask b of generator values gives a homomorphism,
+    x -> parity of b & path[x], exactly when b & d is even for every d =
+    path[g_i x] ^ path[x] ^ (1 << i) of an edge that reaches a labelled x;
+    the d values are reduced to a GF(2) basis first.  Kernels come sorted
+    by their sorted element lists, each with a small generating subset as
+    ``gens``, which fixes the element order of squished product tables.
     """
-    squares = table.lookup_images(np.take_along_axis(table.imgs, table.imgs, axis=1))
-    S = table.closure_indices(squares.tolist())
-    if len(S) == table.order:
-        return []
-    coset_of, reps = _left_cosets(table, np.array(S))
-    acts = [coset_of[table.mul_left(g, reps)] for g in table.generator_indices]
-    path = np.zeros((len(reps), len(acts)), dtype=np.int64)  # generator parities from S to each coset
-    reached = np.zeros(len(reps), dtype=bool)
-    reached[0] = True
+    k = len(table.generator_indices)
+    if k > 62:
+        raise BadParameter("index_two_subgroups handles at most 62 generators")
+    path = np.full(table.order, -1, dtype=np.int64)
+    path[0] = 0
+    d = []
     frontier = np.zeros(1, dtype=np.int64)
     while len(frontier):
         layer = []
-        for i, act in enumerate(acts):
-            src = frontier[~reached[act[frontier]]]
-            img = act[src]
-            reached[img] = True
-            path[img] = path[src]
-            path[img, i] ^= 1
-            layer.append(img)
+        for i, g in enumerate(table.generator_indices):
+            img, want = table.mul_left(g, frontier), path[frontier] ^ (1 << i)
+            seen = path[img] >= 0
+            d.append(path[img[seen]] ^ want[seen])
+            path[img[~seen]] = want[~seen]
+            layer.append(img[~seen])
         frontier = np.concatenate(layer)
-    kernels = []
-    for bits in itertools.product((0, 1), repeat=len(acts)):
-        label = path @ np.array(bits) % 2
-        if any(bits) and all(np.array_equal(label[act], label ^ b) for act, b in zip(acts, bits)):
-            kernels.append(np.flatnonzero(label == 0).tolist())
+    d = np.unique(np.concatenate(d))
+    basis = []
+    while (d != 0).any():
+        basis.append(int(d.max()))  # clear its leading bit from every other d
+        d = np.where(d >> (basis[-1].bit_length() - 1) & 1, d ^ basis[-1], d)
+    bits = path[:, None] >> np.arange(k) & 1  # generator parities of each element's path
     out = []
-    for kernel in sorted(kernels):
-        mask = np.isin(coset_of, kernel)
-        gens = _generating_subset(table, np.flatnonzero(mask).tolist())
-        out.append(ElementSet(table, mask, is_subgroup=True, gens=gens))
-    return out
+    for b in range(1, 1 << k):
+        if all((b & v).bit_count() % 2 == 0 for v in basis):
+            mask = (bits @ (b >> np.arange(k) & 1)) % 2 == 0
+            out.append(ElementSet(table, mask, is_subgroup=True,
+                                  gens=_generating_subset(table, np.flatnonzero(mask).tolist())))
+    return sorted(out, key=lambda H: H.indices().tolist())

@@ -6,7 +6,7 @@ no shortcuts, so engine results can be checked against an independent path.
 
 import math
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -14,7 +14,14 @@ from solvcover.constructions import build, frobenius_permutation, mobius_permuta
 from solvcover.cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, SolveBudget, greedy_cover
 from solvcover.errors import CapExceeded
 from solvcover.fields import factor_prime_power, field_ops
-from solvcover.group import ElementSet, derived_subgroup, index_two_subgroups, is_solvable
+from solvcover.group import (
+    ElementSet,
+    _generating_subset,
+    _left_cosets,
+    derived_subgroup,
+    index_two_subgroups,
+    is_solvable,
+)
 from solvcover.solvabilizer import _generator_rows
 
 
@@ -140,6 +147,50 @@ def left_cosets_loop(table, idx):
             coset_of[table.mul_left(x, idx)] = len(reps)
             reps.append(x)
     return coset_of, np.array(reps)
+
+
+def index_two_subgroups_by_cosets(table):
+    """Index-2 subgroups by the engine's former three stages.
+
+    The squares generate a normal subgroup S with elementary abelian
+    quotient, and every kernel contains S.  A homomorphism is a 0/1 value per
+    generator that is consistent on the cosets of S: each coset is labelled
+    by the parity of a breadth-first path to it along the generators, and an
+    assignment is kept when every generator moves each coset to one whose
+    label differs by the generator's value.  Kernels come sorted by their
+    sorted coset ids.
+    """
+    squares = table.lookup_images(np.take_along_axis(table.imgs, table.imgs, axis=1))
+    S = table.closure_indices(squares.tolist())
+    if len(S) == table.order:
+        return []
+    coset_of, reps = _left_cosets(table, np.array(S))
+    acts = [coset_of[table.mul_left(g, reps)] for g in table.generator_indices]
+    path = np.zeros((len(reps), len(acts)), dtype=np.int64)  # generator parities from S to each coset
+    reached = np.zeros(len(reps), dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        layer = []
+        for i, act in enumerate(acts):
+            src = frontier[~reached[act[frontier]]]
+            img = act[src]
+            reached[img] = True
+            path[img] = path[src]
+            path[img, i] ^= 1
+            layer.append(img)
+        frontier = np.concatenate(layer)
+    kernels = []
+    for bits in product((0, 1), repeat=len(acts)):
+        label = path @ np.array(bits) % 2
+        if any(bits) and all(np.array_equal(label[act], label ^ b) for act, b in zip(acts, bits)):
+            kernels.append(np.flatnonzero(label == 0).tolist())
+    out = []
+    for kernel in sorted(kernels):
+        mask = np.isin(coset_of, kernel)
+        gens = _generating_subset(table, np.flatnonzero(mask).tolist())
+        out.append(ElementSet(table, mask, is_subgroup=True, gens=gens))
+    return out
 
 
 def solvable_by_derived_series(table, H):

@@ -211,3 +211,17 @@ def test_console_script_installed():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "alpha = 3" in proc.stdout
+
+
+@pytest.mark.parametrize("group", ["raw()", "wreath(psl2(4),0,cycle)"])
+def test_solve_degenerate_spec_errors(group, capsys):
+    assert run_cli("solve", "--group", group) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: BadParameter: ") and err.count("\n") == 1
+
+
+def test_table_missing_results_directory(tmp_path, capsys):
+    assert run_cli("table", "--results", str(tmp_path / "absent")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: NotADirectoryError: ")

@@ -126,11 +126,17 @@ def test_project_q13_distinct():
 
 
 def test_parse_spec_roundtrip():
-    for text in ["psl2(7)", "pgammal2(9)", "symmetric(6)", "m10",
-                 "wreath(psl2(4),2,cycle)", "product(psl2(7),psl2(9))",
-                 "squished(symmetric(4),symmetric(4))", "sz(32)"]:
+    names = {"symmetric(6)": "S6", "alternating(5)": "A5", "dihedral(7)": "D14",
+             "psl2(7)": "PSL(2,7)", "pgl2(9)": "PGL(2,9)", "pgammal2(8)": "PGammaL(2,8)",
+             "gl2(5)": "GL(2,5)", "sz(8)": "Sz(8)", "m10": "M10",
+             "product(psl2(7),psl2(9))": "PSL(2,7) x PSL(2,9)",
+             "wreath(psl2(4),2,cycle)": "PSL(2,4) wr 2",
+             "squished(symmetric(4),symmetric(4))": "S4 Yup S4",
+             "raw((1,2,3);(3,4,5))": "raw"}
+    for text, name in names.items():
         spec = parse_spec(text)
         assert parse_spec(spec_to_text(spec)) == spec
+        assert spec.display_name() == name
 
 
 def test_parse_spec_aliases_and_errors():
@@ -146,6 +152,13 @@ def test_parse_spec_aliases_and_errors():
 def test_raw_spec():
     spec = parse_spec("raw((1,2,3);(3,4,5))")
     assert sc.build(spec).order == 60
+
+
+def test_wreath_needs_a_block():
+    with pytest.raises(sc.BadParameter):
+        sc.wreath(sc.psl2(4), 0)
+    with pytest.raises(sc.BadParameter):
+        parse_spec("wreath(psl2(4),0,cycle)")
 
 
 def test_sz_not_constructible():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import solvcover as sc
+from solvcover.constructions import frobenius_permutation
 from solvcover.perm import parse_cycles
 
 import oracles
@@ -37,6 +38,8 @@ def test_enumerate_cap_and_empty():
         sc.enumerate_group(perms("(1,2)", "(1,2,3,4,5)", degree=5), cap=50)
     with pytest.raises(sc.EmptyGenerators):
         sc.enumerate_group([])
+    with pytest.raises(sc.BadParameter):
+        sc.enumerate_group([sc.Permutation([])])
 
 
 def test_enumeration_is_deterministic(a5):
@@ -345,6 +348,19 @@ def test_index_two_subgroups_of_elementary_abelian_32():
     assert time.perf_counter() - start < 5
     assert len({H.fingerprint() for H in subs}) == len(subs) == 31
     assert all(len(H) == 16 and H.verify_subgroup() for H in subs)
+
+
+def test_pgammal216_has_one_index_two_subgroup():
+    # PSL(2,16).2, the kernel of the Frobenius parity on PGammaL(2,16) = PSL(2,16).4
+    t = sc.build(sc.pgammal2(16))
+    start = time.perf_counter()
+    subs = sc.index_two_subgroups(t)
+    assert time.perf_counter() - start < 5
+    assert [len(H) for H in subs] == [8160]
+    H = subs[0]
+    assert t.closure_indices(H.gens) == H.indices().tolist()
+    frob = t.find_permutation(frobenius_permutation(sc.field_ops(16)))
+    assert frob not in H and t.mul(frob, frob) in H
 
 
 # -- generators carried on element sets ------------------------------------------

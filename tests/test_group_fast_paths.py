@@ -1,8 +1,9 @@
 """Differential tests: the batched group-engine walks against the paths they replaced.
 
-Enumeration, the lookup base, element orders, subgroup closure, left cosets
-and the order-based solvability rule must agree exactly with the per-row,
-per-point, per-element and per-seed references in ``oracles``.
+Enumeration, the lookup base, element orders, subgroup closure, left cosets,
+index-2 subgroups and the order-based solvability rule must agree exactly
+with the per-row, per-point, per-element, per-seed and coset-level
+references in ``oracles``.
 """
 
 import numpy as np
@@ -33,9 +34,13 @@ def test_enumeration_and_orders_match_per_row_oracle(spec_text):
     assert t.order_of.tolist() == [perm_order(row) for row in t.imgs]
 
 
-def test_enumeration_keeps_repeated_and_identity_generators():
+def _repeated_and_identity_generators():
     p = sc.parse_cycles("(1,2,3)", 4)
-    gens = [sc.Permutation(range(4)), p, sc.parse_cycles("(1,2)(3,4)", 4), p]
+    return [sc.Permutation(range(4)), p, sc.parse_cycles("(1,2)(3,4)", 4), p]
+
+
+def test_enumeration_keeps_repeated_and_identity_generators():
+    gens = _repeated_and_identity_generators()
     t = sc.enumerate_group(gens)
     imgs, gen_idx = oracles.enumerate_per_row(gens, cap=group.DEFAULT_CAP)
     assert t.imgs.tobytes() == imgs.tobytes()
@@ -99,6 +104,39 @@ def test_quotient_matches_table_from_element_loop_cosets(q):
     assert got.order == q * (q * q - 1)  # PGL(2,q)
     assert got.imgs.tobytes() == want.imgs.tobytes()
     assert got.generator_indices == want.generator_indices
+
+
+INDEX_TWO_SPECS = [
+    "symmetric(4)", "symmetric(5)", "symmetric(6)", "pgl2(7)", "pgl2(9)", "pgammal2(8)",
+    "pgammal2(9)", "m10", "gl2(3)", "gl2(5)", "dihedral(4)", "product(symmetric(3),symmetric(3))",
+    "wreath(symmetric(3),2,cycle)", "squished(symmetric(4),symmetric(4))",
+    "raw((1,2);(3,4);(5,6);(7,8);(9,10))",
+]
+
+
+def _assert_index_two_subgroups_match_cosets(t):
+    got = sc.index_two_subgroups(t)
+    want = oracles.index_two_subgroups_by_cosets(t)
+    assert [H.mask.tolist() for H in got] == [H.mask.tolist() for H in want]
+    assert [H.gens for H in got] == [H.gens for H in want]
+
+
+@pytest.mark.parametrize("spec_text", INDEX_TWO_SPECS)
+def test_index_two_subgroups_match_coset_oracle(spec_text):
+    _assert_index_two_subgroups_match_cosets(sc.build(sc.parse_spec(spec_text)))
+
+
+def test_index_two_subgroups_with_repeated_and_identity_generators():
+    _assert_index_two_subgroups_match_cosets(sc.enumerate_group(_repeated_and_identity_generators()))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec_text", [
+    "squished(symmetric(5),symmetric(5))", "product(symmetric(5),symmetric(5))",
+    "product(pgl2(7),symmetric(4))", "pgammal2(16)",
+])
+def test_index_two_subgroups_match_coset_oracle_on_large_tables(spec_text):
+    _assert_index_two_subgroups_match_cosets(sc.build(sc.parse_spec(spec_text)))
 
 
 def test_order_rule():
