@@ -45,7 +45,7 @@ from .constructions import GroupSpec, build
 from .errors import BadParameter, GroupSolvable, InfeasibleUniverse, SolvcoverError
 from .group import DEFAULT_CAP, GroupTable, enumerate_group, quotient_by, solvable_radical
 from .perm import Permutation
-from .solvabilizer import CoverInstance, reduce_instance, sol_incidence
+from .solvabilizer import CoverInstance, _bit_matrix, _row_masks, reduce_instance, sol_incidence
 
 EXACT = "exact"
 INTERVAL = "interval"
@@ -229,20 +229,6 @@ class _OutOfBudget(Exception):
     pass
 
 
-def _bit_matrix(masks: Sequence[int], width: int) -> np.ndarray:
-    """0/1 uint8 matrix whose row r holds bits 0 .. width-1 of masks[r]."""
-    nbytes = (width + 7) // 8
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """Inverse of _bit_matrix: one int bitmask per row."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 @lru_cache(maxsize=64)
 def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """np.tril_indices(n), shared read-only (building it costs more than a node's arithmetic)."""
@@ -301,8 +287,9 @@ class _Search:
     constant on target orbits; for conjugation-symmetric instances they are
     optimal for the root LP.  That LP is solved once per solve: its value,
     rounded up, is the class-counting term of the root bound, and its dual
-    seeds every deepening round.  At a conjugation-symmetric root the child
-    check subsumes reduced-cost fixing by class: s_i <= load_c =
+    seeds every deepening round.  A conjugation-symmetric root runs no
+    ascent: y0 is already optimal for its LP, so no step can raise L.  There
+    the child check subsumes reduced-cost fixing by class: s_i <= load_c =
     sum_T k[c][T] w_T for the pick i of class c (k is a maximum over the
     class) and L >= value, so 1 + L_c >= value + 1 - load_c.
 
@@ -483,11 +470,12 @@ class _Search:
         if not pick or depth + packing >= self.best:
             return
         need = self.best - depth
-        if self.nodes > _PLAIN_NODES:
+        symmetric_root = depth == 0 and self.root_branches is not None
+        if self.nodes > _PLAIN_NODES and not symmetric_root:
             L, y = self._ascend(y, unc, cov, need, first)
             if _ceil_bound(L) >= need:
                 return
-        if depth == 0 and self.root_branches is not None:
+        if symmetric_root:
             order, off_rows, off_cols, excludes = self.root_branches
         else:
             # branch on the uncovered target with fewest remaining candidates,

@@ -165,6 +165,12 @@ class GroupTable:
         pts = self.imgs[int(self.inverse_of[g])][self.base]
         return self._index_of(self.imgs[g][self.imgs[np.asarray(idx)[:, None], pts]])
 
+    def conjugate_pairs(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Indices of g[k] t[k] g[k]^-1 for each k, by the same base-point rule in one lookup."""
+        d = self.degree
+        inner = np.take(self.imgs, (t * d)[:, None] + self._base_imgs[self.inverse_of[g]])
+        return self._index_of(np.take(self.imgs, (g * d)[:, None] + inner))
+
     # -- closure -----------------------------------------------------------
 
     def closure_indices(self, seeds: Iterable[int], stop_above: Optional[int] = None) -> Optional[list[int]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -334,6 +335,20 @@ def maximal_cyclic_generators(table: GroupTable) -> list[int]:
     return sorted(set(canonical[1:][~inside_bigger[1:]].tolist()))
 
 
+def _bit_matrix(masks: Sequence[int], width: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row r holds bits 0 .. width-1 of masks[r]."""
+    nbytes = (width + 7) // 8
+    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """Inverse of _bit_matrix: one int bitmask per row."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = False,
                     prune_dominated: bool = True) -> CoverInstance:
     """Reduce covering G to an exact set-cover instance.
@@ -343,8 +358,23 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     radical targets lie in every solvabilizer).  Candidates: prime-order
     nonradical elements (Sol(x) never shrinks under x -> x^n, so a cover maps
     to a no-larger prime-order cover), or just the involutions.  Identical
-    coverage rows are merged and, unless disabled, dominated candidates are
-    dropped (both preserve the optimum).
+    coverage rows are merged, keeping the least element, and, unless
+    disabled, dominated candidates are dropped (both preserve the optimum).
+
+    A row depends only on <x>, since Sol(x) = Sol(x^k) for every generator
+    x^k, so the least element with a given row is a canonical generator
+    (``cyclic_generators``) and only those enter the candidate x target
+    boolean matrix.  Its columns come from t in Sol(x) iff x in Sol(t): for
+    a target t = w r w^-1 of the class of r, the candidates in Sol(t) are the
+    canonical generators of w s w^-1 for the canonical candidates s in
+    Sol(r), and every such pair of the instance is conjugated in one lookup,
+    (w s w^-1)[b] = w[s[w^-1[b]]] on the base points.  A row is dominated
+    when it lies inside another row, and only the rows covering its rarest
+    target can hold it, so those pairs alone are tested, on packed bits; the
+    rows left are the maximal ones.  Every pairwise product over the whole
+    matrix costs more: numpy's boolean matmul scans rows for 3-6x as long on
+    the larger groups, and a float product wakes OpenBLAS threads that spin
+    on the other cores.
     """
     table = incidence.table
     if table.is_group_solvable():
@@ -358,36 +388,49 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     universe = kept_universe
     orders = table.order_of
     if involutions_only:
-        cand_elems = [x for x in range(1, table.order) if orders[x] == 2 and not rad_mask[x]]
+        eligible = orders == 2
     else:
-        prime_orders = {o for o in set(orders.tolist()) if is_prime(o)}
-        cand_elems = [x for x in range(1, table.order) if orders[x] in prime_orders and not rad_mask[x]]
-    notes.append(f"universe {len(universe)} maximal cyclic targets; raw candidates {len(cand_elems)}")
-    # coverage rows via columns: t in Sol(x) iff x in Sol(t)
-    rows = {x: 0 for x in cand_elems}
-    cand_arr = np.array(cand_elems, dtype=np.int64)
-    for ui, t in enumerate(universe):
-        bit = 1 << ui
-        for x in cand_arr[incidence.sol(t)[cand_arr]].tolist():
-            rows[x] |= bit
+        prime = np.array([is_prime(o) for o in range(int(orders.max()) + 1)])
+        eligible = prime[orders]
+    eligible &= ~rad_mask
+    notes.append(f"universe {len(universe)} maximal cyclic targets; raw candidates {int(eligible.sum())}")
+    canonical, _ = table.cyclic_generators()
+    eligible &= canonical == np.arange(table.order)
+    cand = np.flatnonzero(eligible)
+    pos = np.full(table.order, -1, dtype=np.int64)
+    pos[cand] = np.arange(len(cand))
+    # every (target t = w r w^-1, canonical candidate s in Sol(r)) pair, classes
+    # in order of first appearance among the targets
     classes = incidence.classes
+    targets = np.array(universe, dtype=np.int64)
+    target_cids = classes.class_of[targets]
+    pair_w, pair_s, pair_col = [], [], []
+    for cid in dict.fromkeys(target_cids.tolist()):
+        cols = np.flatnonzero(target_cids == cid)
+        inside = cand[incidence.rep_sol(cid)[cand]]
+        pair_w.append(np.repeat(classes.conjugator[targets[cols]], len(inside)))
+        pair_s.append(np.tile(inside, len(cols)))
+        pair_col.append(np.repeat(cols, len(inside)))
+    conj = table.conjugate_pairs(np.concatenate(pair_w), np.concatenate(pair_s))
+    member = np.zeros((len(cand), len(universe)), dtype=bool)
+    member[pos[canonical[conj]], np.concatenate(pair_col)] = True
     # dedupe identical rows (keep least element), then drop dominated rows
-    by_row: dict[int, int] = {}
-    for x in cand_elems:
-        by_row.setdefault(rows[x], x)
-    uniq = sorted(by_row.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
+    packed = np.packbits(member, axis=1, bitorder="little")
+    uniq = np.sort(np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)[1])
+    kept = uniq
     if prune_dominated:
-        kept: list[tuple[int, int]] = []
-        for r, x in uniq:
-            if not any((r | r2) == r2 for r2, _ in kept):
-                kept.append((r, x))
-    else:
-        kept = uniq
+        # row i lies inside row j only if j covers i's rarest target: test those pairs
+        rows, bits = member[uniq], packed[uniq]
+        rarest = np.where(rows, rows.sum(axis=0), len(rows) + 1).argmin(axis=1)
+        i, j = np.nonzero(rows[:, rarest].T)
+        i, j = i[i != j], j[i != j]
+        dominated = np.zeros(len(uniq), dtype=bool)
+        dominated[i[~(bits[i] & ~bits[j]).any(axis=1)]] = True
+        kept = uniq[~dominated]
     notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
-    candidates = [
-        Candidate(x, int(classes.class_of[x]), r)
-        for r, x in sorted(kept, key=lambda rx: rx[1])
-    ]
+    elements = cand[kept]
+    candidates = [Candidate(x, cid, r) for x, cid, r in
+                  zip(elements.tolist(), classes.class_of[elements].tolist(), _row_masks(member[kept]))]
     target_class = _target_orbits(classes, table, universe)
     inst = CoverInstance(
         universe=universe,

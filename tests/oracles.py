@@ -12,8 +12,8 @@ import numpy as np
 
 from solvcover.constructions import build, frobenius_permutation, mobius_permutation, pgammal2
 from solvcover.cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, SolveBudget, greedy_cover
-from solvcover.errors import CapExceeded
-from solvcover.fields import factor_prime_power, field_ops
+from solvcover.errors import CapExceeded, GroupSolvable, InfeasibleUniverse, InternalInconsistency
+from solvcover.fields import factor_prime_power, field_ops, is_prime
 from solvcover.group import (
     ElementSet,
     _generating_subset,
@@ -22,7 +22,14 @@ from solvcover.group import (
     index_two_subgroups,
     is_solvable,
 )
-from solvcover.solvabilizer import _generator_rows
+from solvcover.solvabilizer import (
+    Candidate,
+    CoverInstance,
+    SolvabilizerIncidence,
+    _generator_rows,
+    _target_orbits,
+    maximal_cyclic_generators,
+)
 
 
 def compose(p, q):
@@ -379,6 +386,77 @@ def target_orbits_per_target(classes, table, universe):
         key = int(classes.class_of[table.lookup_images(_generator_rows(table, t))].min())
         out.append(ids.setdefault(key, len(ids)))
     return out
+
+
+def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: bool = False,
+                            prune_dominated: bool = True) -> CoverInstance:
+    """Reduce covering G to an exact set-cover instance.
+
+    Universe: one canonical generator per maximal cyclic subgroup not inside
+    the radical (covering a generator covers its whole cyclic group, and
+    radical targets lie in every solvabilizer).  Candidates: prime-order
+    nonradical elements (Sol(x) never shrinks under x -> x^n, so a cover maps
+    to a no-larger prime-order cover), or just the involutions.  Identical
+    coverage rows are merged and, unless disabled, dominated candidates are
+    dropped (both preserve the optimum).
+    """
+    table = incidence.table
+    if table.is_group_solvable():
+        raise GroupSolvable("covering numbers are undefined for solvable groups")
+    notes = []
+    rad_mask = incidence.radical.mask
+    universe = maximal_cyclic_generators(table)
+    kept_universe = [t for t in universe if not rad_mask[t]]
+    if len(kept_universe) != len(universe):
+        notes.append(f"universe: dropped {len(universe) - len(kept_universe)} radical targets")
+    universe = kept_universe
+    orders = table.order_of
+    if involutions_only:
+        cand_elems = [x for x in range(1, table.order) if orders[x] == 2 and not rad_mask[x]]
+    else:
+        prime_orders = {o for o in set(orders.tolist()) if is_prime(o)}
+        cand_elems = [x for x in range(1, table.order) if orders[x] in prime_orders and not rad_mask[x]]
+    notes.append(f"universe {len(universe)} maximal cyclic targets; raw candidates {len(cand_elems)}")
+    # coverage rows via columns: t in Sol(x) iff x in Sol(t)
+    rows = {x: 0 for x in cand_elems}
+    cand_arr = np.array(cand_elems, dtype=np.int64)
+    for ui, t in enumerate(universe):
+        bit = 1 << ui
+        for x in cand_arr[incidence.sol(t)[cand_arr]].tolist():
+            rows[x] |= bit
+    classes = incidence.classes
+    # dedupe identical rows (keep least element), then drop dominated rows
+    by_row: dict[int, int] = {}
+    for x in cand_elems:
+        by_row.setdefault(rows[x], x)
+    uniq = sorted(by_row.items(), key=lambda kv: (-kv[0].bit_count(), kv[1]))
+    if prune_dominated:
+        kept: list[tuple[int, int]] = []
+        for r, x in uniq:
+            if not any((r | r2) == r2 for r2, _ in kept):
+                kept.append((r, x))
+    else:
+        kept = uniq
+    notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
+    candidates = [
+        Candidate(x, int(classes.class_of[x]), r)
+        for r, x in sorted(kept, key=lambda rx: rx[1])
+    ]
+    target_class = _target_orbits(classes, table, universe)
+    inst = CoverInstance(
+        universe=universe,
+        target_class=target_class,
+        candidates=candidates,
+        involutions_only=involutions_only,
+        alpha_floor=3,
+        conjugation_symmetric=True,
+        notes=notes,
+    )
+    if not inst.feasible():
+        if involutions_only:
+            raise InfeasibleUniverse("some target is covered by no involution")
+        raise InternalInconsistency("unrestricted instance must be feasible")
+    return inst
 
 
 def union_check_elementwise(incidence, involutions_only=False):

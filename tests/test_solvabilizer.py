@@ -265,6 +265,60 @@ def test_reduce_rejects_solvable_group(s4):
         sc.reduce_instance(sc.sol_incidence(s4))
 
 
+def _reduction(reduce, inc, **kwargs):
+    """The instance, or the type of the error raised instead."""
+    try:
+        return reduce(inc, **kwargs)
+    except sc.SolvcoverError as err:
+        return type(err)
+
+
+def assert_reduction_matches_rows_oracle(table):
+    inc = sc.sol_incidence(table)
+    for involutions_only in (False, True):
+        for prune_dominated in (True, False):
+            kwargs = dict(involutions_only=involutions_only, prune_dominated=prune_dominated)
+            new = _reduction(sc.reduce_instance, inc, **kwargs)
+            assert new == _reduction(oracles.reduce_instance_by_rows, inc, **kwargs), kwargs
+
+
+@pytest.mark.parametrize("spec_text", GOLDEN_SPECS)
+def test_reduce_instance_matches_rows_oracle(spec_text):
+    assert_reduction_matches_rows_oracle(sc.build(sc.parse_spec(spec_text)))
+
+
+def test_reduce_instance_matches_rows_oracle_with_radical(sl25):
+    assert_reduction_matches_rows_oracle(sl25)
+
+
+def _affine_5(a, b, c, d, e=0, f=0):
+    """v -> [[a, b], [c, d]] v + (e, f) on the 25 vectors of GF(5)^2."""
+    return sc.Permutation(np.array([((a * x + b * y + e) % 5) * 5 + (c * x + d * y + f) % 5
+                                    for x in range(5) for y in range(5)]))
+
+
+def test_reduce_instance_matches_rows_oracle_radical_targets():
+    # ASL(2,5): a nonzero translation is a power of no element outside the
+    # radical 5^2:<-1>, so its cyclic subgroup is a maximal cyclic target inside it
+    asl25 = sc.enumerate_group([_affine_5(1, 1, 0, 1), _affine_5(0, 4, 1, 0), _affine_5(1, 0, 0, 1, 1, 0)])
+    inst = sc.reduce_instance(sc.sol_incidence(asl25))
+    assert inst.notes[0] == "universe: dropped 6 radical targets"
+    assert_reduction_matches_rows_oracle(asl25)
+
+
+def test_reduce_instance_matches_rows_oracle_infeasible(psl27):
+    inc = sc.sol_incidence(psl27)
+    for reduce in (sc.reduce_instance, oracles.reduce_instance_by_rows):
+        with pytest.raises(sc.InfeasibleUniverse):
+            reduce(inc, involutions_only=True)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec_text", ["psl2(19)", "symmetric(7)", "pgl2(17)"])
+def test_reduce_instance_matches_rows_oracle_on_large_groups(spec_text):
+    assert_reduction_matches_rows_oracle(sc.build(sc.parse_spec(spec_text)))
+
+
 # -- clique invariants ---------------------------------------------------------------
 
 
