@@ -683,7 +683,7 @@ def index_two_subgroups(table: GroupTable) -> list[ElementSet]:
             path[img[~seen]] = want[~seen]
             layer.append(img[~seen])
         frontier = np.concatenate(layer)
-    d = np.unique(np.concatenate(d))
+    d = np.concatenate(d)  # duplicates reduce to 0 below
     basis = []
     while (d != 0).any():
         basis.append(int(d.max()))  # clear its leading bit from every other d

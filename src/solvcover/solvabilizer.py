@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -300,7 +299,6 @@ def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[i
 class Candidate:
     element: int
     class_id: int
-    row: int  # coverage bitmask over universe positions
 
 
 @dataclass
@@ -308,6 +306,7 @@ class CoverInstance:
     universe: list[int]              # canonical generator per maximal cyclic subgroup
     target_class: list[int]          # conjugation orbit id per universe entry
     candidates: list[Candidate]
+    covers: np.ndarray               # bool, candidates x universe: covers[i, t] when t in Sol(candidate i)
     involutions_only: bool
     alpha_floor: int = 0
     #: candidate classes are whole conjugation orbits of an instance symmetry;
@@ -319,34 +318,14 @@ class CoverInstance:
     def size(self) -> int:
         return len(self.universe)
 
-    def full_mask(self) -> int:
-        return (1 << len(self.universe)) - 1
-
     def feasible(self) -> bool:
-        m = 0
-        for c in self.candidates:
-            m |= c.row
-        return m == self.full_mask()
+        return bool(self.covers.any(axis=0).all())
 
 
 def maximal_cyclic_generators(table: GroupTable) -> list[int]:
     """Canonical generator (least index among generators) per maximal cyclic subgroup."""
     canonical, inside_bigger = table.cyclic_generators()
     return sorted(set(canonical[1:][~inside_bigger[1:]].tolist()))
-
-
-def _bit_matrix(masks: Sequence[int], width: int) -> np.ndarray:
-    """0/1 uint8 matrix whose row r holds bits 0 .. width-1 of masks[r]."""
-    nbytes = (width + 7) // 8
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
-
-
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """Inverse of _bit_matrix: one int bitmask per row."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = False,
@@ -371,10 +350,10 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     (w s w^-1)[b] = w[s[w^-1[b]]] on the base points.  A row is dominated
     when it lies inside another row, and only the rows covering its rarest
     target can hold it, so those pairs alone are tested, on packed bits; the
-    rows left are the maximal ones.  Every pairwise product over the whole
-    matrix costs more: numpy's boolean matmul scans rows for 3-6x as long on
-    the larger groups, and a float product wakes OpenBLAS threads that spin
-    on the other cores.
+    rows left, the maximal ones, are the instance's ``covers``.  Every
+    pairwise product over the whole matrix costs more: numpy's boolean
+    matmul scans rows for 3-6x as long on the larger groups, and a float
+    product wakes OpenBLAS threads that spin on the other cores.
     """
     table = incidence.table
     if table.is_group_solvable():
@@ -429,13 +408,13 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         kept = uniq[~dominated]
     notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
     elements = cand[kept]
-    candidates = [Candidate(x, cid, r) for x, cid, r in
-                  zip(elements.tolist(), classes.class_of[elements].tolist(), _row_masks(member[kept]))]
+    candidates = [Candidate(x, cid) for x, cid in zip(elements.tolist(), classes.class_of[elements].tolist())]
     target_class = _target_orbits(classes, table, universe)
     inst = CoverInstance(
         universe=universe,
         target_class=target_class,
         candidates=candidates,
+        covers=member[kept],
         involutions_only=involutions_only,
         alpha_floor=3,
         conjugation_symmetric=True,

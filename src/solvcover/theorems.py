@@ -44,27 +44,33 @@ class Certificate:
     elements: list[Permutation]
 
 
+def _sol_union(table: GroupTable, cert: Certificate) -> tuple[list[int], np.ndarray]:
+    """Element indices of the certificate and the union of their solvabilizers."""
+    inc = sol_incidence(table)
+    idx, union = [], np.zeros(table.order, dtype=bool)
+    for p in cert.elements:
+        i = table.find_permutation(p)
+        if i < 0:
+            raise ElementNotInGroup(f"{p} is not in the group")
+        idx.append(i)
+        union |= inc.sol(i)
+    return idx, union
+
+
 def verify_certificate(table: GroupTable, cert: Certificate) -> bool:
     """True iff the solvabilizers of the certificate elements cover the group.
 
     Raises when an element is outside the group or inside the radical; a mode
     violation (non-involution in involutions mode) just fails the check.  The
     radical is not computed: x lies in R(G) exactly when Sol(x) = G
-    (Guralnick, Kunyavskii, Plotkin, Shalev, J. Algebra 300, 2006).
+    (Guralnick, Kunyavskii, Plotkin, Shalev, J. Algebra 300, 2006), and
+    Sol(x) is a conjugate of the Sol of its class representative.
     """
-    idx = []
-    for p in cert.elements:
-        i = table.find_permutation(p)
-        if i < 0:
-            raise ElementNotInGroup(f"{p} is not in the group")
-        idx.append(i)
+    idx, union = _sol_union(table, cert)
     inc = sol_incidence(table)
-    union = np.zeros(table.order, dtype=bool)
     for i in idx:
-        sol = inc.sol(i)
-        if sol.all():
+        if inc.rep_sol(int(inc.classes.class_of[i])).all():
             raise ElementInRadical(f"element {table.permutation(i)} lies in the radical")
-        union |= sol
     if cert.mode == "involutions" and any(table.order_of[i] != 2 for i in idx):
         return False
     return bool(union.all())
@@ -72,14 +78,7 @@ def verify_certificate(table: GroupTable, cert: Certificate) -> bool:
 
 def first_uncovered(table: GroupTable, cert: Certificate) -> Optional[int]:
     """Least element index not covered, or None when the cover is valid."""
-    inc = sol_incidence(table)
-    union = np.zeros(table.order, dtype=bool)
-    for p in cert.elements:
-        i = table.find_permutation(p)
-        if i < 0:
-            raise ElementNotInGroup(f"{p} is not in the group")
-        union |= inc.sol(i)
-    missing = np.where(~union)[0]
+    missing = np.flatnonzero(~_sol_union(table, cert)[1])
     return int(missing[0]) if len(missing) else None
 
 

@@ -388,6 +388,25 @@ def target_orbits_per_target(classes, table, universe):
     return out
 
 
+def instance_from_rows(rows, universe, target_class, candidates=None, involutions_only=False, **fields):
+    """Cover instance whose candidate i covers target t when bit t of rows[i] is set.
+
+    Candidate i defaults to element i in class i; ``fields`` are the other
+    ``CoverInstance`` fields.  ``rows_of`` turns the instance back into rows.
+    """
+    if candidates is None:
+        candidates = [Candidate(i, i) for i in range(len(rows))]
+    covers = np.array([[(r >> t) & 1 for t in range(len(universe))] for r in rows], dtype=bool)
+    return CoverInstance(universe=list(universe), target_class=list(target_class), candidates=candidates,
+                         covers=covers.reshape(len(rows), len(universe)), involutions_only=involutions_only,
+                         **fields)
+
+
+def rows_of(instance):
+    """One int bitmask per candidate: bit t is set when the candidate covers target t."""
+    return [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in instance.covers]
+
+
 def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: bool = False,
                             prune_dominated: bool = True) -> CoverInstance:
     """Reduce covering G to an exact set-cover instance.
@@ -438,15 +457,12 @@ def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: 
     else:
         kept = uniq
     notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
-    candidates = [
-        Candidate(x, int(classes.class_of[x]), r)
-        for r, x in sorted(kept, key=lambda rx: rx[1])
-    ]
-    target_class = _target_orbits(classes, table, universe)
-    inst = CoverInstance(
-        universe=universe,
-        target_class=target_class,
-        candidates=candidates,
+    kept.sort(key=lambda rx: rx[1])
+    inst = instance_from_rows(
+        [r for r, _ in kept],
+        universe,
+        _target_orbits(classes, table, universe),
+        candidates=[Candidate(x, int(classes.class_of[x])) for _, x in kept],
         involutions_only=involutions_only,
         alpha_floor=3,
         conjugation_symmetric=True,
@@ -538,7 +554,7 @@ class ScanningClassCountingBound:
     """
 
     def __init__(self, instance):
-        cands = instance.candidates
+        cands, rows = instance.candidates, rows_of(instance)
         self.cls_ids = sorted({c.class_id for c in cands})
         self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
         self.tmasks = []
@@ -549,7 +565,7 @@ class ScanningClassCountingBound:
                     m |= 1 << u
             self.tmasks.append(m)
         self.k = [
-            [max((cands[i].row & tm).bit_count() for i in mem) for tm in self.tmasks]
+            [max((rows[i] & tm).bit_count() for i in mem) for tm in self.tmasks]
             for mem in self.members
         ]
         self._memo = {}
@@ -621,12 +637,13 @@ class ScanningSearch:
     def __init__(self, instance):
         self.inst = instance
         self.cands = instance.candidates
-        self.full = instance.full_mask()
+        self.rows = rows_of(instance)
+        self.full = (1 << instance.size) - 1
         self.cols = []
         for u in range(instance.size):
             m = 0
-            for i, c in enumerate(self.cands):
-                if (c.row >> u) & 1:
+            for i, r in enumerate(self.rows):
+                if (r >> u) & 1:
                     m |= 1 << i
             self.cols.append(m)
         self.ccb = ScanningClassCountingBound(instance)
@@ -638,7 +655,7 @@ class ScanningSearch:
         while a:
             i = (a & -a).bit_length() - 1
             a &= a - 1
-            best_cov = max(best_cov, (self.cands[i].row & uncovered).bit_count())
+            best_cov = max(best_cov, (self.rows[i] & uncovered).bit_count())
         if best_cov == 0:
             return 1 << 30
         density = -(-uncovered.bit_count() // best_cov)
@@ -691,7 +708,7 @@ class ScanningSearch:
         excluded = 0
         for mem in self.ccb.members:
             rep = mem[0]
-            self._descend(self.full & ~self.cands[rep].row, (avail & ~excluded) & ~(1 << rep), 1, [rep])
+            self._descend(self.full & ~self.rows[rep], (avail & ~excluded) & ~(1 << rep), 1, [rep])
             for i in mem:
                 excluded |= 1 << i
 
@@ -722,10 +739,10 @@ class ScanningSearch:
                 if n == 1:
                     break
         order = [i for i in range(len(self.cands)) if (pick_col >> i) & 1]
-        order.sort(key=lambda i: -(self.cands[i].row & uncovered).bit_count())
+        order.sort(key=lambda i: -(self.rows[i] & uncovered).bit_count())
         excluded = 0
         for i in order:
             chosen.append(i)
-            self._descend(uncovered & ~self.cands[i].row, (avail & ~excluded) & ~(1 << i), depth + 1, chosen)
+            self._descend(uncovered & ~self.rows[i], (avail & ~excluded) & ~(1 << i), depth + 1, chosen)
             chosen.pop()
             excluded |= 1 << i

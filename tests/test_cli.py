@@ -220,6 +220,13 @@ def test_solve_degenerate_spec_errors(group, capsys):
     assert err.startswith("error: BadParameter: ") and err.count("\n") == 1
 
 
+def test_solve_nan_time_limit_errors(capsys):
+    assert run_cli("solve", "--group", "alternating(5)", "--time-limit", "nan") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BadParameter: ") and captured.err.count("\n") == 1
+
+
 def test_table_missing_results_directory(tmp_path, capsys):
     assert run_cli("table", "--results", str(tmp_path / "absent")) == 1
     captured = capsys.readouterr()

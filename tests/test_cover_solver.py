@@ -7,19 +7,19 @@ import pytest
 
 import solvcover as sc
 from solvcover import cover
-from solvcover.solvabilizer import Candidate, CoverInstance
+from solvcover.solvabilizer import CoverInstance
 from solvcover.theorems import Certificate, verify_certificate
 
 import oracles
+from test_solvabilizer import GOLDEN_SPECS
 
 
-def synthetic_instance(rows, involutions_only=False, floor=0):
-    """Instance from explicit coverage bitmask rows (element = position)."""
-    nu = max(m.bit_length() for m in rows)
-    cands = [Candidate(i, i, r) for i, r in enumerate(rows)]
-    return CoverInstance(universe=list(range(nu)), target_class=[0] * nu,
-                         candidates=cands, involutions_only=involutions_only,
-                         alpha_floor=floor)
+def synthetic_instance(rows, nu=None, target_class=None, involutions_only=False, floor=0):
+    """Instance from explicit coverage bitmask rows over nu targets (element = position)."""
+    if nu is None:
+        nu = max(m.bit_length() for m in rows)
+    return oracles.instance_from_rows(rows, range(nu), target_class or [0] * nu,
+                                      involutions_only=involutions_only, alpha_floor=floor)
 
 
 # -- greedy ------------------------------------------------------------------------
@@ -33,11 +33,11 @@ def test_greedy_singletons():
 def test_greedy_a5_valid_and_small(a5_instance):
     cert = sc.greedy_cover(a5_instance)
     assert len(cert) <= 5
-    rows = {c.element: c.row for c in a5_instance.candidates}
+    rows = {c.element: r for c, r in zip(a5_instance.candidates, oracles.rows_of(a5_instance))}
     m = 0
     for e in cert:
         m |= rows[e]
-    assert m == a5_instance.full_mask()
+    assert m == (1 << a5_instance.size) - 1
 
 
 def test_greedy_s5_lands_on_the_optimum(s5_instance):
@@ -45,9 +45,7 @@ def test_greedy_s5_lands_on_the_optimum(s5_instance):
 
 
 def test_greedy_infeasible_passthrough():
-    inst = synthetic_instance([0b011])  # second target uncovered
-    inst.universe = [0, 1, 2]
-    inst.target_class = [0, 0, 0]
+    inst = synthetic_instance([0b011], nu=3)  # third target uncovered
     with pytest.raises(sc.InfeasibleUniverse):
         sc.greedy_cover(inst)
 
@@ -56,7 +54,8 @@ def test_greedy_infeasible_passthrough():
 
 
 def test_lower_bound_empty():
-    inst = CoverInstance(universe=[], target_class=[], candidates=[], involutions_only=False)
+    inst = CoverInstance(universe=[], target_class=[], candidates=[], covers=np.zeros((0, 0), dtype=bool),
+                         involutions_only=False)
     assert sc.lower_bound(inst) == 0
 
 
@@ -124,10 +123,15 @@ def test_interval_on_tiny_budget(s5_instance):
     assert len(out.certificate) == out.upper
 
 
+def test_budget_rejects_nan_and_negative_limits():
+    for limits in (dict(time_limit=float("nan")), dict(time_limit=-1.0), dict(node_limit=-1)):
+        with pytest.raises(sc.BadParameter):
+            sc.SolveBudget(**limits)
+    assert sc.SolveBudget(time_limit=math.inf).time_limit == math.inf
+
+
 def test_infeasible_synthetic():
-    inst = synthetic_instance([0b01])
-    inst.universe = [0, 1]
-    inst.target_class = [0, 0]
+    inst = synthetic_instance([0b01], nu=2)
     out = sc.solve_exact(inst)
     assert out.status == sc.INFEASIBLE
     assert out.certificate is None
@@ -144,9 +148,7 @@ def test_solver_matches_brute_force_on_synthetics():
             while r == 0:
                 r = int(rng.integers(1, 1 << nu))
             rows.append(r)
-        inst = synthetic_instance(rows)
-        inst.universe = list(range(nu))
-        inst.target_class = [0] * nu
+        inst = synthetic_instance(rows, nu)
         full = (1 << nu) - 1
         brute = oracles.min_cover_size(rows, target=full)
         out = sc.solve_exact(inst)
@@ -159,11 +161,9 @@ def test_solver_matches_brute_force_on_synthetics():
 def test_monotonicity_probes(a5_instance):
     base = sc.solve_exact(a5_instance).lower
     # adding a candidate never increases the optimum
-    rows = [c.row for c in a5_instance.candidates]
+    rows = oracles.rows_of(a5_instance)
     extra = rows[0] | rows[1]
-    inst2 = synthetic_instance(rows + [extra])
-    inst2.universe = list(a5_instance.universe)
-    inst2.target_class = list(a5_instance.target_class)
+    inst2 = oracles.instance_from_rows(rows + [extra], a5_instance.universe, a5_instance.target_class)
     assert sc.solve_exact(inst2).lower <= base
     # removing a universe target never increases it
     nu = len(a5_instance.universe)
@@ -175,9 +175,7 @@ def test_monotonicity_probes(a5_instance):
             if (r >> old) & 1:
                 m |= 1 << newpos
         shrunk.append(m)
-    inst3 = synthetic_instance(shrunk)
-    inst3.universe = list(range(nu - 1))
-    inst3.target_class = [0] * (nu - 1)
+    inst3 = synthetic_instance(shrunk, nu - 1)
     assert sc.solve_exact(inst3).lower <= base
 
 
@@ -187,8 +185,9 @@ def test_monotonicity_probes(a5_instance):
 # PSL(2,11) have no involution instance (alpha_inv is infinite)
 SMALL_GOLDEN = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)",
                 "psl2(8)", "psl2(11)", "m10", "pgl2(9)", "symmetric(6)"]
+NO_INVOLUTION_COVER = {("psl2(7)", "involutions"), ("psl2(11)", "involutions")}
 SMALL_GOLDEN_INSTANCES = [(g, m) for g in SMALL_GOLDEN for m in ("all", "involutions")
-                          if (g, m) not in {("psl2(7)", "involutions"), ("psl2(11)", "involutions")}]
+                          if (g, m) not in NO_INVOLUTION_COVER]
 
 
 @lru_cache(maxsize=None)
@@ -202,13 +201,31 @@ def golden_instance(spec_text, mode):
 def test_root_bound_equals_class_counting_program(spec_text, mode):
     # ceil(class LP) is as strong as the integer class-counting program at the root
     inst = golden_instance(spec_text, mode)
-    full, avail = inst.full_mask(), (1 << len(inst.candidates)) - 1
+    full, avail = (1 << inst.size) - 1, (1 << len(inst.candidates)) - 1
     ccb = oracles.ScanningClassCountingBound(inst)
     program = ccb.bound(full, avail)
     assert program == oracles.min_count_enumerated(ccb.k, [tm.bit_count() for tm in ccb.tmasks],
                                                    [len(mem) for mem in ccb.members])
     assert sc.class_counting_bound(inst) == program
     assert sc.lower_bound(inst) == max(oracles.ScanningSearch(inst).cheap_bounds(full, avail), program)
+
+
+# HiGHS takes 0.5-2.8 s on each instance of these three, under 0.35 s on the others
+MILP_SLOW = {"pgl2(9)", "pgl2(11)", "pgammal2(9)"}
+GOLDEN_INSTANCES = [pytest.param(g, m, marks=[pytest.mark.slow] if g in MILP_SLOW else [])
+                    for g in GOLDEN_SPECS for m in ("all", "involutions") if (g, m) not in NO_INVOLUTION_COVER]
+
+
+@pytest.mark.parametrize("spec_text,mode", GOLDEN_INSTANCES)
+def test_search_optimum_matches_milp(spec_text, mode):
+    optimize = pytest.importorskip("scipy.optimize")
+    inst = golden_instance(spec_text, mode)
+    n = len(inst.candidates)
+    res = optimize.milp(np.ones(n), integrality=np.ones(n), bounds=optimize.Bounds(0, 1),
+                        constraints=optimize.LinearConstraint(inst.covers.T.astype(float), lb=1))
+    assert res.status == 0
+    out = sc.solve_exact(inst)
+    assert out.status == sc.EXACT and out.lower == round(res.fun)
 
 
 def outcome_key(out):
@@ -258,9 +275,7 @@ def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
     for trial in range(60):
         nu = int(rng.integers(3, 11))
         rows = [int(rng.integers(1, 1 << nu)) for _ in range(int(rng.integers(3, 13)))]
-        inst = synthetic_instance(rows)
-        inst.universe = list(range(nu))
-        inst.target_class = [int(c) for c in rng.integers(0, 3, size=nu)]
+        inst = synthetic_instance(rows, nu, target_class=[int(c) for c in rng.integers(0, 3, size=nu)])
         for sym in (False, True):
             inst.conjugation_symmetric = sym
             old = oracles.ScanningSearch(inst).solve()
@@ -283,16 +298,14 @@ FLOAT_EDGE_CASES = [
 def instance_from_incidence(incidence):
     nu = len(incidence)
     rows = [sum(1 << t for t in range(nu) if incidence[t][i]) for i in range(len(incidence[0]))]
-    inst = synthetic_instance(rows)
-    inst.universe, inst.target_class = list(range(nu)), [0] * nu
-    return inst
+    return synthetic_instance(rows, nu)
 
 
 def residual_vectors(search, uncovered, avail):
     """(unc, cov) of a node: uncovered targets, coverage of the available candidates."""
     unc = np.array([(uncovered >> t) & 1 for t in range(search.nu)], dtype=np.float32)
-    cov = np.array([(c.row & uncovered).bit_count() if (avail >> i) & 1 else 0
-                    for i, c in enumerate(search.cands)], dtype=np.float32)
+    cov = np.array([(r & uncovered).bit_count() if (avail >> i) & 1 else 0
+                    for i, r in enumerate(search.rows)], dtype=np.float32)
     return unc, cov
 
 
@@ -302,8 +315,7 @@ def test_lagrangian_never_exceeds_min_cover_on_synthetics():
     for trial in range(200):
         nu = int(rng.integers(2, 9))
         rows = [int(rng.integers(1, 1 << nu)) for _ in range(int(rng.integers(2, 9)))]
-        inst = synthetic_instance(rows)
-        inst.universe, inst.target_class = list(range(nu)), [0] * nu
+        inst = synthetic_instance(rows, nu)
         search = cover._Search(inst)
         # a random node: some targets covered, some candidates gone
         uncovered = int(rng.integers(1, 1 << nu))
@@ -329,7 +341,7 @@ def test_lagrangian_never_exceeds_min_cover_on_synthetics():
         search = cover._Search(instance_from_incidence(incidence))
         L, _, _ = search.lagrangian(np.array(y), np.ones(len(incidence[0]), dtype=bool))
         assert cover._ceil_bound(L) <= 1 == oracles.min_cover_size(
-            [c.row for c in search.cands], target=search.full)
+            search.rows, target=search.full)
 
 
 def residual_lp(linprog, search, unc, cov):
@@ -352,19 +364,19 @@ def test_lagrangian_bound_within_residual_lp(spec_text, mode):
     search = cover._Search(inst)
     w, value = search.ccb.lp_dual()
     y0 = np.array(w)[search.ccb.target_orbit]
-    unc, cov = residual_vectors(search, search.full, (1 << len(search.cands)) - 1)
+    unc, cov = residual_vectors(search, search.full, (1 << len(search.rows)) - 1)
     root = residual_lp(linprog, search, unc, cov)
     # the class-counting LP is the root LP, so the orbit-constant seed is optimal there
     assert value == pytest.approx(root, abs=1e-9)
     assert search.lagrangian(y0, cov > 0)[0] == pytest.approx(root, abs=1e-9)
     rng = np.random.default_rng(len(spec_text))
-    n = len(search.cands)
+    n = len(search.rows)
     for _ in range(8):
         # a random node: a few candidates chosen, a few more excluded
         picked = rng.permutation(n)[:int(rng.integers(1, 8))]
         uncovered = search.full
         for i in picked[:max(1, len(picked) // 2)]:
-            uncovered &= ~search.cands[i].row
+            uncovered &= ~search.rows[i]
         avail = (1 << n) - 1
         for i in picked:
             avail &= ~(1 << int(i))

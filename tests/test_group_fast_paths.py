@@ -6,6 +6,11 @@ with the per-row, per-point, per-element, per-seed and coset-level
 references in ``oracles``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -128,6 +133,31 @@ def test_index_two_subgroups_match_coset_oracle(spec_text):
 
 def test_index_two_subgroups_with_repeated_and_identity_generators():
     _assert_index_two_subgroups_match_cosets(sc.enumerate_group(_repeated_and_identity_generators()))
+
+
+NUMPY_MA_PROBE = """
+import sys
+import numpy
+print("numpy.ma" in sys.modules)
+import solvcover as sc
+a6 = sc.build(sc.alternating(6))
+for mode in ("all", "involutions"):
+    sc.solve_alpha(a6, mode)
+sc.index_two_subgroups(sc.build(sc.symmetric(5)))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_solve_and_index_two_subgroups_leave_numpy_ma_unloaded():
+    # a plain np.unique imports numpy.ma, about 1.6 MB of resident memory under numpy 2
+    src = str(Path(sc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after = proc.stdout.split()
+    if at_import == "True":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert after == "False"
 
 
 @pytest.mark.slow

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import solvcover as sc
-from solvcover.solvabilizer import Candidate, CoverInstance
+from solvcover.solvabilizer import CoverInstance
 
 import oracles
 
@@ -74,24 +74,14 @@ def test_census_union_identity(a5, s5, psl27):
 
 
 def _random_subinstance(rng, inst):
+    """Some candidates, and the targets they cover: a slice of ``covers``."""
     k = int(rng.integers(4, 15))
-    picks = rng.choice(len(inst.candidates), size=min(k, len(inst.candidates)), replace=False)
-    cands = [inst.candidates[i] for i in sorted(picks)]
-    covered = 0
-    for c in cands:
-        covered |= c.row
-    keep = [u for u in range(len(inst.universe)) if (covered >> u) & 1]
-    remap = {u: i for i, u in enumerate(keep)}
-    new_cands = []
-    for c in cands:
-        r = 0
-        for u in keep:
-            if (c.row >> u) & 1:
-                r |= 1 << remap[u]
-        new_cands.append(Candidate(c.element, c.class_id, r))
+    picks = np.sort(rng.choice(len(inst.candidates), size=min(k, len(inst.candidates)), replace=False))
+    keep = np.flatnonzero(inst.covers[picks].any(axis=0))
     return CoverInstance(universe=[inst.universe[u] for u in keep],
                          target_class=[inst.target_class[u] for u in keep],
-                         candidates=new_cands, involutions_only=inst.involutions_only)
+                         candidates=[inst.candidates[i] for i in picks],
+                         covers=inst.covers[np.ix_(picks, keep)], involutions_only=inst.involutions_only)
 
 
 def test_solver_brute_force_equivalence(a5_instance, s5_instance, psl27):
@@ -100,15 +90,13 @@ def test_solver_brute_force_equivalence(a5_instance, s5_instance, psl27):
     # any full reduced instance small enough gets checked directly
     for inst in insts:
         if len(inst.candidates) <= 14:
-            brute = oracles.min_cover_size([c.row for c in inst.candidates],
-                                           target=inst.full_mask())
+            brute = oracles.min_cover_size(oracles.rows_of(inst), target=(1 << inst.size) - 1)
             assert sc.solve_exact(inst).lower == brute
     for _ in range(CASES):
         inst = insts[int(rng.integers(0, len(insts)))]
         sub = _random_subinstance(rng, inst)
         out = sc.solve_exact(sub)
-        brute = oracles.min_cover_size([c.row for c in sub.candidates],
-                                       target=sub.full_mask())
+        brute = oracles.min_cover_size(oracles.rows_of(sub), target=(1 << sub.size) - 1)
         assert out.status == sc.EXACT
         assert out.lower == brute
 
