@@ -20,7 +20,17 @@ grouped by conjugacy class and targets by orbit), optimal for the root LP of a
 conjugation-symmetric instance; the ceiling of its value is the root's
 class-counting bound.  Every bound only cuts subtrees that hold no cover below
 the incumbent, so the search visits the nodes of the plain search in the same
-order, minus those, and returns the same first cover.
+order, minus those, and finds the same first cover.
+
+Exactness rests only on the lower end, so any cover of that size is a
+certificate.  Besides the search's first cover the solver tries a primal
+heuristic: seeded randomized greedy restarts with redundant picks dropped,
+run before the first deepening round and after each round that raises the
+lower bound.  A restart that finds a cover of the proven size ends the solve
+without the round that would re-find one; any cover below the incumbent
+tightens the upper end of an interval.  The randomness is seeded per solve,
+so an instance always gets the same certificate, and it never touches a
+lower bound.
 
 Each node carries a coverage vector, cov[i] = |row_i & uncovered| for the
 available candidates, kept incrementally: a child's vector is its parent's
@@ -33,7 +43,9 @@ float64 copy of the same matrix.
 
 from __future__ import annotations
 
+import heapq
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -217,6 +229,12 @@ _NODE_STEPS = 20
 _PLAIN_NODES = 64
 _SIMPLEX_PIVOTS = 100
 _PIVOT_TOL = 1e-12
+# primal heuristic (see _Search._heuristic): most restarts before the first
+# deepening round and after each round that finds no cover, and the spread of
+# the random score weights
+_FIRST_RESTARTS = 4
+_ROUND_RESTARTS = 32
+_WEIGHT_SPREAD = 0.3
 
 
 def _ceil_bound(value: float) -> int:
@@ -274,9 +292,11 @@ class _Search:
     least L + (1 - s_i) - 1, the Lagrangian bound with the child's candidate
     i fixed into the cover, so this is reduced-cost fixing and more.  A
     visited child starts from that evaluation.  Since only subtrees without a
-    cover below best go, the depth-first order, the first cover found and the
-    certificate stay those of the search without the Lagrangian
-    (``tests/oracles.py::ScanningSearch``).
+    cover below best go, the depth-first order and the first cover found stay
+    those of the search without the Lagrangian
+    (``tests/oracles.py::ScanningSearch``).  The certificate is that cover
+    unless ``_heuristic`` found one of the optimal size before the round that
+    proves it; then the solve ends early with the heuristic's cover.
 
     Why float64 and eps = 1e-6: L is a sum of at most |targets| + |candidates|
     float64 terms, each a small multiple of the instance size at most, so its
@@ -309,6 +329,7 @@ class _Search:
         self.nu = instance.size
         self.full = (1 << self.nu) - 1
         self.rows = _row_masks(instance.covers)  # per candidate: its targets
+        self.row_sizes = instance.covers.sum(axis=1).tolist()
         self.cols = _row_masks(instance.covers.T)  # per target: its candidates
         self.hit = instance.covers.T.astype(np.float32)  # hit[t, i]: candidate i covers t
         self.row_vecs = np.ascontiguousarray(self.hit.T)
@@ -415,6 +436,57 @@ class _Search:
                 best = L, y
         return best
 
+    def _restart(self, rng: random.Random) -> list[int]:
+        """One randomized greedy cover, as candidate indices, with no redundant pick.
+
+        Candidate i scores w_i |row_i & uncovered|, with one weight
+        w_i = 1 + _WEIGHT_SPREAD U[0,1) per candidate drawn for the restart;
+        the best score is picked (ties to the least index) until every target
+        is covered.  The weights are fixed, so a score only falls as targets
+        get covered, and a heap of stale scores is evaluated lazily: the top
+        entry is picked when its score is still current, else it goes back
+        with its current score.  Then, smallest rows first, a pick is dropped
+        when the other picks still cover every target.
+        """
+        rows = self.rows
+        weights = [1 + _WEIGHT_SPREAD * rng.random() for _ in rows]
+        heap = [(-w * n, i) for i, (w, n) in enumerate(zip(weights, self.row_sizes)) if n]
+        heapq.heapify(heap)
+        uncovered = self.full
+        picks: list[int] = []
+        while uncovered:
+            stale, i = heapq.heappop(heap)
+            score = weights[i] * (rows[i] & uncovered).bit_count()
+            if score == -stale:
+                picks.append(i)
+                uncovered &= ~rows[i]
+            elif score:
+                heapq.heappush(heap, (-score, i))
+        count = self.row_vecs[picks].sum(axis=0)  # picks covering each target
+        for i in sorted(picks, key=self.row_sizes.__getitem__):
+            rest = count - self.row_vecs[i]
+            if rest.min() > 0:
+                count = rest
+                picks.remove(i)
+        return picks
+
+    def _heuristic(self, rng: random.Random, restarts: int, lo: int, ub: int) -> Optional[list[int]]:
+        """The smallest cover below ub from at most ``restarts`` restarts, or None.
+
+        Stops at the first cover of size <= lo (lo is proven, so it is
+        optimal) and when the deadline has passed.
+        """
+        best = None
+        for _ in range(restarts):
+            if time.monotonic() >= self.deadline:
+                break
+            picks = self._restart(rng)
+            if len(picks) < ub:
+                best, ub = picks, len(picks)
+                if ub <= lo:
+                    break
+        return best
+
     def solve(self, budget: SolveBudget, floor: int) -> CoverOutcome:
         t0 = time.monotonic()
         self.deadline = t0 + budget.time_limit
@@ -428,8 +500,17 @@ class _Search:
         lo = min(max(floor, self.root_bound()), ub)
         cov = self.hit.sum(axis=0)
         unc = np.ones(self.nu, dtype=np.float32)
+        rng = random.Random(0)  # one seed per solve: an instance always gets the same certificate
+        restarts = _FIRST_RESTARTS
         timed_out = False
         while lo < ub:
+            better = self._heuristic(rng, restarts, lo, ub)
+            restarts = _ROUND_RESTARTS
+            if better is not None:
+                incumbent = [self.elements[i] for i in better]
+                ub = len(better)
+                if ub == lo:
+                    break
             self.best = lo + 1
             self.found: Optional[list[int]] = None
             try:
@@ -459,7 +540,7 @@ class _Search:
     def _descend(self, uncovered: int, avail: int, depth: int, chosen: list[int],
                  cov: np.ndarray, unc: np.ndarray, y: np.ndarray, first: Optional[tuple[float, np.ndarray]]):
         self.nodes += 1
-        if self.nodes > self.node_limit or (self.nodes % 256 == 0 and time.monotonic() > self.deadline):
+        if self.nodes > self.node_limit or time.monotonic() >= self.deadline:
             raise _OutOfBudget
         if not uncovered:
             self.best = depth

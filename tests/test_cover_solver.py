@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -212,8 +213,8 @@ def test_root_bound_equals_class_counting_program(spec_text, mode):
 
 # HiGHS takes 0.5-2.8 s on each instance of these three, under 0.35 s on the others
 MILP_SLOW = {"pgl2(9)", "pgl2(11)", "pgammal2(9)"}
-GOLDEN_INSTANCES = [pytest.param(g, m, marks=[pytest.mark.slow] if g in MILP_SLOW else [])
-                    for g in GOLDEN_SPECS for m in ("all", "involutions") if (g, m) not in NO_INVOLUTION_COVER]
+FEASIBLE_GOLDEN = [(g, m) for g in GOLDEN_SPECS for m in ("all", "involutions") if (g, m) not in NO_INVOLUTION_COVER]
+GOLDEN_INSTANCES = [pytest.param(g, m, marks=[pytest.mark.slow] if g in MILP_SLOW else []) for g, m in FEASIBLE_GOLDEN]
 
 
 @pytest.mark.parametrize("spec_text,mode", GOLDEN_INSTANCES)
@@ -232,7 +233,26 @@ def outcome_key(out):
     return out.status, out.lower, out.upper, out.certificate
 
 
-def assert_within_oracle(new, old):
+def covers_instance(inst, elements):
+    """Whether the candidates with these elements cover every target of the instance."""
+    wanted = set(elements)
+    picked = [i for i, c in enumerate(inst.candidates) if c.element in wanted]
+    return len(picked) == len(elements) and bool(inst.covers[picked].any(axis=0).all())
+
+
+def assert_within_oracle(inst, new, old):
+    """The oracle's status and bounds, with a cover of size upper, in no more nodes.
+
+    The certificate may come from the primal heuristic, which can end the
+    solve before the round in which the oracle finds its first cover.
+    """
+    assert outcome_key(new)[:3] == outcome_key(old)[:3]
+    if new.status != sc.INFEASIBLE:
+        assert len(new.certificate) == new.upper and covers_instance(inst, new.certificate)
+    assert new.nodes <= old.nodes
+
+
+def assert_oracle_tree(new, old):
     """The oracle's status, bounds and first cover, found in no more nodes.
 
     The Lagrangian bound only prunes subtrees holding no cover below the
@@ -242,10 +262,21 @@ def assert_within_oracle(new, old):
     assert new.nodes <= old.nodes
 
 
-def solve_both_ways(monkeypatch, inst):
-    """solve_exact as shipped, and with the ascent and fixing at every node from the first."""
-    default = sc.solve_exact(inst)
+def no_heuristic_cover(search, rng, restarts, lo, ub):
+    """Stand-in for ``_Search._heuristic`` that never finds a cover below ub."""
+    return None
+
+
+def solve_both_ways(monkeypatch, inst, heuristic=True):
+    """solve_exact as shipped, and with the ascent and fixing at every node from the first.
+
+    Without the heuristic, no restart finds a cover, so the search alone
+    supplies the certificate.
+    """
     with monkeypatch.context() as m:
+        if not heuristic:
+            m.setattr(cover._Search, "_heuristic", no_heuristic_cover)
+        default = sc.solve_exact(inst)
         m.setattr(cover, "_PLAIN_NODES", 0)
         eager = sc.solve_exact(inst)
     return default, eager
@@ -256,9 +287,11 @@ def test_search_matches_scanning_oracle(monkeypatch, spec_text, mode):
     inst = golden_instance(spec_text, mode)
     old = oracles.ScanningSearch(inst).solve()
     for new in solve_both_ways(monkeypatch, inst):
-        assert_within_oracle(new, old)
+        assert_within_oracle(inst, new, old)
         if spec_text == "pgl2(9)":
             assert new.nodes < old.nodes
+    for new in solve_both_ways(monkeypatch, inst, heuristic=False):
+        assert_oracle_tree(new, old)
 
 
 def test_search_matches_scanning_oracle_without_root_symmetry(monkeypatch, a5_instance, s5_instance):
@@ -266,7 +299,9 @@ def test_search_matches_scanning_oracle_without_root_symmetry(monkeypatch, a5_in
         inst = dataclasses.replace(inst, conjugation_symmetric=False)
         old = oracles.ScanningSearch(inst).solve()
         for new in solve_both_ways(monkeypatch, inst):
-            assert_within_oracle(new, old)
+            assert_within_oracle(inst, new, old)
+        for new in solve_both_ways(monkeypatch, inst, heuristic=False):
+            assert_oracle_tree(new, old)
 
 
 def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
@@ -280,8 +315,57 @@ def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
             inst.conjugation_symmetric = sym
             old = oracles.ScanningSearch(inst).solve()
             for new in solve_both_ways(monkeypatch, inst):
-                assert outcome_key(new) == outcome_key(old), (trial, sym)
-                assert new.nodes <= old.nodes, (trial, sym)
+                assert_within_oracle(inst, new, old)
+            for new in solve_both_ways(monkeypatch, inst, heuristic=False):
+                assert_oracle_tree(new, old)
+
+
+# -- primal heuristic ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
+def test_restart_cover_has_no_redundant_pick(spec_text, mode):
+    inst = golden_instance(spec_text, mode)
+    search = cover._Search(inst)
+    rng = random.Random(0)
+    for _ in range(4):
+        picks = search._restart(rng)
+        hits = inst.covers[picks].sum(axis=0)  # picks covering each target
+        assert len(set(picks)) == len(picks) and hits.min() >= 1
+        # a pick is redundant when every target it covers has another pick
+        assert all((hits[inst.covers[i]] == 1).any() for i in picks)
+
+
+def test_solves_repeat_their_certificate(monkeypatch):
+    for mode in ("all", "involutions"):
+        inst = golden_instance("pgl2(9)", mode)
+        first, second = sc.solve_exact(inst), sc.solve_exact(inst)
+        assert first.certificate == second.certificate and first.nodes == second.nodes
+        # the certificate is the heuristic's: the search alone takes more nodes
+        with monkeypatch.context() as m:
+            m.setattr(cover._Search, "_heuristic", no_heuristic_cover)
+            assert sc.solve_exact(inst).nodes > first.nodes
+
+
+@pytest.mark.parametrize("spec_text,mode", SMALL_GOLDEN_INSTANCES)
+def test_interval_upper_is_its_certificate(spec_text, mode):
+    inst = golden_instance(spec_text, mode)
+    optimum, greedy = sc.solve_exact(inst).lower, len(sc.greedy_cover(inst))
+    for node_limit in (0, 1, 8, 40):
+        out = sc.solve_exact(inst, sc.SolveBudget(node_limit=node_limit))
+        assert out.status in (sc.EXACT, sc.INTERVAL)
+        assert out.lower <= optimum <= out.upper == len(out.certificate) <= greedy
+        assert covers_instance(inst, out.certificate)
+
+
+@pytest.mark.parametrize("mode", ["all", "involutions"])
+def test_zero_time_limit_stops_at_the_first_node(mode):
+    # greedy (10) is above the root bound (7), so only the search or the heuristic closes the gap
+    inst = golden_instance("pgl2(9)", mode)
+    out = sc.solve_exact(inst, sc.SolveBudget(time_limit=0))
+    assert out.status == sc.INTERVAL and out.nodes <= 1
+    assert out.lower <= 8 <= out.upper == len(out.certificate)
+    assert covers_instance(inst, out.certificate)
 
 
 # -- Lagrangian bound --------------------------------------------------------------
