@@ -30,30 +30,31 @@ lower bound.  A restart that finds a cover of the proven size ends the solve
 without the round that would re-find one; any cover below the incumbent
 tightens the upper end of an interval.  The randomness is seeded per solve,
 so an instance always gets the same certificate, and it never touches a
-lower bound.
+lower bound.  The first incumbent is the same greedy with unit weights, the
+max-coverage greedy cover that ``greedy_cover`` returns.
 
-Each node carries a coverage vector, cov[i] = |row_i & uncovered| for the
-available candidates, kept incrementally: a child's vector is its parent's
-minus the target x candidate matrix rows of the targets it newly covers, so
-the density bound is cov.max() and the branching order sorts by cov.  One
-sweep over the uncovered targets gives both the packing and the branching
-target.  Each subgradient step is two matrix-vector products with the
-float64 copy of the same matrix.
+A node's whole state is two vectors over one float64 target x candidate
+matrix: unc, 1 on the uncovered targets, and the coverage vector cov, with
+cov[i] = |row_i & uncovered| for the available candidates and cov[i] <= 0
+for the chosen and excluded ones.  Both are kept incrementally: a child's cov
+is its parent's minus the matrix rows of the targets it newly covers, so the
+density bound is cov.max() and the branching order sorts by cov.  One sweep
+over the uncovered targets gives both the packing and the branching target.
+Each subgradient step is two matrix-vector products with the same matrix.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constructions import GroupSpec, build
+from .constructions import GroupSpec, _shift, build
 from .errors import BadParameter, GroupSolvable, InfeasibleUniverse, SolvcoverError
 from .group import DEFAULT_CAP, GroupTable, enumerate_group, quotient_by, solvable_radical
 from .perm import Permutation
@@ -112,27 +113,10 @@ def _row_masks(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _greedy(rows: Sequence[int], elements: Sequence[int], full: int) -> list[int]:
-    """Max-coverage greedy cover of the targets in full, as elements (ties to the least element)."""
-    cands = sorted(zip(elements, rows), key=lambda er: er[0])
-    uncovered = full
-    chosen: list[int] = []
-    while uncovered:
-        best, best_n = None, 0
-        for x, row in cands:
-            n = (row & uncovered).bit_count()
-            if n > best_n:  # scan order is element-ascending, so ties keep the least
-                best, best_n = (x, row), n
-        if best is None:
-            raise InfeasibleUniverse("greedy stuck: uncovered target with no candidate")
-        chosen.append(best[0])
-        uncovered &= ~best[1]
-    return chosen
-
-
 def greedy_cover(instance: CoverInstance) -> list[int]:
-    """Max-coverage greedy certificate (ties to the smallest element index)."""
-    return _greedy(_row_masks(instance.covers), [c.element for c in instance.candidates], (1 << instance.size) - 1)
+    """Max-coverage greedy certificate, redundant picks dropped (``_Search._restart`` with unit weights)."""
+    search = _Search(instance)
+    return [search.elements[i] for i in search._restart(None)]
 
 
 class _ClassCountingBound:
@@ -261,13 +245,14 @@ def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
 class _Search:
     """Iterative-deepening branch and bound; see the module docstring.
 
-    Next to its bitmasks each node carries two float32 vectors: ``unc``, 0/1
-    per target (1 = uncovered), and ``cov``, the coverage vector, whose
-    entries for unavailable candidates are <= 0 (set to 0 when a candidate is
-    chosen or excluded, they only decrease after that).  All children's
-    vectors come from one product with the target x candidate matrix ``hit``.
-    Every entry is a small integer, so float32 is exact and the products run
-    through BLAS.
+    A node is two float64 vectors: ``unc``, 0/1 per target (1 = uncovered),
+    and ``cov``, the coverage vector, whose entries for unavailable
+    candidates are <= 0 (set to 0 when a candidate is chosen or excluded,
+    they only decrease after that).  All children's vectors come from one
+    product with the target x candidate matrix ``hit``; every entry is a
+    small integer, so they are exact.  The available candidates are those
+    with cov > 0 wherever it matters: a candidate that covers an uncovered
+    target has cov >= 1 exactly when it is available.
 
     A node also carries float64 multipliers ``y >= 0`` from its parent,
     zeroed on covered targets before use.  For any such y, with s = y @ hit
@@ -287,13 +272,13 @@ class _Search:
     (its best after the ascent, else the one inherited), restricted to each
     child's uncovered targets, bounds every child in one batched product
     before the child is entered: child j is skipped when
-    depth + 1 + ceil(L_j - eps) >= best, and still joins its later siblings'
-    excluded set, since its subtree holds no cover below best.  L_j is at
-    least L + (1 - s_i) - 1, the Lagrangian bound with the child's candidate
-    i fixed into the cover, so this is reduced-cost fixing and more.  A
-    visited child starts from that evaluation.  Since only subtrees without a
-    cover below best go, the depth-first order and the first cover found stay
-    those of the search without the Lagrangian
+    depth + 1 + ceil(L_j - eps) >= best, and its candidate is still zeroed
+    in its later siblings, since its subtree holds no cover below best.  L_j
+    is at least L + (1 - s_i) - 1, the Lagrangian bound with the child's
+    candidate i fixed into the cover, so this is reduced-cost fixing and
+    more.  A visited child starts from that evaluation.  Since only subtrees
+    without a cover below best go, the depth-first order and the first cover
+    found stay those of the search without the Lagrangian
     (``tests/oracles.py::ScanningSearch``).  The certificate is that cover
     unless ``_heuristic`` found one of the optimal size before the round that
     proves it; then the solve ends early with the heuristic's cover.
@@ -327,46 +312,37 @@ class _Search:
         self.inst = instance
         self.elements = [c.element for c in instance.candidates]
         self.nu = instance.size
-        self.full = (1 << self.nu) - 1
-        self.rows = _row_masks(instance.covers)  # per candidate: its targets
         self.row_sizes = instance.covers.sum(axis=1).tolist()
         self.cols = _row_masks(instance.covers.T)  # per target: its candidates
-        self.hit = instance.covers.T.astype(np.float32)  # hit[t, i]: candidate i covers t
+        self.hit = instance.covers.T.astype(np.float64)  # hit[t, i]: candidate i covers t
         self.row_vecs = np.ascontiguousarray(self.hit.T)
         self.ccb = _ClassCountingBound(instance)
         w, self.root_value = self.ccb.lp_dual()
         self.y0 = np.array(w)[self.ccb.target_orbit]
         self.nodes = 0
-        # (picks, zeroed rows and columns of the children, excluded after each
-        # child) at a conjugation-symmetric root: branch j picks the least member
-        # of class j and zeroes classes 0..j-1, which the branches before it took
+        # (picks, zeroed rows and columns of the children) at a
+        # conjugation-symmetric root: branch j picks the least member of class j
+        # and zeroes classes 0..j-1, which the branches before it took
         self.root_branches = None
         if instance.conjugation_symmetric:
             members = self.ccb.members
             zeroed = [[mem[0]] + [i for low in members[:j] for i in low] for j, mem in enumerate(members)]
             self.root_branches = ([mem[0] for mem in members], [j for j, z in enumerate(zeroed) for _ in z],
-                                  [i for z in zeroed for i in z], [sum(1 << i for i in mem) for mem in members])
+                                  [i for z in zeroed for i in z])
 
-    @cached_property
-    def hit64(self) -> np.ndarray:
-        """float64 copy of ``hit`` for the Lagrangian (built at its first use)."""
-        return self.hit.astype(np.float64)
-
-    def _sweep(self, uncovered: int, avail: int) -> tuple[int, int]:
+    def _sweep(self, unc: np.ndarray, cov: np.ndarray) -> tuple[int, int]:
         """One pass over the uncovered targets: (packing, branching column).
 
         The packing greedily counts targets whose available candidates are
         disjoint from those of the targets counted before; the branching
-        column is the available candidates of the first target with the
-        fewest (0 when some target has none).
+        column is the available candidates (a bitmask) of the first target
+        with the fewest (0 when some target has none).
         """
         cols = self.cols
+        avail = _row_masks((cov > 0)[None])[0]
         packing, used, pick, pick_n = 0, 0, 0, 1 << 30
-        u = uncovered
-        while u:
-            low = u & -u
-            u ^= low
-            col = cols[low.bit_length() - 1] & avail
+        for t in np.flatnonzero(unc).tolist():
+            col = cols[t] & avail
             n = col.bit_count()
             if n < pick_n:
                 pick_n, pick = n, col
@@ -375,16 +351,14 @@ class _Search:
                 used |= col
         return packing, pick
 
-    def _density(self, uncovered: int, cov: np.ndarray) -> int:
+    def _density(self, unc: np.ndarray, cov: np.ndarray) -> int:
         best_cov = int(cov.max(initial=0))
-        return -(-uncovered.bit_count() // best_cov) if best_cov else 1 << 30
+        return -(-np.count_nonzero(unc) // best_cov) if best_cov else 1 << 30
 
     def root_bound(self) -> int:
         """Best of the density, packing and class-counting bounds at the root."""
-        avail = (1 << len(self.rows)) - 1
-        cov = self.hit.sum(axis=0)
-        return max(self._density(self.full, cov), self._sweep(self.full, avail)[0],
-                   _ceil_bound(self.root_value))
+        cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
+        return max(self._density(unc, cov), self._sweep(unc, cov)[0], _ceil_bound(self.root_value))
 
     def _children(self, cov, unc, picks, off_rows, off_cols):
         """Vectors of the children choosing picks[j]; (off_rows, off_cols) are zeroed."""
@@ -399,7 +373,7 @@ class _Search:
         s = y @ hit and over marks the candidates in act with 1 - s < 0.  y
         must be zero on covered targets; act marks the available candidates.
         """
-        s = y @ self.hit64
+        s = y @ self.hit
         over = (s > 1) & act
         return y.sum(axis=-1) - np.where(over, s - 1, 0).sum(axis=-1), s, over
 
@@ -425,7 +399,7 @@ class _Search:
         for _ in range(_NODE_STEPS - 1):
             if _ceil_bound(L) >= need:
                 break
-            g = unc - self.hit64 @ over
+            g = unc - self.hit @ over
             g[(g < 0) & (y <= 0)] = 0
             nrm = g @ g
             if not nrm:
@@ -436,32 +410,32 @@ class _Search:
                 best = L, y
         return best
 
-    def _restart(self, rng: random.Random) -> list[int]:
-        """One randomized greedy cover, as candidate indices, with no redundant pick.
+    def _restart(self, rng: Optional[random.Random]) -> list[int]:
+        """One greedy cover, as candidate indices, with no redundant pick.
 
         Candidate i scores w_i |row_i & uncovered|, with one weight
-        w_i = 1 + _WEIGHT_SPREAD U[0,1) per candidate drawn for the restart;
-        the best score is picked (ties to the least index) until every target
-        is covered.  The weights are fixed, so a score only falls as targets
-        get covered, and a heap of stale scores is evaluated lazily: the top
-        entry is picked when its score is still current, else it goes back
-        with its current score.  Then, smallest rows first, a pick is dropped
-        when the other picks still cover every target.
+        w_i = 1 + _WEIGHT_SPREAD U[0,1) per candidate drawn for the restart,
+        or w_i = 1 when rng is None (max-coverage greedy); the best score is
+        picked (ties to the least index; ``reduce_instance`` lists candidates
+        by element) until every target is covered.  The counts
+        |row_i & uncovered| are kept like a node's cov: a pick subtracts the
+        matrix rows of the targets it newly covers.  Then, smallest rows
+        first, a pick is dropped when the other picks still cover every
+        target.  Raises InfeasibleUniverse when some target has no candidate.
         """
-        rows = self.rows
-        weights = [1 + _WEIGHT_SPREAD * rng.random() for _ in rows]
-        heap = [(-w * n, i) for i, (w, n) in enumerate(zip(weights, self.row_sizes)) if n]
-        heapq.heapify(heap)
-        uncovered = self.full
+        weights = 1 if rng is None else 1 + _WEIGHT_SPREAD * np.array([rng.random() for _ in self.row_sizes])
+        counts = np.array(self.row_sizes, dtype=np.float64)
+        unc = np.ones(self.nu, dtype=bool)
         picks: list[int] = []
-        while uncovered:
-            stale, i = heapq.heappop(heap)
-            score = weights[i] * (rows[i] & uncovered).bit_count()
-            if score == -stale:
-                picks.append(i)
-                uncovered &= ~rows[i]
-            elif score:
-                heapq.heappush(heap, (-score, i))
+        while unc.any():
+            scores = weights * counts
+            if not scores.any():
+                raise InfeasibleUniverse("greedy stuck: uncovered target with no candidate")
+            i = int(scores.argmax())  # the first of the best
+            picks.append(i)
+            newly = self.inst.covers[i] & unc
+            unc &= ~newly
+            counts -= self.hit[newly].sum(axis=0)
         count = self.row_vecs[picks].sum(axis=0)  # picks covering each target
         for i in sorted(picks, key=self.row_sizes.__getitem__):
             rest = count - self.row_vecs[i]
@@ -491,15 +465,13 @@ class _Search:
         t0 = time.monotonic()
         self.deadline = t0 + budget.time_limit
         self.node_limit = budget.node_limit
-        avail = (1 << len(self.rows)) - 1
         if not self.inst.feasible():
             return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only,
                                 seconds=time.monotonic() - t0)
-        incumbent = _greedy(self.rows, self.elements, self.full)
+        incumbent = [self.elements[i] for i in self._restart(None)]
         ub = len(incumbent)
         lo = min(max(floor, self.root_bound()), ub)
-        cov = self.hit.sum(axis=0)
-        unc = np.ones(self.nu, dtype=np.float32)
+        cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
         rng = random.Random(0)  # one seed per solve: an instance always gets the same certificate
         restarts = _FIRST_RESTARTS
         timed_out = False
@@ -514,7 +486,7 @@ class _Search:
             self.best = lo + 1
             self.found: Optional[list[int]] = None
             try:
-                self._descend(self.full, avail, 0, [], cov, unc, self.y0, None)
+                self._descend(0, [], cov, unc, self.y0, None)
             except _FoundCover:
                 pass
             except _OutOfBudget:
@@ -537,20 +509,20 @@ class _Search:
             seconds=time.monotonic() - t0,
         )
 
-    def _descend(self, uncovered: int, avail: int, depth: int, chosen: list[int],
-                 cov: np.ndarray, unc: np.ndarray, y: np.ndarray, first: Optional[tuple[float, np.ndarray]]):
+    def _descend(self, depth: int, chosen: list[int], cov: np.ndarray, unc: np.ndarray, y: np.ndarray,
+                 first: Optional[tuple[float, np.ndarray]]):
         self.nodes += 1
         if self.nodes > self.node_limit or time.monotonic() >= self.deadline:
             raise _OutOfBudget
-        if not uncovered:
+        if not unc.any():
             self.best = depth
             self.found = list(chosen)
             raise _FoundCover
         if depth + 1 >= self.best:
             return
-        if depth + self._density(uncovered, cov) >= self.best:
+        if depth + self._density(unc, cov) >= self.best:
             return
-        packing, pick = self._sweep(uncovered, avail)
+        packing, pick = self._sweep(unc, cov)
         if not pick or depth + packing >= self.best:
             return
         need = self.best - depth
@@ -560,7 +532,7 @@ class _Search:
             if _ceil_bound(L) >= need:
                 return
         if symmetric_root:
-            order, off_rows, off_cols, excludes = self.root_branches
+            order, off_rows, off_cols = self.root_branches
         else:
             # branch on the uncovered target with fewest remaining candidates,
             # largest coverage first (a stable sort keeps ties in index order)
@@ -575,19 +547,15 @@ class _Search:
             # child j zeroes the candidates it chose or excluded: order[:j + 1]
             off_rows, off_pos = _lower_triangle(len(order))
             off_cols = np.asarray(order)[off_pos]
-            excludes = [1 << i for i in order]
         covs, uncs = self._children(cov, unc, order, off_rows, off_cols)
         # every child's bound at this node's multipliers, in one product
         ys = y * uncs
         Ls, ss, _ = self.lagrangian(ys, covs > 0)
-        excluded = 0
         for j, (i, L) in enumerate(zip(order, Ls.tolist())):
             if _ceil_bound(L) < need - 1:
                 chosen.append(i)
-                self._descend(uncovered & ~self.rows[i], (avail & ~excluded) & ~(1 << i), depth + 1, chosen,
-                              covs[j], uncs[j], ys[j], (L, ss[j]))
+                self._descend(depth + 1, chosen, covs[j], uncs[j], ys[j], (L, ss[j]))
                 chosen.pop()
-            excluded |= excludes[j]
 
 
 def solve_exact(instance: CoverInstance, budget: Optional[SolveBudget] = None) -> CoverOutcome:
@@ -669,13 +637,7 @@ def solve_product(tables: Sequence[GroupTable], mode: str = MODE_ALL,
     status = EXACT if lower == upper else INTERVAL
     cert_perms = None
     if best.certificate_perms is not None and not best.quotient_level and status == EXACT:
-        total = sum(degrees)
-        offset = sum(degrees[:best_i])
-        cert_perms = []
-        for p in best.certificate_perms:
-            img = np.arange(total)
-            img[offset:offset + p.degree] = p.images + offset
-            cert_perms.append(Permutation(img))
+        cert_perms = [_shift(p, sum(degrees[:best_i]), sum(degrees)) for p in best.certificate_perms]
     notes = [f"factor {i}: {o.render()}" for i, o in usable]
     notes += [f"factor {i}: solvable, dropped" for i, o in enumerate(outcomes) if o is None]
     notes += [f"factor {i}: involution-infeasible, ignored in min"

@@ -301,7 +301,7 @@ class Candidate:
     class_id: int
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: a field-wise == would compare the ndarray ambiguously
 class CoverInstance:
     universe: list[int]              # canonical generator per maximal cyclic subgroup
     target_class: list[int]          # conjugation orbit id per universe entry

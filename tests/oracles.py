@@ -407,6 +407,42 @@ def rows_of(instance):
     return [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in instance.covers]
 
 
+def element_scan_greedy(instance, weights=None):
+    """Greedy cover, as elements: each step scans every candidate in element order
+    and picks the first with the highest weight x |row & uncovered|.  With no
+    weights (all 1) it is the max-coverage greedy."""
+    weights = weights or [1] * len(instance.candidates)
+    cands = sorted(zip((c.element for c in instance.candidates), rows_of(instance), weights))
+    uncovered = (1 << instance.size) - 1
+    chosen = []
+    while uncovered:
+        best, best_n = None, 0
+        for x, row, w in cands:
+            n = w * (row & uncovered).bit_count()
+            if n > best_n:
+                best, best_n = (x, row), n
+        if best is None:
+            raise InfeasibleUniverse("greedy stuck: uncovered target with no candidate")
+        chosen.append(best[0])
+        uncovered &= ~best[1]
+    return chosen
+
+
+def drop_redundant_picks(instance, elements):
+    """The cover minus each pick, smallest rows first, that the remaining picks make redundant."""
+    row = {c.element: r for c, r in zip(instance.candidates, rows_of(instance))}
+    full = (1 << instance.size) - 1
+    kept = list(elements)
+    for x in sorted(elements, key=lambda x: row[x].bit_count()):
+        rest = [y for y in kept if y != x]
+        union = 0
+        for y in rest:
+            union |= row[y]
+        if union == full:
+            kept = rest
+    return kept
+
+
 def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: bool = False,
                             prune_dominated: bool = True) -> CoverInstance:
     """Reduce covering G to an exact set-cover instance.

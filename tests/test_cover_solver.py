@@ -320,6 +320,25 @@ def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
                 assert_oracle_tree(new, old)
 
 
+@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
+def test_greedy_cover_is_the_element_scan_greedy_minus_redundant_picks(spec_text, mode):
+    inst = golden_instance(spec_text, mode)
+    scan = oracles.element_scan_greedy(inst)
+    cert = sc.greedy_cover(inst)
+    assert cert == oracles.drop_redundant_picks(inst, scan)
+    index = {c.element: i for i, c in enumerate(inst.candidates)}
+    hits = inst.covers[[index[x] for x in cert]].sum(axis=0)  # picks covering each target
+    assert hits.min() >= 1
+    assert all((hits[inst.covers[index[x]]] == 1).any() for x in cert)
+    # the randomized restarts are the same greedy with a weight per candidate
+    for seed in range(3):
+        rng = random.Random(seed)
+        weights = [1 + cover._WEIGHT_SPREAD * rng.random() for _ in inst.candidates]
+        picks = cover._Search(inst)._restart(random.Random(seed))
+        assert [inst.candidates[i].element for i in picks] == \
+            oracles.drop_redundant_picks(inst, oracles.element_scan_greedy(inst, weights))
+
+
 # -- primal heuristic ----------------------------------------------------------------
 
 
@@ -387,9 +406,9 @@ def instance_from_incidence(incidence):
 
 def residual_vectors(search, uncovered, avail):
     """(unc, cov) of a node: uncovered targets, coverage of the available candidates."""
-    unc = np.array([(uncovered >> t) & 1 for t in range(search.nu)], dtype=np.float32)
+    unc = np.array([(uncovered >> t) & 1 for t in range(search.nu)], dtype=np.float64)
     cov = np.array([(r & uncovered).bit_count() if (avail >> i) & 1 else 0
-                    for i, r in enumerate(search.rows)], dtype=np.float32)
+                    for i, r in enumerate(oracles.rows_of(search.inst))], dtype=np.float64)
     return unc, cov
 
 
@@ -425,13 +444,13 @@ def test_lagrangian_never_exceeds_min_cover_on_synthetics():
         search = cover._Search(instance_from_incidence(incidence))
         L, _, _ = search.lagrangian(np.array(y), np.ones(len(incidence[0]), dtype=bool))
         assert cover._ceil_bound(L) <= 1 == oracles.min_cover_size(
-            search.rows, target=search.full)
+            oracles.rows_of(search.inst), target=(1 << search.nu) - 1)
 
 
 def residual_lp(linprog, search, unc, cov):
     """Optimum of the node's LP relaxation; None when some uncovered target has no candidate."""
     rows, cols = np.flatnonzero(unc), np.flatnonzero(cov > 0)
-    a = search.hit64[np.ix_(rows, cols)]
+    a = search.hit[np.ix_(rows, cols)]
     if not len(rows):
         return 0.0
     if (a.sum(axis=1) == 0).any():
@@ -448,19 +467,20 @@ def test_lagrangian_bound_within_residual_lp(spec_text, mode):
     search = cover._Search(inst)
     w, value = search.ccb.lp_dual()
     y0 = np.array(w)[search.ccb.target_orbit]
-    unc, cov = residual_vectors(search, search.full, (1 << len(search.rows)) - 1)
+    rows, full = oracles.rows_of(inst), (1 << inst.size) - 1
+    n = len(rows)
+    unc, cov = residual_vectors(search, full, (1 << n) - 1)
     root = residual_lp(linprog, search, unc, cov)
     # the class-counting LP is the root LP, so the orbit-constant seed is optimal there
     assert value == pytest.approx(root, abs=1e-9)
     assert search.lagrangian(y0, cov > 0)[0] == pytest.approx(root, abs=1e-9)
     rng = np.random.default_rng(len(spec_text))
-    n = len(search.rows)
     for _ in range(8):
         # a random node: a few candidates chosen, a few more excluded
         picked = rng.permutation(n)[:int(rng.integers(1, 8))]
-        uncovered = search.full
+        uncovered = full
         for i in picked[:max(1, len(picked) // 2)]:
-            uncovered &= ~search.rows[i]
+            uncovered &= ~rows[i]
         avail = (1 << n) - 1
         for i in picked:
             avail &= ~(1 << int(i))
@@ -481,8 +501,8 @@ def test_root_child_check_subsumes_class_reduced_cost(spec_text, mode):
     search = cover._Search(inst)
     w, value = search.ccb.lp_dual()
     load = [sum(a * b for a, b in zip(kc, w)) for kc in search.ccb.k]
-    picks, off_rows, off_cols, _ = search.root_branches
-    covs, uncs = search._children(search.hit.sum(axis=0), np.ones(search.nu, dtype=np.float32),
+    picks, off_rows, off_cols = search.root_branches
+    covs, uncs = search._children(search.hit.sum(axis=0), np.ones(search.nu, dtype=np.float64),
                                   picks, off_rows, off_cols)
     Ls, _, _ = search.lagrangian(search.y0 * uncs, covs > 0)
     assert len(Ls) == len(load)
@@ -557,6 +577,9 @@ def test_product_certificate_embeds(s4):
     # the embedded permutations fix the solvable factor's points
     for p in out.certificate_perms:
         assert np.array_equal(p.images[t4.degree:], np.arange(s4.degree) + t4.degree)
+    # and cover the product itself
+    spec = sc.direct_product(sc.psl2(4), sc.symmetric(4))
+    assert verify_certificate(sc.build(spec), Certificate(spec, "all", out.certificate_perms))
 
 
 def test_wreath_fast_path():

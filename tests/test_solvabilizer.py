@@ -5,7 +5,7 @@ import pytest
 
 import solvcover as sc
 from solvcover import solvabilizer
-from solvcover.solvabilizer import _sol_of_rep
+from solvcover.solvabilizer import Candidate, CoverInstance, _sol_of_rep
 
 import oracles
 
@@ -273,7 +273,8 @@ def _reduction(reduce, inc, **kwargs):
         inst = reduce(inc, **kwargs)
     except sc.SolvcoverError as err:
         return type(err)
-    return dataclasses.replace(inst, covers=None), inst.covers.dtype, inst.covers.shape, inst.covers.tobytes()
+    fields = tuple(getattr(inst, f.name) for f in dataclasses.fields(inst) if f.name != "covers")
+    return fields, inst.covers.dtype, inst.covers.shape, inst.covers.tobytes()
 
 
 def assert_reduction_matches_rows_oracle(table):
@@ -292,6 +293,13 @@ def test_reduce_instance_matches_rows_oracle(spec_text):
 
 def test_reduce_instance_matches_rows_oracle_with_radical(sl25):
     assert_reduction_matches_rows_oracle(sl25)
+
+
+def test_cover_instance_equality_answers():
+    inst = CoverInstance(universe=[1], target_class=[0], candidates=[Candidate(1, 0)],
+                         covers=np.ones((1, 1), dtype=bool), involutions_only=False)
+    assert inst == inst
+    assert inst != dataclasses.replace(inst)  # identity, not a field-wise comparison of the matrix
 
 
 def _affine_5(a, b, c, d, e=0, f=0):
