@@ -8,19 +8,19 @@ remaining candidates, except at the root of a conjugation-symmetric instance,
 which branches on conjugacy-class representatives, each excluding its whole
 class (conjugating an optimal cover is again an optimal cover, so the lowest
 class present may be normalized to its representative).  Pruning bounds,
-cheapest first: universe density, a greedy packing of candidate-disjoint
-targets, and the Lagrangian relaxation of set cover (Beasley, EJOR 1990;
-Caprara, Fischetti, Toth, Oper. Res. 47, 1999): a few subgradient steps on
-float64 multipliers y >= 0 over the uncovered targets, warm-started from the
-parent's, whose value bounds the LP relaxation from below.  The multipliers a
-node holds bound every child before it is entered, which fixes out the
-children whose reduced cost lifts them to the incumbent.  The root multipliers
-are the dual of the class-counting LP (the set-cover LP with candidates
-grouped by conjugacy class and targets by orbit), optimal for the root LP of a
-conjugation-symmetric instance; the ceiling of its value is the root's
-class-counting bound.  Every bound only cuts subtrees that hold no cover below
-the incumbent, so the search visits the nodes of the plain search in the same
-order, minus those, and finds the same first cover.
+cheapest first: universe density and the Lagrangian relaxation of set cover
+(Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper. Res. 47, 1999), and at
+the root also a greedy packing of candidate-disjoint targets.  The Lagrangian
+bound takes a few subgradient steps on float64 multipliers y >= 0 over the
+uncovered targets, warm-started from the parent's, whose value bounds the LP
+relaxation from below.  The multipliers a node holds bound every child before
+it is entered, which fixes out the children whose reduced cost lifts them to
+the incumbent.  The root multipliers are the dual of the class-counting LP (the
+set-cover LP with candidates grouped by conjugacy class and targets by orbit),
+optimal for the root LP of a conjugation-symmetric instance; the ceiling of
+its value is the root's class-counting bound.  Every bound only cuts subtrees
+that hold no cover below the incumbent, so the search visits the nodes of the
+plain search in the same order, minus those, and finds the same first cover.
 
 Exactness rests only on the lower end, so any cover of that size is a
 certificate.  Besides the search's first cover the solver tries a primal
@@ -38,9 +38,10 @@ matrix: unc, 1 on the uncovered targets, and the coverage vector cov, with
 cov[i] = |row_i & uncovered| for the available candidates and cov[i] <= 0
 for the chosen and excluded ones.  Both are kept incrementally: a child's cov
 is its parent's minus the matrix rows of the targets it newly covers, so the
-density bound is cov.max() and the branching order sorts by cov.  One sweep
-over the uncovered targets gives both the packing and the branching target.
-Each subgradient step is two matrix-vector products with the same matrix.
+density bound is cov.max() and the branching order sorts by cov.  The
+branching target comes from one product with the same matrix, hit @ (cov > 0),
+which counts the available candidates of every target; each subgradient step
+is two more products with it.
 """
 
 from __future__ import annotations
@@ -105,12 +106,6 @@ def render_outcome(status: str, lower: int, upper: Optional[int]) -> str:
 
 
 # -- bounds ----------------------------------------------------------------------
-
-
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """One int bitmask per row of a boolean matrix: bit t of mask r is bits[r, t]."""
-    packed = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little")  # 3x faster than on a strided view
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def greedy_cover(instance: CoverInstance) -> list[int]:
@@ -263,20 +258,20 @@ class _Search:
 
     is a lower bound on the number of further candidates any cover below the
     node needs: it is the Lagrangian relaxation of the node's set-cover
-    program, so L(y) <= LP <= IP whether or not y is a good choice.  Bounds,
-    in order: density, packing, then, where neither prunes, ``_ascend``: at
-    most ``_NODE_STEPS`` projected subgradient steps from the y the parent
-    handed down, each step aiming L half a unit past the pruning level
-    (Polyak's rule), stopping as soon as it prunes.  The node is pruned when
-    depth + ceil(L - eps) >= best.  Last, the child check: the node's y
-    (its best after the ascent, else the one inherited), restricted to each
-    child's uncovered targets, bounds every child in one batched product
-    before the child is entered: child j is skipped when
-    depth + 1 + ceil(L_j - eps) >= best, and its candidate is still zeroed
-    in its later siblings, since its subtree holds no cover below best.  L_j
-    is at least L + (1 - s_i) - 1, the Lagrangian bound with the child's
-    candidate i fixed into the cover, so this is reduced-cost fixing and
-    more.  A visited child starts from that evaluation.  Since only subtrees
+    program, so L(y) <= LP <= IP whether or not y is a good choice.  Bounds, in
+    order: density, an uncovered target with no available candidate
+    (``_branching`` is empty), then ``_ascend``: at most ``_NODE_STEPS``
+    projected subgradient steps from the y the parent handed down, each step
+    aiming L half a unit past the pruning level (Polyak's rule), stopping as
+    soon as it prunes.  The node is pruned when depth + ceil(L - eps) >= best.
+    Last, the child check: the node's y (its best after the ascent, else the
+    one inherited), restricted to each child's uncovered targets, bounds every
+    child in one batched product before the child is entered: child j is
+    skipped when depth + 1 + ceil(L_j - eps) >= best, and its candidate is
+    still zeroed in its later siblings, since its subtree holds no cover below
+    best.  L_j is at least L + (1 - s_i) - 1, the Lagrangian bound with the
+    child's candidate i fixed into the cover, so this is reduced-cost fixing
+    and more.  A visited child starts from that evaluation.  Since only subtrees
     without a cover below best go, the depth-first order and the first cover
     found stay those of the search without the Lagrangian
     (``tests/oracles.py::ScanningSearch``).  The certificate is that cover
@@ -303,9 +298,10 @@ class _Search:
 
     The first ``_PLAIN_NODES`` nodes of a solve run no ascent, only the child
     check at the multipliers they inherit.  One ascent costs about as much as
-    ten nodes, and a search that ends within a few dozen nodes, as the A6 and
-    PSL(2,8) searches do, cannot win that back: ascending from the first node
-    shortens the larger searches but slows those small ones by 7-10%.
+    ten nodes.  Ascending from the first node cuts nodes (PGL(2,9) 76 -> 9,
+    PSL(2,11) 59 -> 11, A7 87 -> 47), but on A7 the ascents cost more than
+    the nodes they save: 155 ms a solve instead of 89 ms (one Xeon core,
+    Python 3.11, numpy 2.4).
     """
 
     def __init__(self, instance: CoverInstance):
@@ -313,7 +309,6 @@ class _Search:
         self.elements = [c.element for c in instance.candidates]
         self.nu = instance.size
         self.row_sizes = instance.covers.sum(axis=1).tolist()
-        self.cols = _row_masks(instance.covers.T)  # per target: its candidates
         self.hit = instance.covers.T.astype(np.float64)  # hit[t, i]: candidate i covers t
         self.row_vecs = np.ascontiguousarray(self.hit.T)
         self.ccb = _ClassCountingBound(instance)
@@ -330,35 +325,33 @@ class _Search:
             self.root_branches = ([mem[0] for mem in members], [j for j, z in enumerate(zeroed) for _ in z],
                                   [i for z in zeroed for i in z])
 
-    def _sweep(self, unc: np.ndarray, cov: np.ndarray) -> tuple[int, int]:
-        """One pass over the uncovered targets: (packing, branching column).
-
-        The packing greedily counts targets whose available candidates are
-        disjoint from those of the targets counted before; the branching
-        column is the available candidates (a bitmask) of the first target
-        with the fewest (0 when some target has none).
-        """
-        cols = self.cols
-        avail = _row_masks((cov > 0)[None])[0]
-        packing, used, pick, pick_n = 0, 0, 0, 1 << 30
-        for t in np.flatnonzero(unc).tolist():
-            col = cols[t] & avail
-            n = col.bit_count()
-            if n < pick_n:
-                pick_n, pick = n, col
-            if col and not (col & used):
-                packing += 1
-                used |= col
-        return packing, pick
-
     def _density(self, unc: np.ndarray, cov: np.ndarray) -> int:
         best_cov = int(cov.max(initial=0))
-        return -(-np.count_nonzero(unc) // best_cov) if best_cov else 1 << 30
+        return -(-int(np.count_nonzero(unc)) // best_cov) if best_cov else 1 << 30
+
+    def _packing(self) -> int:
+        """Greedy count of candidate-disjoint targets, in target order: a target with
+        candidates counts unless a candidate of a counted target covers it."""
+        covers = self.inst.covers
+        blocked = ~covers.any(axis=0)
+        packing = 0
+        while not blocked.all():
+            packing += 1
+            blocked |= covers[covers[:, blocked.argmin()]].any(axis=0)
+        return packing
 
     def root_bound(self) -> int:
         """Best of the density, packing and class-counting bounds at the root."""
         cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
-        return max(self._density(unc, cov), self._sweep(unc, cov)[0], _ceil_bound(self.root_value))
+        return max(self._density(unc, cov), self._packing(), _ceil_bound(self.root_value))
+
+    def _branching(self, unc: np.ndarray, cov: np.ndarray) -> list[int]:
+        """Available candidates of the first uncovered target with the fewest (empty when it has
+        none), largest cov first and ties in index order."""
+        act = cov > 0
+        t = np.where(unc > 0, self.hit @ act, np.inf).argmin()
+        order = np.flatnonzero(self.inst.covers[:, t] & act)
+        return order[np.argsort(-cov[order], kind="stable")].tolist()
 
     def _children(self, cov, unc, picks, off_rows, off_cols):
         """Vectors of the children choosing picks[j]; (off_rows, off_cols) are zeroed."""
@@ -522,28 +515,17 @@ class _Search:
             return
         if depth + self._density(unc, cov) >= self.best:
             return
-        packing, pick = self._sweep(unc, cov)
-        if not pick or depth + packing >= self.best:
-            return
         need = self.best - depth
-        symmetric_root = depth == 0 and self.root_branches is not None
-        if self.nodes > _PLAIN_NODES and not symmetric_root:
-            L, y = self._ascend(y, unc, cov, need, first)
-            if _ceil_bound(L) >= need:
-                return
-        if symmetric_root:
+        if depth == 0 and self.root_branches is not None:
             order, off_rows, off_cols = self.root_branches
         else:
-            # branch on the uncovered target with fewest remaining candidates,
-            # largest coverage first (a stable sort keeps ties in index order)
-            order = []
-            a = pick
-            while a:
-                low = a & -a
-                a ^= low
-                order.append(low.bit_length() - 1)
-            keys = cov.tolist()
-            order.sort(key=lambda i: -keys[i])
+            order = self._branching(unc, cov)
+            if not order:
+                return
+            if self.nodes > _PLAIN_NODES:
+                L, y = self._ascend(y, unc, cov, need, first)
+                if _ceil_bound(L) >= need:
+                    return
             # child j zeroes the candidates it chose or excluded: order[:j + 1]
             off_rows, off_pos = _lower_triangle(len(order))
             off_cols = np.asarray(order)[off_pos]

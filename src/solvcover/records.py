@@ -41,6 +41,14 @@ class OutcomeRecord:
         return render_outcome(self.status, self.lower, self.upper)
 
 
+def _number(kind, key: str, val: str):
+    """kind(val) for a record field, BadParameter when val does not parse."""
+    try:
+        return kind(val)
+    except ValueError:
+        raise BadParameter(f"bad record value for {key!r}: {val!r}") from None
+
+
 @dataclass
 class ResultRecord:
     group: str
@@ -93,7 +101,7 @@ class ResultRecord:
             if key == "group":
                 rec.group = val
             elif key == "order":
-                rec.order = None if val == "unknown" else int(val)
+                rec.order = None if val == "unknown" else _number(int, key, val)
             elif key == "engine":
                 rec.engine = val
             elif key == "reduction_log":
@@ -115,10 +123,10 @@ class ResultRecord:
             upper = d.get("upper", "none")
             setattr(rec, attr, OutcomeRecord(
                 status=d.get("status", ""),
-                lower=int(d.get("lower", 0)),
-                upper=None if upper == "none" else int(upper),
-                nodes=int(d.get("nodes", 0)),
-                seconds=float(d.get("seconds", 0.0)),
+                lower=_number(int, f"{label}.lower", d.get("lower", "0")),
+                upper=None if upper == "none" else _number(int, f"{label}.upper", upper),
+                nodes=_number(int, f"{label}.nodes", d.get("nodes", "0")),
+                seconds=_number(float, f"{label}.seconds", d.get("seconds", "0")),
                 quotient_level=d.get("quotient_level", "false") == "true",
                 certificate=d.get("certificate"),
             ))

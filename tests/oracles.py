@@ -407,6 +407,41 @@ def rows_of(instance):
     return [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in instance.covers]
 
 
+def cols_of(instance):
+    """One int bitmask per target: bit i is set when candidate i covers the target."""
+    return [sum(1 << i for i in np.flatnonzero(col).tolist()) for col in instance.covers.T]
+
+
+def bitmask_sweep(cols, unc, cov):
+    """The search's former pass over a node's uncovered targets, on int bitmasks: (packing, order).
+
+    cols is ``cols_of(instance)``, unc and cov are a node's vectors, and the
+    available candidates are those with cov > 0.  The packing greedily counts
+    targets whose available candidates are disjoint from those of the targets
+    counted before.  The order is the available candidates of the first target
+    with the fewest, decoded bit by bit and stably sorted by descending cov;
+    it is empty when some target has none.
+    """
+    avail = sum(1 << i for i in np.flatnonzero(cov > 0).tolist())
+    packing, used, pick, pick_n = 0, 0, 0, 1 << 30
+    for t in np.flatnonzero(unc).tolist():
+        col = cols[t] & avail
+        n = col.bit_count()
+        if n < pick_n:
+            pick_n, pick = n, col
+        if col and not (col & used):
+            packing += 1
+            used |= col
+    order = []
+    while pick:
+        low = pick & -pick
+        pick ^= low
+        order.append(low.bit_length() - 1)
+    keys = cov.tolist()
+    order.sort(key=lambda i: -keys[i])
+    return packing, order
+
+
 def element_scan_greedy(instance, weights=None):
     """Greedy cover, as elements: each step scans every candidate in element order
     and picks the first with the highest weight x |row & uncovered|.  With no

@@ -232,3 +232,17 @@ def test_table_missing_results_directory(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: NotADirectoryError: ")
+
+
+@pytest.mark.parametrize("line", ["order: abc", "alpha.lower: x", "alpha.upper: 3.5", "alpha.nodes: many",
+                                  "alpha.seconds: fast"])
+def test_table_non_numeric_record_field_errors(tmp_path, capsys, line):
+    text = ResultRecord("alternating(5)", 60, OutcomeRecord("exact", 3, 3), None).to_text()
+    key = line.partition(":")[0]
+    lines = [line if l.startswith(key + ":") else l for l in text.splitlines()]
+    assert line in lines
+    (tmp_path / "a.result").write_text("\n".join(lines) + "\n")
+    assert run_cli("table", "--results", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BadParameter: ") and captured.err.count("\n") == 1

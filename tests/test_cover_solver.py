@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from functools import lru_cache
@@ -58,6 +59,14 @@ def test_lower_bound_empty():
     inst = CoverInstance(universe=[], target_class=[], candidates=[], covers=np.zeros((0, 0), dtype=bool),
                          involutions_only=False)
     assert sc.lower_bound(inst) == 0
+
+
+def test_bounds_are_python_ints():
+    # numpy's count_nonzero returns np.int64, which json cannot encode
+    inst = synthetic_instance([0b0011, 0b1100], nu=4)
+    out = sc.solve_exact(inst)
+    assert type(sc.lower_bound(inst)) is int and type(out.lower) is int
+    assert json.loads(json.dumps([sc.lower_bound(inst), out.lower, out.upper])) == [2, 2, 2]
 
 
 def test_a5_class_counting_bound_is_three(a5_instance):
@@ -318,6 +327,38 @@ def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
                 assert_within_oracle(inst, new, old)
             for new in solve_both_ways(monkeypatch, inst, heuristic=False):
                 assert_oracle_tree(new, old)
+
+
+@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
+def test_branching_and_root_packing_are_the_bitmask_sweeps(monkeypatch, spec_text, mode):
+    inst = golden_instance(spec_text, mode)
+    cols = oracles.cols_of(inst)
+    search = cover._Search(inst)
+    assert search._packing() == oracles.bitmask_sweep(cols, np.ones(inst.size), search.hit.sum(axis=0))[0]
+    branching = cover._Search._branching
+    orders = []
+
+    def checked_branching(search, unc, cov):
+        order = branching(search, unc, cov)
+        assert order == oracles.bitmask_sweep(cols, unc, cov)[1]
+        orders.append(order)
+        return order
+
+    monkeypatch.setattr(cover._Search, "_branching", checked_branching)
+    # the search as shipped, with the ascent from the first node, and both without the heuristic's covers
+    nodes = [out.nodes for heuristic in (True, False) for out in solve_both_ways(monkeypatch, inst, heuristic)]
+    assert orders or not any(nodes)  # A5, M10 and PGammaL(2,8) close at the root bound
+
+
+def test_root_packing_is_the_bitmask_sweep_on_synthetics():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        nu = int(rng.integers(1, 12))
+        rows = [int(rng.integers(0, 1 << nu)) for _ in range(int(rng.integers(1, 10)))]
+        inst = synthetic_instance(rows, nu)  # some targets may have no candidate
+        search = cover._Search(inst)
+        assert search._packing() == oracles.bitmask_sweep(oracles.cols_of(inst), np.ones(nu),
+                                                          search.hit.sum(axis=0))[0]
 
 
 @pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
