@@ -7,20 +7,21 @@ first hit is optimal.  Branching picks the uncovered target with the fewest
 remaining candidates, except at the root of a conjugation-symmetric instance,
 which branches on conjugacy-class representatives, each excluding its whole
 class (conjugating an optimal cover is again an optimal cover, so the lowest
-class present may be normalized to its representative).  Pruning bounds,
-cheapest first: universe density and the Lagrangian relaxation of set cover
-(Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper. Res. 47, 1999), and at
-the root also a greedy packing of candidate-disjoint targets.  The Lagrangian
-bound takes a few subgradient steps on float64 multipliers y >= 0 over the
-uncovered targets, warm-started from the parent's, whose value bounds the LP
-relaxation from below.  The multipliers a node holds bound every child before
-it is entered, which fixes out the children whose reduced cost lifts them to
-the incumbent.  The root multipliers are the dual of the class-counting LP (the
-set-cover LP with candidates grouped by conjugacy class and targets by orbit),
-optimal for the root LP of a conjugation-symmetric instance; the ceiling of
-its value is the root's class-counting bound.  Every bound only cuts subtrees
-that hold no cover below the incumbent, so the search visits the nodes of the
-plain search in the same order, minus those, and finds the same first cover.
+class present may be normalized to its representative).  Pruning bounds, in
+order: universe density, the Lagrangian relaxation of set cover (Beasley, EJOR
+1990; Caprara, Fischetti, Toth, Oper. Res. 47, 1999), and a target with no
+candidate left; the root also packs candidate-disjoint targets.  The
+Lagrangian bound takes a few subgradient steps on float64 multipliers y >= 0
+over the uncovered targets, warm-started from the parent's, whose value bounds
+the LP relaxation from below.  The multipliers a node holds bound every child
+before it is entered, which fixes out the children whose reduced cost lifts
+them to the incumbent.  The root multipliers are the dual of the
+class-counting LP (the set-cover LP with candidates grouped by conjugacy class
+and targets by orbit), optimal for the root LP of a conjugation-symmetric
+instance; the ceiling of its value is the root's class-counting bound.  Every
+bound only cuts subtrees that hold no cover below the incumbent, so the search
+visits the nodes of the plain search in the same order, minus those, and finds
+the same first cover.
 
 Exactness rests only on the lower end, so any cover of that size is a
 certificate.  Besides the search's first cover the solver tries a primal
@@ -38,10 +39,10 @@ matrix: unc, 1 on the uncovered targets, and the coverage vector cov, with
 cov[i] = |row_i & uncovered| for the available candidates and cov[i] <= 0
 for the chosen and excluded ones.  Both are kept incrementally: a child's cov
 is its parent's minus the matrix rows of the targets it newly covers, so the
-density bound is cov.max() and the branching order sorts by cov.  The
-branching target comes from one product with the same matrix, hit @ (cov > 0),
-which counts the available candidates of every target; each subgradient step
-is two more products with it.
+density bound is cov.max() and the branching order sorts by cov.  Each
+subgradient step is two products with the same matrix; at a node the ascent
+keeps, one more, hit @ (cov > 0), counts the available candidates of every
+target and gives the branching target.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -110,8 +111,7 @@ def render_outcome(status: str, lower: int, upper: Optional[int]) -> str:
 
 def greedy_cover(instance: CoverInstance) -> list[int]:
     """Max-coverage greedy certificate, redundant picks dropped (``_Search._restart`` with unit weights)."""
-    search = _Search(instance)
-    return [search.elements[i] for i in search._restart(None)]
+    return [instance.candidates[i].element for i in _Search(instance)._restart(None)]
 
 
 class _ClassCountingBound:
@@ -200,12 +200,10 @@ def lower_bound(instance: CoverInstance) -> int:
 # -- branch and bound -------------------------------------------------------------
 
 
-# Lagrangian bound (see _Search): float64 error allowance, most subgradient
-# steps per node, nodes of a solve before the first ascent, and the pivot cap
-# and tolerance of the class-counting LP's simplex
+# Lagrangian bound (see _Search): float64 error allowance and most subgradient
+# steps per node; the pivot cap and tolerance of the class-counting LP's simplex
 _EPS = 1e-6
 _NODE_STEPS = 20
-_PLAIN_NODES = 64
 _SIMPLEX_PIVOTS = 100
 _PIVOT_TOL = 1e-12
 # primal heuristic (see _Search._heuristic): most restarts before the first
@@ -259,21 +257,21 @@ class _Search:
     is a lower bound on the number of further candidates any cover below the
     node needs: it is the Lagrangian relaxation of the node's set-cover
     program, so L(y) <= LP <= IP whether or not y is a good choice.  Bounds, in
-    order: density, an uncovered target with no available candidate
-    (``_branching`` is empty), then ``_ascend``: at most ``_NODE_STEPS``
-    projected subgradient steps from the y the parent handed down, each step
-    aiming L half a unit past the pruning level (Polyak's rule), stopping as
-    soon as it prunes.  The node is pruned when depth + ceil(L - eps) >= best.
-    Last, the child check: the node's y (its best after the ascent, else the
-    one inherited), restricted to each child's uncovered targets, bounds every
+    order: density, then ``_ascend``: at most ``_NODE_STEPS`` projected
+    subgradient steps from the y the parent handed down, each step aiming L
+    half a unit past the pruning level (Polyak's rule), stopping as soon as it
+    prunes; the node is pruned when depth + ceil(L - eps) >= best.  Then an
+    uncovered target with no available candidate (``_branching`` is empty).
+    Last, the child check: the node's y (its best after the ascent; y0 at a
+    symmetric root), restricted to each child's uncovered targets, bounds every
     child in one batched product before the child is entered: child j is
     skipped when depth + 1 + ceil(L_j - eps) >= best, and its candidate is
     still zeroed in its later siblings, since its subtree holds no cover below
     best.  L_j is at least L + (1 - s_i) - 1, the Lagrangian bound with the
     child's candidate i fixed into the cover, so this is reduced-cost fixing
-    and more.  A visited child starts from that evaluation.  Since only subtrees
-    without a cover below best go, the depth-first order and the first cover
-    found stay those of the search without the Lagrangian
+    and more.  A visited child starts from that evaluation.  Since only
+    subtrees without a cover below best go, the depth-first order and the first
+    cover found stay those of the search without the Lagrangian
     (``tests/oracles.py::ScanningSearch``).  The certificate is that cover
     unless ``_heuristic`` found one of the optimal size before the round that
     proves it; then the solve ends early with the heuristic's cover.
@@ -288,20 +286,19 @@ class _Search:
 
     The root multipliers are the class-counting LP dual (``lp_dual``),
     constant on target orbits; for conjugation-symmetric instances they are
-    optimal for the root LP.  That LP is solved once per solve: its value,
-    rounded up, is the class-counting term of the root bound, and its dual
-    seeds every deepening round.  A conjugation-symmetric root runs no
+    optimal for the root LP.  Its value, rounded up, is the class-counting
+    term of the root bound, and its dual seeds every deepening round; the
+    program is built on first use (``ccb``).  A symmetric root runs no
     ascent: y0 is already optimal for its LP, so no step can raise L.  There
     the child check subsumes reduced-cost fixing by class: s_i <= load_c =
     sum_T k[c][T] w_T for the pick i of class c (k is a maximum over the
     class) and L >= value, so 1 + L_c >= value + 1 - load_c.
 
-    The first ``_PLAIN_NODES`` nodes of a solve run no ascent, only the child
-    check at the multipliers they inherit.  One ascent costs about as much as
-    ten nodes.  Ascending from the first node cuts nodes (PGL(2,9) 76 -> 9,
-    PSL(2,11) 59 -> 11, A7 87 -> 47), but on A7 the ascents cost more than
-    the nodes they save: 155 ms a solve instead of 89 ms (one Xeon core,
-    Python 3.11, numpy 2.4).
+    Every node but a symmetric root ascends, at about ten nodes' work each.
+    Against no ascent in the first 64 nodes this cuts nodes (PGL(2,9) 76 -> 9,
+    PGL(2,17) 502 -> 380) and time, except on A7: no bound prunes its 41-deep
+    dive to the optimum, so 87 -> 47 nodes take 95-123 ms, not 54-85 ms
+    (best of 7 solves, process time, one core).
     """
 
     def __init__(self, instance: CoverInstance):
@@ -311,19 +308,22 @@ class _Search:
         self.row_sizes = instance.covers.sum(axis=1).tolist()
         self.hit = instance.covers.T.astype(np.float64)  # hit[t, i]: candidate i covers t
         self.row_vecs = np.ascontiguousarray(self.hit.T)
-        self.ccb = _ClassCountingBound(instance)
-        w, self.root_value = self.ccb.lp_dual()
-        self.y0 = np.array(w)[self.ccb.target_orbit]
         self.nodes = 0
-        # (picks, zeroed rows and columns of the children) at a
-        # conjugation-symmetric root: branch j picks the least member of class j
-        # and zeroes classes 0..j-1, which the branches before it took
-        self.root_branches = None
-        if instance.conjugation_symmetric:
-            members = self.ccb.members
-            zeroed = [[mem[0]] + [i for low in members[:j] for i in low] for j, mem in enumerate(members)]
-            self.root_branches = ([mem[0] for mem in members], [j for j, z in enumerate(zeroed) for _ in z],
-                                  [i for z in zeroed for i in z])
+
+    @cached_property
+    def ccb(self) -> _ClassCountingBound:  # built on first read, which greedy_cover never makes
+        return _ClassCountingBound(self.inst)
+
+    @cached_property
+    def root_branches(self):
+        """(picks, zeroed rows and columns of its children) at a symmetric root, else None: branch j
+        picks the least member of class j and zeroes classes 0..j-1, which the branches before it took."""
+        if not self.inst.conjugation_symmetric:
+            return None
+        members = self.ccb.members
+        zeroed = [[mem[0]] + [i for low in members[:j] for i in low] for j, mem in enumerate(members)]
+        return ([mem[0] for mem in members], [j for j, z in enumerate(zeroed) for _ in z],
+                [i for z in zeroed for i in z])
 
     def _density(self, unc: np.ndarray, cov: np.ndarray) -> int:
         best_cov = int(cov.max(initial=0))
@@ -343,7 +343,7 @@ class _Search:
     def root_bound(self) -> int:
         """Best of the density, packing and class-counting bounds at the root."""
         cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
-        return max(self._density(unc, cov), self._packing(), _ceil_bound(self.root_value))
+        return max(self._density(unc, cov), self._packing(), _ceil_bound(self.ccb.lp_dual()[1]))
 
     def _branching(self, unc: np.ndarray, cov: np.ndarray) -> list[int]:
         """Available candidates of the first uncovered target with the fewest (empty when it has
@@ -461,10 +461,12 @@ class _Search:
         if not self.inst.feasible():
             return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only,
                                 seconds=time.monotonic() - t0)
+        root = self.root_bound()
         incumbent = [self.elements[i] for i in self._restart(None)]
         ub = len(incumbent)
-        lo = min(max(floor, self.root_bound()), ub)
+        lo = min(max(floor, root), ub)
         cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
+        y0 = np.array(self.ccb.lp_dual()[0])[self.ccb.target_orbit]  # the LP dual spread over the targets
         rng = random.Random(0)  # one seed per solve: an instance always gets the same certificate
         restarts = _FIRST_RESTARTS
         timed_out = False
@@ -479,7 +481,7 @@ class _Search:
             self.best = lo + 1
             self.found: Optional[list[int]] = None
             try:
-                self._descend(0, [], cov, unc, self.y0, None)
+                self._descend(0, [], cov, unc, y0, None)
             except _FoundCover:
                 pass
             except _OutOfBudget:
@@ -511,21 +513,18 @@ class _Search:
             self.best = depth
             self.found = list(chosen)
             raise _FoundCover
-        if depth + 1 >= self.best:
-            return
-        if depth + self._density(unc, cov) >= self.best:
+        if depth + self._density(unc, cov) >= self.best:  # the density bound is at least 1 here
             return
         need = self.best - depth
         if depth == 0 and self.root_branches is not None:
             order, off_rows, off_cols = self.root_branches
         else:
+            L, y = self._ascend(y, unc, cov, need, first)
+            if _ceil_bound(L) >= need:
+                return
             order = self._branching(unc, cov)
             if not order:
                 return
-            if self.nodes > _PLAIN_NODES:
-                L, y = self._ascend(y, unc, cov, need, first)
-                if _ceil_bound(L) >= need:
-                    return
             # child j zeroes the candidates it chose or excluded: order[:j + 1]
             off_rows, off_pos = _lower_triangle(len(order))
             off_cols = np.asarray(order)[off_pos]

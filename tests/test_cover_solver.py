@@ -46,6 +46,19 @@ def test_greedy_s5_lands_on_the_optimum(s5_instance):
     assert len(sc.greedy_cover(s5_instance)) == 5
 
 
+def test_greedy_cover_builds_no_class_counting_program_and_a_solve_one(monkeypatch, s5_instance):
+    built = []
+
+    class CountedBound(cover._ClassCountingBound):
+        def __init__(self, instance):
+            built.append(instance)
+            super().__init__(instance)
+
+    monkeypatch.setattr(cover, "_ClassCountingBound", CountedBound)
+    assert len(sc.greedy_cover(s5_instance)) == 5 and not built
+    assert sc.solve_exact(s5_instance).lower == 5 and len(built) == 1
+
+
 def test_greedy_infeasible_passthrough():
     inst = synthetic_instance([0b011], nu=3)  # third target uncovered
     with pytest.raises(sc.InfeasibleUniverse):
@@ -276,8 +289,8 @@ def no_heuristic_cover(search, rng, restarts, lo, ub):
     return None
 
 
-def solve_both_ways(monkeypatch, inst, heuristic=True):
-    """solve_exact as shipped, and with the ascent and fixing at every node from the first.
+def solve_with_heuristic(monkeypatch, inst, heuristic=True):
+    """solve_exact as shipped, or with a heuristic that never finds a cover.
 
     Without the heuristic, no restart finds a cover, so the search alone
     supplies the certificate.
@@ -285,32 +298,26 @@ def solve_both_ways(monkeypatch, inst, heuristic=True):
     with monkeypatch.context() as m:
         if not heuristic:
             m.setattr(cover._Search, "_heuristic", no_heuristic_cover)
-        default = sc.solve_exact(inst)
-        m.setattr(cover, "_PLAIN_NODES", 0)
-        eager = sc.solve_exact(inst)
-    return default, eager
+        return sc.solve_exact(inst)
 
 
 @pytest.mark.parametrize("spec_text,mode", SMALL_GOLDEN_INSTANCES)
 def test_search_matches_scanning_oracle(monkeypatch, spec_text, mode):
     inst = golden_instance(spec_text, mode)
     old = oracles.ScanningSearch(inst).solve()
-    for new in solve_both_ways(monkeypatch, inst):
-        assert_within_oracle(inst, new, old)
-        if spec_text == "pgl2(9)":
-            assert new.nodes < old.nodes
-    for new in solve_both_ways(monkeypatch, inst, heuristic=False):
-        assert_oracle_tree(new, old)
+    new = solve_with_heuristic(monkeypatch, inst)
+    assert_within_oracle(inst, new, old)
+    if spec_text == "pgl2(9)":
+        assert new.nodes < old.nodes
+    assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
 
 
 def test_search_matches_scanning_oracle_without_root_symmetry(monkeypatch, a5_instance, s5_instance):
     for inst in (a5_instance, s5_instance):
         inst = dataclasses.replace(inst, conjugation_symmetric=False)
         old = oracles.ScanningSearch(inst).solve()
-        for new in solve_both_ways(monkeypatch, inst):
-            assert_within_oracle(inst, new, old)
-        for new in solve_both_ways(monkeypatch, inst, heuristic=False):
-            assert_oracle_tree(new, old)
+        assert_within_oracle(inst, solve_with_heuristic(monkeypatch, inst), old)
+        assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
 
 
 def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
@@ -323,10 +330,8 @@ def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
         for sym in (False, True):
             inst.conjugation_symmetric = sym
             old = oracles.ScanningSearch(inst).solve()
-            for new in solve_both_ways(monkeypatch, inst):
-                assert_within_oracle(inst, new, old)
-            for new in solve_both_ways(monkeypatch, inst, heuristic=False):
-                assert_oracle_tree(new, old)
+            assert_within_oracle(inst, solve_with_heuristic(monkeypatch, inst), old)
+            assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
 
 
 @pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
@@ -345,9 +350,41 @@ def test_branching_and_root_packing_are_the_bitmask_sweeps(monkeypatch, spec_tex
         return order
 
     monkeypatch.setattr(cover._Search, "_branching", checked_branching)
-    # the search as shipped, with the ascent from the first node, and both without the heuristic's covers
-    nodes = [out.nodes for heuristic in (True, False) for out in solve_both_ways(monkeypatch, inst, heuristic)]
+    # the search as shipped, and without the heuristic's covers
+    nodes = [solve_with_heuristic(monkeypatch, inst, heuristic).nodes for heuristic in (True, False)]
     assert orders or not any(nodes)  # A5, M10 and PGammaL(2,8) close at the root bound
+
+
+@pytest.mark.parametrize("spec_text,mode", [(g, m) for g in ("pgl2(13)", "psl2(17)") for m in ("all", "involutions")])
+def test_branching_runs_only_at_nodes_the_ascent_keeps(monkeypatch, spec_text, mode):
+    inst = golden_instance(spec_text, mode)
+    ascend, branching = cover._Search._ascend, cover._Search._branching
+    last = {"kept": None}  # whether the ascent just run left its node unpruned
+    calls = []
+
+    def checked_ascend(search, y, unc, cov, need, first=None):
+        L, y = ascend(search, y, unc, cov, need, first)
+        last["kept"] = cover._ceil_bound(L) < need
+        return L, y
+
+    def checked_branching(search, unc, cov):
+        assert last["kept"] is True  # this node ascended first, and its ascent did not prune it
+        last["kept"] = None
+        calls.append(1)
+        return branching(search, unc, cov)
+
+    monkeypatch.setattr(cover._Search, "_ascend", checked_ascend)
+    monkeypatch.setattr(cover._Search, "_branching", checked_branching)
+    out = sc.solve_exact(inst)
+    assert out.status == sc.EXACT
+    assert 0 < len(calls) < out.nodes
+
+
+@pytest.mark.parametrize("spec_text,mode,most", [("pgl2(9)", "all", 9), ("pgl2(9)", "involutions", 9),
+                                                 ("psl2(11)", "all", 11)])
+def test_search_ascends_from_the_first_node(spec_text, mode, most):
+    # skipping the ascent in the first 64 nodes took 76, 76 and 59 nodes here
+    assert sc.solve_exact(golden_instance(spec_text, mode)).nodes <= most
 
 
 def test_root_packing_is_the_bitmask_sweep_on_synthetics():
@@ -541,11 +578,12 @@ def test_root_child_check_subsumes_class_reduced_cost(spec_text, mode):
     inst = golden_instance(spec_text, mode)
     search = cover._Search(inst)
     w, value = search.ccb.lp_dual()
+    y0 = np.array(w)[search.ccb.target_orbit]
     load = [sum(a * b for a, b in zip(kc, w)) for kc in search.ccb.k]
     picks, off_rows, off_cols = search.root_branches
     covs, uncs = search._children(search.hit.sum(axis=0), np.ones(search.nu, dtype=np.float64),
                                   picks, off_rows, off_cols)
-    Ls, _, _ = search.lagrangian(search.y0 * uncs, covs > 0)
+    Ls, _, _ = search.lagrangian(y0 * uncs, covs > 0)
     assert len(Ls) == len(load)
     for L, load_c in zip(Ls.tolist(), load):
         assert 1 + cover._ceil_bound(L) >= cover._ceil_bound(value + 1 - load_c)
@@ -554,10 +592,10 @@ def test_root_child_check_subsumes_class_reduced_cost(spec_text, mode):
 @pytest.mark.parametrize("mode", ["all", "involutions"])
 def test_node_limit_interval_matches_oracle(mode):
     # the oracle needs thousands of nodes; the Lagrangian search finishes within
-    # 500 and still stops as an interval on 40 (before its first ascent)
+    # 500 and still stops as an interval on 4 (it closes in 9)
     table = sc.build(sc.pgl2(9))
     inst = sc.reduce_instance(sc.sol_incidence(table), involutions_only=(mode == "involutions"))
-    for node_limit in (500, 40):
+    for node_limit in (500, 4):
         budget = sc.SolveBudget(node_limit=node_limit)
         out = sc.solve_alpha(table, mode, budget)
         old = oracles.ScanningSearch(inst).solve(budget)
