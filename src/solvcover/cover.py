@@ -123,6 +123,8 @@ class _ClassCountingBound:
     sum_c k[c][T] * x_c >= |T| for every T, with x_c at most the class size.
     The least sum of x_c in the LP relaxation of that program is a lower
     bound on the cover size, and its dual gives the root multipliers.
+    k[c][T] is the largest count over the members of c.  A conjugation-symmetric
+    instance has the same count at every member, so it reads one row per class.
     """
 
     def __init__(self, instance: CoverInstance):
@@ -131,8 +133,10 @@ class _ClassCountingBound:
         self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
         self.target_orbit = np.unique(np.array(instance.target_class, dtype=np.int64), return_inverse=True)[1]
         self.sizes = np.bincount(self.target_orbit).tolist()
-        counts = [instance.covers[:, self.target_orbit == o].sum(axis=1) for o in range(len(self.sizes))]  # |row & T|
-        self.k = [[int(n[mem].max()) for n in counts] for mem in self.members]
+        groups = [mem[:1] for mem in self.members] if instance.conjugation_symmetric else self.members
+        rows = instance.covers[[i for g in groups for i in g]][:, np.argsort(self.target_orbit, kind="stable")]
+        counts = np.add.reduceat(rows, np.cumsum([0] + self.sizes)[:-1], axis=1, dtype=np.int64)  # |row & T|
+        self.k = np.maximum.reduceat(counts, np.cumsum([0] + [len(g) for g in groups])[:-1], axis=0).tolist()
 
     def constraint_rows(self):
         """(coefficients, rhs) per target orbit, for reporting and tests."""

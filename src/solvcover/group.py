@@ -13,6 +13,15 @@ at once, element orders come from one pass over the cycle lengths of every
 row, and a subgroup closure looks up every seed times its whole frontier
 in one product per layer.  Solvability is decided from the order alone
 when that suffices (below 60, or at most two prime divisors).
+
+Every walk turns rows of images back into element indices.  An element is
+determined by its images of a base (Seress, Permutation Group Algorithms,
+2003, 4.1), so a row's key is its base images read as a mixed-radix number,
+each base point's radix the span of its orbit.  A dense table from key to
+index makes a lookup of many rows one gather.  Only where the keys outrun
+_DENSE_KEYS is the sorted list of keys searched instead: no simple group
+under the cap comes near it, but a wreath product with a long base does
+(wreath(symmetric(3),4,cycle) has 12^8 keys).
 """
 
 from __future__ import annotations
@@ -32,6 +41,8 @@ from .errors import (
 from .perm import Permutation
 
 DEFAULT_CAP = 20000
+# most keys of a dense lookup table (int64 entries, 16 MiB); see GroupTable._build_lookup
+_DENSE_KEYS = 2 ** 21
 
 
 class GroupTable:
@@ -95,16 +106,23 @@ class GroupTable:
         return table
 
     def _build_lookup(self):
-        """Greedy base, with the element keys sorted for lookup.
+        """Greedy base, and a table from each element's base key to its index.
 
         The elements that agree on the base points so far are the cosets of
         their pointwise stabilizer S, and a next point p splits each coset
         into |p^S| parts; the base takes the point with the largest S-orbit
         (the least such point) until every element has its own key.
+
+        An element's key is its row of base images read as the digits of a
+        mixed-radix number, each digit's radix being the span hi - lo + 1 of
+        that base point's images over the group (d for a transitive group).
+        Below _DENSE_KEYS keys, ``_dense[key]`` is the element's index, or -1
+        for a key of no element.  Above it the sorted keys are searched
+        instead: a table of every key would not fit in memory there (a coset
+        action of degree m with a two-point base has about m^2 keys).
         """
         n, d = self.order, self.degree
         base = []
-        key = np.zeros(n, dtype=np.int64)
         stab = np.ones(n, dtype=bool)
         distinct = 1
         while distinct < n:
@@ -115,25 +133,42 @@ class GroupTable:
             if orbit[best] == 1:
                 raise InternalInconsistency("image matrix contains duplicate rows")
             base.append(best)
-            key = key * d + self.imgs[:, best]
             stab &= self.imgs[:, best] == best
             distinct *= int(orbit[best])
-            if d ** len(base) >= 2 ** 62:
-                raise InternalInconsistency("base key overflow")
         self.base = np.array(base, dtype=np.int64)
-        self._base_weights = d ** np.arange(len(base) - 1, -1, -1, dtype=np.int64)
         self._base_imgs = self.imgs[:, self.base]
-        order = np.argsort(key, kind="stable")
-        self._sorted_keys = key[order]
-        self._sorted_pos = order
-        if (np.diff(self._sorted_keys) == 0).any():
+        lo = self._base_imgs.min(axis=0).tolist()
+        hi = self._base_imgs.max(axis=0).tolist()
+        weights = [1] * len(base)
+        for i in range(len(base) - 1, 0, -1):
+            weights[i - 1] = weights[i] * (hi[i] - lo[i] + 1)
+        size = sum(h * w for h, w in zip(hi, weights)) + 1  # keys 0..max key, as Python ints
+        if size >= 2 ** 62:
+            raise InternalInconsistency("base key overflow")
+        self._base_weights = np.array(weights, dtype=np.int64)
+        key = self._base_imgs @ self._base_weights
+        if size <= _DENSE_KEYS:
+            at = np.arange(n, dtype=np.int64)
+            self._dense = np.full(size, -1, dtype=np.int64)
+            self._dense[key] = at
+            duplicate = (self._dense[key] != at).any()  # a later row overwrote an earlier one
+        else:
+            self._dense = None
+            order = np.argsort(key, kind="stable")
+            self._sorted_keys = key[order]
+            self._sorted_pos = order
+            duplicate = (np.diff(self._sorted_keys) == 0).any()
+        if duplicate:
             raise InternalInconsistency("image matrix contains duplicate rows")
 
     # -- lookup and multiplication -----------------------------------------
 
     def _index_of(self, base_imgs: np.ndarray) -> np.ndarray:
-        """Indices of the elements with these rows of base images (digits of the sorted key)."""
-        return self._sorted_pos[np.searchsorted(self._sorted_keys, base_imgs @ self._base_weights)]
+        """Indices of the elements with these rows of base images (one gather in the key table)."""
+        key = base_imgs @ self._base_weights
+        if self._dense is not None:
+            return self._dense[key]
+        return self._sorted_pos[np.searchsorted(self._sorted_keys, key)]
 
     def lookup_images(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of image rows known to belong to the group."""
@@ -144,11 +179,13 @@ class GroupTable:
         if perm.degree != self.degree:
             return -1
         row = np.asarray(perm.images, dtype=np.int16)
-        pos = int(np.searchsorted(self._sorted_keys, row[self.base] @ self._base_weights))
-        if pos >= self.order:
-            return -1
-        idx = int(self._sorted_pos[pos])
-        return idx if np.array_equal(self.imgs[idx], row) else -1
+        key = int(row[self.base] @ self._base_weights)
+        if self._dense is not None:
+            idx = int(self._dense[key]) if key < len(self._dense) else -1
+        else:
+            pos = int(np.searchsorted(self._sorted_keys, key))
+            idx = int(self._sorted_pos[pos]) if pos < self.order else -1
+        return idx if idx >= 0 and np.array_equal(self.imgs[idx], row) else -1
 
     def permutation(self, i: int) -> Permutation:
         return Permutation(self.imgs[i])

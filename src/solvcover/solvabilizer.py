@@ -310,7 +310,8 @@ class CoverInstance:
     involutions_only: bool
     alpha_floor: int = 0
     #: candidate classes are whole conjugation orbits of an instance symmetry;
-    #: only then may the solver restrict its first pick to class representatives
+    #: only then may the solver restrict its first pick to class representatives,
+    #: and read each class's coverage counts per target orbit off one member
     conjugation_symmetric: bool = False
     notes: list[str] = field(default_factory=list)
 

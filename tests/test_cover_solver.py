@@ -9,7 +9,7 @@ import pytest
 
 import solvcover as sc
 from solvcover import cover
-from solvcover.solvabilizer import CoverInstance
+from solvcover.solvabilizer import Candidate, CoverInstance
 from solvcover.theorems import Certificate, verify_certificate
 
 import oracles
@@ -249,6 +249,21 @@ def test_search_optimum_matches_milp(spec_text, mode):
     assert res.status == 0
     out = sc.solve_exact(inst)
     assert out.status == sc.EXACT and out.lower == round(res.fun)
+
+
+@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
+def test_class_counts_match_bitmask_counts(spec_text, mode):
+    # one row per class on a symmetric instance, every row otherwise: both give the oracle's largest count
+    inst = golden_instance(spec_text, mode)
+    want = oracles.ScanningClassCountingBound(inst).k
+    assert cover._ClassCountingBound(inst).k == want
+    assert cover._ClassCountingBound(dataclasses.replace(inst, conjugation_symmetric=False)).k == want
+
+
+def test_class_counts_of_an_asymmetric_class_take_the_largest_member():
+    inst = oracles.instance_from_rows([0b001, 0b011, 0b100], range(3), [0, 0, 1],
+                                      candidates=[Candidate(0, 0), Candidate(1, 0), Candidate(2, 1)])
+    assert cover._ClassCountingBound(inst).k == oracles.ScanningClassCountingBound(inst).k == [[2, 0], [0, 1]]
 
 
 def outcome_key(out):

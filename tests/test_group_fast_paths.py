@@ -3,7 +3,9 @@
 Enumeration, the lookup base, element orders, subgroup closure, left cosets,
 index-2 subgroups and the order-based solvability rule must agree exactly
 with the per-row, per-point, per-element, per-seed and coset-level
-references in ``oracles``.
+references in ``oracles``.  Element lookup, through the dense key table and
+through the sorted keys used above its ceiling, must agree with a
+dictionary from image rows to indices.
 """
 
 import os
@@ -61,9 +63,76 @@ def test_cap_exceeded_fires_just_below_the_order(spec_text):
         sc.enumerate_group(gens, cap=n - 1)
 
 
-@pytest.mark.parametrize("spec_text", ["alternating(5)", "pgl2(7)", "m10", "gl2(5)", "pgammal2(8)"])
-def test_closure_matches_per_seed_walk(spec_text):
+@pytest.fixture(params=["dense", "sorted"])
+def lookup(request, monkeypatch):
+    """Which element lookup the tables built in the test use: "sorted" puts every table above the ceiling."""
+    if request.param == "sorted":
+        monkeypatch.setattr(group, "_DENSE_KEYS", 0)
+    return request.param
+
+
+def _built(spec_text, lookup):
     t = sc.build(sc.parse_spec(spec_text))
+    assert (t._dense is None) == (lookup == "sorted")
+    return t
+
+
+LOOKUP_SPECS = ENUM_SPECS + ["product(symmetric(5),symmetric(5))", "squished(symmetric(5),symmetric(5))"]
+
+
+@pytest.mark.parametrize("spec_text", LOOKUP_SPECS)
+def test_lookup_matches_row_dict(spec_text, lookup):
+    _assert_lookup_matches_row_dict(_built(spec_text, lookup))
+
+
+def test_long_base_wreath_takes_the_sorted_keys():
+    t = sc.build(sc.parse_spec("wreath(symmetric(3),4,cycle)"))  # 12 points, 8 base points
+    assert t._dense is None
+    _assert_lookup_matches_row_dict(t)
+
+
+def _assert_lookup_matches_row_dict(t):
+    index = {row.tobytes(): i for i, row in enumerate(t.imgs)}
+    assert np.array_equal(t.lookup_images(t.imgs), np.arange(t.order))
+    rng = np.random.default_rng(11)
+    g, h = rng.integers(0, t.order, size=(2, 500))
+    prods = np.take_along_axis(t.imgs[g], t.imgs[h], axis=1)
+    assert t.lookup_images(prods).tolist() == [index[row.tobytes()] for row in prods]
+    assert all(t.find_permutation(t.permutation(i)) == i for i in rng.integers(0, t.order, size=200).tolist())
+    for _ in range(200):  # mostly non-members, except in the symmetric groups
+        row = rng.permutation(t.degree).astype(np.int16)
+        assert t.find_permutation(sc.Permutation(row)) == index.get(row.tobytes(), -1)
+
+
+def test_find_permutation_rejects_keys_past_the_table_and_off_orbit_images(lookup):
+    t = _built("product(symmetric(5),symmetric(5))", lookup)  # orbits {1..5} and {6..10}
+    past = sc.Permutation(range(9, -1, -1))  # every base point to the largest point
+    if t._dense is not None:
+        assert int(past.images[t.base] @ t._base_weights) >= len(t._dense)
+    crossed = sc.parse_cycles("(5,6)", 10)  # base point 6 to 5, outside its orbit
+    assert t.find_permutation(past) == t.find_permutation(crossed) == -1
+    assert t.find_permutation(sc.parse_cycles("(1,2)(6,7)", 10)) >= 0
+
+
+def test_lookup_in_the_identity_only_group(lookup):
+    t = sc.enumerate_group([sc.Permutation.identity(3)])
+    assert (t._dense is None) == (lookup == "sorted")
+    assert t.base.tolist() == [] and t.lookup_images(t.imgs).tolist() == [0]
+    assert t.find_permutation(sc.Permutation.identity(3)) == 0
+    assert t.find_permutation(sc.parse_cycles("(1,2)", 3)) == -1
+    assert t.closure_indices([0]) == [0]
+
+
+def test_many_disjoint_transpositions_build():
+    # 2^14 elements on 28 points: the key range is the product of the orbit spans, not 28^14
+    t = sc.build(sc.parse_spec("raw(" + ";".join(f"({2 * i + 1},{2 * i + 2})" for i in range(14)) + ")"))
+    assert t.order == 2 ** 14
+    assert np.array_equal(t.lookup_images(t.imgs), np.arange(t.order))
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "pgl2(7)", "m10", "gl2(5)", "pgammal2(8)"])
+def test_closure_matches_per_seed_walk(spec_text, lookup):
+    t = _built(spec_text, lookup)
     rng = np.random.default_rng(5)
     for _ in range(40):
         seeds = rng.integers(0, t.order, size=rng.integers(1, 6)).tolist()
