@@ -142,6 +142,7 @@ class _ClassCountingBound:
         """(coefficients, rhs) per target orbit, for reporting and tests."""
         return [({cid: kc[ti] for cid, kc in zip(self.cls_ids, self.k)}, size) for ti, size in enumerate(self.sizes)]
 
+    @cached_property
     def lp_dual(self) -> tuple[list[float], float]:
         """Optimal multipliers w (one per target orbit) of the program's LP relaxation at the root.
 
@@ -186,7 +187,7 @@ class _ClassCountingBound:
 
 def class_counting_bound(instance: CoverInstance) -> int:
     """The class-counting lower bound of the full instance: the ceiling of its LP value."""
-    return _ceil_bound(_ClassCountingBound(instance).lp_dual()[1])
+    return _ceil_bound(_ClassCountingBound(instance).lp_dual[1])
 
 
 def class_counting_rows(instance: CoverInstance):
@@ -288,7 +289,7 @@ class _Search:
     integer do come out a few ulps above it, and the search then misses
     optima (PGL(2,9) and S6 among the golden groups).
 
-    The root multipliers are the class-counting LP dual (``lp_dual``),
+    The root multipliers are the class-counting LP dual (``lp_dual``, solved once),
     constant on target orbits; for conjugation-symmetric instances they are
     optimal for the root LP.  Its value, rounded up, is the class-counting
     term of the root bound, and its dual seeds every deepening round; the
@@ -347,7 +348,7 @@ class _Search:
     def root_bound(self) -> int:
         """Best of the density, packing and class-counting bounds at the root."""
         cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
-        return max(self._density(unc, cov), self._packing(), _ceil_bound(self.ccb.lp_dual()[1]))
+        return max(self._density(unc, cov), self._packing(), _ceil_bound(self.ccb.lp_dual[1]))
 
     def _branching(self, unc: np.ndarray, cov: np.ndarray) -> list[int]:
         """Available candidates of the first uncovered target with the fewest (empty when it has
@@ -470,7 +471,7 @@ class _Search:
         ub = len(incumbent)
         lo = min(max(floor, root), ub)
         cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
-        y0 = np.array(self.ccb.lp_dual()[0])[self.ccb.target_orbit]  # the LP dual spread over the targets
+        y0 = np.array(self.ccb.lp_dual[0])[self.ccb.target_orbit]  # the LP dual spread over the targets
         rng = random.Random(0)  # one seed per solve: an instance always gets the same certificate
         restarts = _FIRST_RESTARTS
         timed_out = False

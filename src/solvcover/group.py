@@ -8,11 +8,13 @@ are vectorized over the image matrix; element sets are boolean masks.
 Products compose right-to-left; enumeration is breadth-first over left
 multiplication by the generators (generator-major within a layer), which
 fixes a deterministic element order reproducible across runs.  The walks
-are batched: enumeration deduplicates each (layer, generator) batch of rows
-at once, element orders come from one pass over the cycle lengths of every
-row, and a subgroup closure looks up every seed times its whole frontier
-in one product per layer.  Solvability is decided from the order alone
-when that suffices (below 60, or at most two prime divisors).
+are batched: every walk over the elements (enumeration, closure, cosets,
+classes and their witnesses, normal closures, the index-2 parity walk)
+moves its whole frontier by all of its generators in one product and one
+lookup per layer, and where a layer reaches an element twice the first
+occurrence in generator-major order wins.  Element orders come from one
+pass over the cycle lengths of every row.  Solvability is decided from the
+order alone when that suffices (below 60, or at most two prime divisors).
 
 Every walk turns rows of images back into element indices.  An element is
 determined by its images of a base (Seress, Permutation Group Algorithms,
@@ -85,22 +87,18 @@ class GroupTable:
         count = 1
         frontier = ident
         while len(frontier):
-            layer = []
-            for g in gen_imgs:
-                prods = g[frontier]  # left multiplication, layer batch
-                keys = prods.view(row).ravel()
-                pos = np.searchsorted(known, keys)
-                fresh = known[np.minimum(pos, len(known) - 1)] != keys
-                keys, prods = keys[fresh], prods[fresh]
-                uniq, first = np.unique(keys, return_index=True)
-                known = np.insert(known, np.searchsorted(known, uniq), uniq)
-                new = prods[np.sort(first)]  # first occurrences, in batch order
-                count += len(new)
-                if count > cap:
-                    raise CapExceeded(cap)
-                layer.append(new)
-            frontier = np.concatenate(layer)
-            elems += layer
+            prods = np.take(gen_imgs, frontier, axis=1).reshape(-1, degree)  # generator x frontier rows
+            keys = prods.view(row).ravel()
+            pos = np.searchsorted(known, keys)
+            fresh = known[np.minimum(pos, len(known) - 1)] != keys
+            keys, prods = keys[fresh], prods[fresh]
+            uniq, first = np.unique(keys, return_index=True)
+            known = np.insert(known, np.searchsorted(known, uniq), uniq)
+            frontier = prods[np.sort(first)]  # first occurrences, generator-major
+            count += len(frontier)
+            if count > cap:
+                raise CapExceeded(cap)
+            elems.append(frontier)
         table = cls(np.concatenate(elems), [])
         table.generator_indices = table.lookup_images(gen_imgs).tolist()
         return table
@@ -193,20 +191,15 @@ class GroupTable:
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_left(i, np.array([j]))[0])
 
-    def mul_left(self, g: int, idx: np.ndarray) -> np.ndarray:
-        """Indices of elem_g ∘ elem_j for each j in idx; products need only base images."""
-        return self._index_of(self.imgs[g][self._base_imgs[idx]])
+    def mul_left(self, g, idx: np.ndarray) -> np.ndarray:
+        """Indices of elem_g ∘ elem_j for each j in idx (a row per g for an array g); products need only base images."""
+        return self._index_of(np.take(self.imgs[g], self._base_imgs[idx], axis=-1))
 
-    def conjugate_indices(self, g: int, idx: np.ndarray) -> np.ndarray:
-        """Indices of g t g^-1 for each t in idx, from (g t g^-1)[b] = g[t[g^-1[b]]] on the base."""
-        pts = self.imgs[int(self.inverse_of[g])][self.base]
-        return self._index_of(self.imgs[g][self.imgs[np.asarray(idx)[:, None], pts]])
-
-    def conjugate_pairs(self, g: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Indices of g[k] t[k] g[k]^-1 for each k, by the same base-point rule in one lookup."""
-        d = self.degree
-        inner = np.take(self.imgs, (t * d)[:, None] + self._base_imgs[self.inverse_of[g]])
-        return self._index_of(np.take(self.imgs, (g * d)[:, None] + inner))
+    def conjugate(self, g, t) -> np.ndarray:
+        """Indices of g t g^-1, g broadcast against t, from (g t g^-1)[b] = g[t[g^-1[b]]] on the base."""
+        g, t, d = np.asarray(g), np.asarray(t), self.degree
+        inner = np.take(self.imgs, (t * d)[..., None] + self._base_imgs[self.inverse_of[g]])
+        return self._index_of(np.take(self.imgs, (g * d)[..., None] + inner))
 
     # -- closure -----------------------------------------------------------
 
@@ -223,7 +216,7 @@ class GroupTable:
         seeds = [int(s) for s in dict.fromkeys(seeds) if s != 0]
         if not seeds:
             return [0]
-        seed_imgs = self.imgs[seeds]
+        seed_imgs = self.imgs[seeds]  # gathered once: mul_left would gather them again per layer
         seen = np.zeros(self.order, dtype=bool)
         seen[0] = True
         slot = np.empty(self.order, dtype=np.int64)  # for deduplication without sorting
@@ -460,30 +453,25 @@ def _left_cosets(table: GroupTable, idx: np.ndarray) -> tuple[np.ndarray, np.nda
     Returns the coset id of every element and the least element of each coset
     (coset ids are numbered in order of their least element).  The group's
     generators permute the left cosets, g(xH) = (gx)H, transitively, so a
-    breadth-first walk from H reaches them all; each generator moves the
-    whole frontier of cosets in one lookup.
+    breadth-first walk from H reaches them all; the generators move the
+    whole frontier of cosets in one lookup per layer.
     """
     least = np.full(table.order, -1, dtype=np.int64)  # least element of each element's coset
     frontier = np.asarray(idx, dtype=np.int64)[None, :]  # one coset per row
     least[frontier] = frontier.min()
     while len(frontier):
-        layer = []
-        for g in table.generator_indices:
-            img = table.mul_left(g, frontier.ravel()).reshape(frontier.shape)
-            img = img[least[img[:, 0]] < 0]
-            low, first = np.unique(img.min(axis=1), return_index=True)  # one row per new coset
-            img = img[first]
-            least[img] = low[:, None]
-            layer.append(img)
-        frontier = np.concatenate(layer)
+        img = table.mul_left(table.generator_indices, frontier.ravel()).reshape(-1, frontier.shape[1])
+        img = img[least[img[:, 0]] < 0]
+        low, first = np.unique(img.min(axis=1), return_index=True)  # one row per new coset
+        frontier = img[first]
+        least[frontier] = low[:, None]
     reps, coset_of = np.unique(least, return_inverse=True)
     return coset_of, reps
 
 
 def _is_normal(table: GroupTable, idx: np.ndarray) -> bool:
     """Whether the sorted indices idx are closed under conjugation by the group."""
-    return all(np.array_equal(np.sort(table.conjugate_indices(g, idx)), idx)
-               for g in table.generator_indices)
+    return bool((np.sort(table.conjugate(np.asarray(table.generator_indices)[:, None], idx), axis=1) == idx).all())
 
 
 def derived_subgroup(table: GroupTable, H: ElementSet) -> ElementSet:
@@ -518,16 +506,12 @@ def _normal_closure_within(table: GroupTable, seeds: list[int], ambient_gens: Se
         cur = table.closure_indices(gens, stop_above=stop_above)
         if cur is None:
             return None, None
-        cur_arr = np.array(cur)
-        inset = np.zeros(table.order, dtype=bool)
-        inset[cur_arr] = True
-        new = set()
-        for g in ambient_gens:
-            img = table.conjugate_indices(int(g), cur_arr)
-            new.update(img[~inset[img]].tolist())
-        if not new:
+        new = np.zeros(table.order, dtype=bool)
+        new[table.conjugate(np.asarray(ambient_gens)[:, None], cur)] = True
+        new[cur] = False
+        if not new.any():
             return cur, gens
-        gens.extend(sorted(new)[:4])
+        gens.extend(np.flatnonzero(new)[:4].tolist())
 
 
 def _solvable_by_order(n: int) -> bool:
@@ -574,39 +558,34 @@ def is_solvable(table: GroupTable, H: ElementSet) -> bool:
     return verdict
 
 
-def _orbit_labels(n: int, perms: Sequence[np.ndarray]) -> np.ndarray:
-    """Least element of each point's orbit under the permutations perms of 0..n-1.
+def _orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """Least element of each point's orbit under the rows of perms, permutations of 0..n-1.
 
     Min-propagation: at the fixed point labels are constant along every cycle.
     """
-    label = np.arange(n)
-    changed = True
-    while changed:
-        changed = False
-        for p in perms:
-            pulled = np.minimum(label, label[p])
-            if not np.array_equal(pulled, label):
-                label = pulled
-                changed = True
-    return label
+    label = np.arange(perms.shape[1])
+    while True:
+        pulled = np.minimum(label, label[perms].min(axis=0))
+        if np.array_equal(pulled, label):
+            return label
+        label = pulled
 
 
 def _compute_classes(table: GroupTable) -> ClassPartition:
-    gens = table.generator_indices
-    cps = [table.conjugate_indices(g, np.arange(table.order)) for g in gens]
-    reps, class_of = np.unique(_orbit_labels(table.order, cps), return_inverse=True)
+    gens = np.array(table.generator_indices)
+    cps = table.conjugate(gens[:, None], np.arange(table.order))  # generator x element
+    reps, class_of = np.unique(_orbit_labels(cps), return_inverse=True)
     # witnesses: one breadth-first walk from every representative at once;
     # t = w rep w^-1 gives g t g^-1 = (g w) rep (g w)^-1
     conjor = np.full(table.order, -1, dtype=np.int64)
     conjor[reps] = 0
     frontier = reps
     while len(frontier):
-        layer = []
-        for g, cp in zip(gens, cps):
-            t = frontier[conjor[cp[frontier]] < 0]
-            conjor[cp[t]] = table.mul_left(g, conjor[t])
-            layer.append(cp[t])
-        frontier = np.concatenate(layer)
+        img = cps[:, frontier].ravel()
+        fresh = np.flatnonzero(conjor[img] < 0)
+        fresh = fresh[np.sort(np.unique(img[fresh], return_index=True)[1])]  # first occurrences
+        conjor[img[fresh]] = table.mul_left(gens, conjor[frontier]).ravel()[fresh]
+        frontier = img[fresh]
     return ClassPartition(class_of, reps.tolist(), conjor)
 
 
@@ -685,7 +664,7 @@ def quotient_by(table: GroupTable, N: ElementSet) -> GroupTable:
         raise NotNormal("subgroup is not normal")
     coset_of, reps = _left_cosets(table, n_idx)
     k = len(reps)
-    qgens = [Permutation(coset_of[table.mul_left(g, reps)]) for g in table.generator_indices]
+    qgens = [Permutation(row) for row in coset_of[table.mul_left(table.generator_indices, reps)]]
     qt = GroupTable.from_generators(qgens, cap=max(k, 1))
     if qt.order != k:
         raise InternalInconsistency("coset action kernel is larger than N")
@@ -712,14 +691,13 @@ def index_two_subgroups(table: GroupTable) -> list[ElementSet]:
     d = []
     frontier = np.zeros(1, dtype=np.int64)
     while len(frontier):
-        layer = []
-        for i, g in enumerate(table.generator_indices):
-            img, want = table.mul_left(g, frontier), path[frontier] ^ (1 << i)
-            seen = path[img] >= 0
-            d.append(path[img[seen]] ^ want[seen])
-            path[img[~seen]] = want[~seen]
-            layer.append(img[~seen])
-        frontier = np.concatenate(layer)
+        img = table.mul_left(table.generator_indices, frontier).ravel()
+        want = (path[frontier] ^ (1 << np.arange(k))[:, None]).ravel()
+        fresh = np.flatnonzero(path[img] < 0)
+        fresh = fresh[np.sort(np.unique(img[fresh], return_index=True)[1])]  # first occurrences
+        frontier = img[fresh]
+        path[frontier] = want[fresh]
+        d.append(path[img] ^ want)  # 0 on the edges that labelled an element
     d = np.concatenate(d)  # duplicates reduce to 0 below
     basis = []
     while (d != 0).any():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cover import CoverOutcome, render_outcome
+from .cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, render_outcome
 from .errors import BadParameter
 from .perm import Permutation, format_cycles, min_degree_of, parse_cycles
 
@@ -47,6 +47,13 @@ def _number(kind, key: str, val: str):
         return kind(val)
     except ValueError:
         raise BadParameter(f"bad record value for {key!r}: {val!r}") from None
+
+
+def _choice(key: str, val: Optional[str], allowed: tuple[str, ...]) -> str:
+    """val itself when it is one of allowed, BadParameter otherwise (a missing val included)."""
+    if val not in allowed:
+        raise BadParameter(f"bad record value for {key!r}: {val!r}")
+    return val
 
 
 @dataclass
@@ -122,12 +129,13 @@ class ResultRecord:
                 continue
             upper = d.get("upper", "none")
             setattr(rec, attr, OutcomeRecord(
-                status=d.get("status", ""),
+                status=_choice(f"{label}.status", d.get("status"), (EXACT, INTERVAL, INFEASIBLE)),
                 lower=_number(int, f"{label}.lower", d.get("lower", "0")),
                 upper=None if upper == "none" else _number(int, f"{label}.upper", upper),
                 nodes=_number(int, f"{label}.nodes", d.get("nodes", "0")),
                 seconds=_number(float, f"{label}.seconds", d.get("seconds", "0")),
-                quotient_level=d.get("quotient_level", "false") == "true",
+                quotient_level=_choice(f"{label}.quotient_level", d.get("quotient_level", "false"),
+                                       ("true", "false")) == "true",
                 certificate=d.get("certificate"),
             ))
         return rec

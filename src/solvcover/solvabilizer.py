@@ -52,14 +52,11 @@ def _generator_rows(table: GroupTable, g: int) -> np.ndarray:
 
 def _normalizer_orbits(table: GroupTable, x: int) -> np.ndarray:
     """Least element of each element's orbit under conjugation by N_G(<x>)."""
-    imgs = table.imgs
-    # g x g^-1 for every g, as (g∘x)[g^-1[p]]
-    conj = table.lookup_images(np.take_along_axis(imgs[:, imgs[x]], imgs[table.inverse_of], axis=1))
     generates_x = np.zeros(table.order, dtype=bool)
     generates_x[table.lookup_images(_generator_rows(table, x))] = True
-    normalizer = np.flatnonzero(generates_x[conj]).tolist()
-    perms = [table.conjugate_indices(g, np.arange(table.order)) for g in _generating_subset(table, normalizer)]
-    return _orbit_labels(table.order, perms)
+    normalizer = np.flatnonzero(generates_x[table.conjugate(np.arange(table.order), x)]).tolist()
+    gens = np.array(_generating_subset(table, normalizer))
+    return _orbit_labels(table.conjugate(gens[:, None], np.arange(table.order)))
 
 
 def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
@@ -115,7 +112,7 @@ class SolvabilizerIncidence:
         if w == 0:
             return rep_mask
         mask = np.zeros(self.table.order, dtype=bool)
-        mask[self.table.conjugate_indices(w, np.flatnonzero(rep_mask))] = True
+        mask[self.table.conjugate(w, np.flatnonzero(rep_mask))] = True
         return mask
 
     def sol_set(self, x: int) -> ElementSet:
@@ -241,14 +238,13 @@ def maximal_solvable_subgroups(table: GroupTable) -> MaximalSolvableCensus:
 def _conjugation_orbit(table: GroupTable, indices: list[int]) -> dict[bytes, list[int]]:
     orbit = {ElementSet.from_indices(table, indices).fingerprint(): sorted(indices)}
     stack = [sorted(indices)]
+    gens = np.array(table.generator_indices)[:, None]
     while stack:
-        cur = np.array(stack.pop())
-        for g in table.generator_indices:
-            img = sorted(table.conjugate_indices(g, cur).tolist())
-            fp = ElementSet.from_indices(table, img).fingerprint()
+        for idx in np.sort(table.conjugate(gens, stack.pop()), axis=1).tolist():  # a conjugate per generator
+            fp = ElementSet.from_indices(table, idx).fingerprint()
             if fp not in orbit:
-                orbit[fp] = img
-                stack.append(img)
+                orbit[fp] = idx
+                stack.append(idx)
     return orbit
 
 
@@ -391,7 +387,7 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         pair_w.append(np.repeat(classes.conjugator[targets[cols]], len(inside)))
         pair_s.append(np.tile(inside, len(cols)))
         pair_col.append(np.repeat(cols, len(inside)))
-    conj = table.conjugate_pairs(np.concatenate(pair_w), np.concatenate(pair_s))
+    conj = table.conjugate(np.concatenate(pair_w), np.concatenate(pair_s))
     member = np.zeros((len(cand), len(universe)), dtype=bool)
     member[pos[canonical[conj]], np.concatenate(pair_col)] = True
     # dedupe identical rows (keep least element), then drop dominated rows
@@ -464,6 +460,9 @@ class CliqueResult:
 
 def mu_s(table: GroupTable, node_limit: int = 10 ** 7, time_limit: float = 60.0) -> CliqueResult:
     """Largest set of pairwise non-solvabilized elements (max clique)."""
+    from .cover import SolveBudget  # cover imports this module
+
+    SolveBudget(time_limit, node_limit)  # rejects a negative or NaN limit
     inc = sol_incidence(table)
     nonradical = ~inc.radical.mask  # the identity lies in the radical
     verts = np.flatnonzero(nonradical).tolist()
@@ -475,6 +474,9 @@ def mu_s(table: GroupTable, node_limit: int = 10 ** 7, time_limit: float = 60.0)
 
 def mu_pairwise_generators(table: GroupTable, node_limit: int = 10 ** 7, time_limit: float = 60.0) -> CliqueResult:
     """Max clique of the pairwise-generation graph (<x,y> = G)."""
+    from .cover import SolveBudget  # cover imports this module
+
+    SolveBudget(time_limit, node_limit)  # rejects a negative or NaN limit
     n = table.order
     verts = list(range(1, n))
     adj = {x: 0 for x in verts}

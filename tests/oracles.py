@@ -817,3 +817,46 @@ class ScanningSearch:
             self._descend(uncovered & ~self.rows[i], (avail & ~excluded) & ~(1 << i), depth + 1, chosen)
             chosen.pop()
             excluded |= 1 << i
+
+
+def orbit_labels_loop(n, perms):
+    """Least element of each orbit, by the engine's former min-propagation one permutation at a time."""
+    label = np.arange(n)
+    changed = True
+    while changed:
+        changed = False
+        for p in perms:
+            pulled = np.minimum(label, label[p])
+            if not np.array_equal(pulled, label):
+                label = pulled
+                changed = True
+    return label
+
+
+def classes_per_generator(table):
+    """(class_of, representatives, conjugator) by the engine's former walk, one lookup per generator."""
+    gens = table.generator_indices
+    cps = [table.conjugate(g, np.arange(table.order)) for g in gens]
+    reps, class_of = np.unique(orbit_labels_loop(table.order, cps), return_inverse=True)
+    conjor = np.full(table.order, -1, dtype=np.int64)
+    conjor[reps] = 0
+    frontier = reps
+    while len(frontier):
+        layer = []
+        for g, cp in zip(gens, cps):
+            t = frontier[conjor[cp[frontier]] < 0]
+            conjor[cp[t]] = table.mul_left(g, conjor[t])
+            layer.append(cp[t])
+        frontier = np.concatenate(layer)
+    return class_of, reps.tolist(), conjor
+
+
+def normalizer_orbits_per_generator(table, x):
+    """Orbit labels under conjugation by N_G(<x>), one conjugation per generator of the normalizer."""
+    imgs = table.imgs
+    conj = table.lookup_images(np.take_along_axis(imgs[:, imgs[x]], imgs[table.inverse_of], axis=1))
+    generates_x = np.zeros(table.order, dtype=bool)
+    generates_x[table.lookup_images(_generator_rows(table, x))] = True
+    normalizer = np.flatnonzero(generates_x[conj]).tolist()
+    perms = [table.conjugate(g, np.arange(table.order)) for g in _generating_subset(table, normalizer)]
+    return orbit_labels_loop(table.order, perms)

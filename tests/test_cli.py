@@ -157,6 +157,38 @@ def test_record_roundtrip():
     assert back.to_text() == rec.to_text()
 
 
+RECORD_HEAD = "group: alternating(5)\norder: 60\n"
+
+
+@pytest.mark.parametrize("lines", [
+    "alpha.status: exakt\nalpha.lower: 3\nalpha.upper: 3\n",
+    "alpha.lower: 3\n",
+    "alpha: 3\nalpha.lower: 3\nalpha.upper: 3\n",
+    "alpha.status: exact\nalpha.lower: 3\nalpha.upper: 3\nalpha.quotient_level: yes\n",
+    "alpha_inv.status: infeasible\nalpha_inv.lower: 0\nalpha_inv.quotient_level: True\n",
+])
+def test_record_rejects_bad_status_and_quotient_level(lines):
+    with pytest.raises(sc.BadParameter):
+        ResultRecord.from_text(RECORD_HEAD + lines)
+
+
+def test_record_keeps_each_status_and_quotient_level():
+    for status, upper in (("exact", "3"), ("interval", "5"), ("infeasible", "none")):
+        for level in ("true", "false"):
+            text = (f"{RECORD_HEAD}alpha.status: {status}\nalpha.lower: 3\nalpha.upper: {upper}\n"
+                    f"alpha.quotient_level: {level}\n")
+            rec = ResultRecord.from_text(text).alpha
+            assert (rec.status, rec.quotient_level) == (status, level == "true")
+
+
+def test_table_rejects_a_misspelt_status(tmp_path, capsys):
+    (tmp_path / "a.result").write_text(RECORD_HEAD + "alpha.status: exakt\nalpha.lower: 3\nalpha.upper: 3\n")
+    assert run_cli("table", "--results", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert "[3,3]" not in captured.out
+    assert captured.err.startswith("error: BadParameter: ") and "alpha.status" in captured.err
+
+
 def test_records_stable_under_resolve(tmp_path):
     a = tmp_path / "one.result"
     b = tmp_path / "two.result"

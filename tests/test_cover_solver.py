@@ -2,7 +2,7 @@ import dataclasses
 import json
 import math
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -57,6 +57,23 @@ def test_greedy_cover_builds_no_class_counting_program_and_a_solve_one(monkeypat
     monkeypatch.setattr(cover, "_ClassCountingBound", CountedBound)
     assert len(sc.greedy_cover(s5_instance)) == 5 and not built
     assert sc.solve_exact(s5_instance).lower == 5 and len(built) == 1
+
+
+@pytest.mark.parametrize("spec_text", ["symmetric(5)", "alternating(6)", "psl2(11)"])
+def test_solve_runs_the_class_counting_simplex_once(monkeypatch, spec_text):
+    inst = sc.reduce_instance(sc.sol_incidence(sc.build(sc.parse_spec(spec_text))))
+    runs = []
+    simplex = cover._ClassCountingBound.lp_dual.func
+
+    def counted(self):
+        runs.append(self)
+        return simplex(self)
+
+    lp_dual = cached_property(counted)
+    lp_dual.__set_name__(cover._ClassCountingBound, "lp_dual")
+    monkeypatch.setattr(cover._ClassCountingBound, "lp_dual", lp_dual)
+    out = sc.solve_exact(inst)
+    assert out.status == sc.EXACT and len(runs) == 1
 
 
 def test_greedy_infeasible_passthrough():
@@ -558,7 +575,7 @@ def test_lagrangian_bound_within_residual_lp(spec_text, mode):
     linprog = pytest.importorskip("scipy.optimize").linprog
     inst = golden_instance(spec_text, mode)
     search = cover._Search(inst)
-    w, value = search.ccb.lp_dual()
+    w, value = search.ccb.lp_dual
     y0 = np.array(w)[search.ccb.target_orbit]
     rows, full = oracles.rows_of(inst), (1 << inst.size) - 1
     n = len(rows)
@@ -592,7 +609,7 @@ def test_root_child_check_subsumes_class_reduced_cost(spec_text, mode):
     # fixing by class skips: class c has reduced cost 1 - load_c in the class LP
     inst = golden_instance(spec_text, mode)
     search = cover._Search(inst)
-    w, value = search.ccb.lp_dual()
+    w, value = search.ccb.lp_dual
     y0 = np.array(w)[search.ccb.target_orbit]
     load = [sum(a * b for a, b in zip(kc, w)) for kc in search.ccb.k]
     picks, off_rows, off_cols = search.root_branches

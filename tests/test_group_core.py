@@ -279,7 +279,7 @@ def test_classes_conjugation_invariant(a5):
     cp = sc.conjugacy_classes(a5)
     rng = np.random.default_rng(9)
     for g in rng.integers(0, a5.order, size=20):
-        img = a5.conjugate_indices(int(g), np.arange(a5.order))
+        img = a5.conjugate(int(g), np.arange(a5.order))
         assert np.array_equal(cp.class_of[img], cp.class_of)
 
 

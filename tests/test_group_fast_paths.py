@@ -1,8 +1,9 @@
 """Differential tests: the batched group-engine walks against the paths they replaced.
 
 Enumeration, the lookup base, element orders, subgroup closure, left cosets,
-index-2 subgroups and the order-based solvability rule must agree exactly
-with the per-row, per-point, per-element, per-seed and coset-level
+conjugacy classes with their witnesses, normalizer orbits, index-2
+subgroups and the order-based solvability rule must agree exactly with the
+per-row, per-point, per-element, per-seed, per-generator and coset-level
 references in ``oracles``.  Element lookup, through the dense key table and
 through the sorted keys used above its ceiling, must agree with a
 dictionary from image rows to indices.
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import solvcover as sc
-from solvcover import group
+from solvcover import group, solvabilizer
 from solvcover.constructions import generators_for
 from solvcover.perm import perm_order
 
@@ -142,6 +143,24 @@ def test_closure_matches_per_seed_walk(spec_text, lookup):
             assert t.closure_indices(seeds, stop_above=stop) == oracles.closure_per_seed(t, seeds, stop)
     squares = t.lookup_images(np.take_along_axis(t.imgs, t.imgs, axis=1)).tolist()
     assert t.closure_indices(squares) == oracles.closure_per_seed(t, squares)
+
+
+PIN_SPECS = [g[0] for g in GOLDEN] + [
+    "gl2(5)", "symmetric(4)", "dihedral(6)", "squished(symmetric(5),symmetric(5))",
+    "product(psl2(7),symmetric(3))",
+]
+
+
+@pytest.mark.parametrize("spec_text", PIN_SPECS)
+def test_broadcast_walks_match_per_generator_walks(spec_text, lookup):
+    t = _built(spec_text, lookup)
+    cp = t.conjugacy_classes()
+    class_of, reps, conjugator = oracles.classes_per_generator(t)
+    assert np.array_equal(cp.class_of, class_of) and cp.representatives == reps
+    assert np.array_equal(cp.conjugator, conjugator)
+    for x in reps:
+        assert np.array_equal(solvabilizer._normalizer_orbits(t, x), oracles.normalizer_orbits_per_generator(t, x))
+    _assert_index_two_subgroups_match_cosets(t)
 
 
 def _coset_cases():

@@ -30,10 +30,10 @@ def test_sol_equivariance(pool):
         inc = sc.sol_incidence(t)
         x = int(rng.integers(1, t.order))
         g = int(rng.integers(0, t.order))
-        xg = int(t.conjugate_indices(g, np.array([x]))[0])
+        xg = int(t.conjugate(g, np.array([x]))[0])
         lhs = inc.sol(xg)
         rhs = np.zeros(t.order, dtype=bool)
-        rhs[t.conjugate_indices(g, np.where(inc.sol(x))[0])] = True
+        rhs[t.conjugate(g, np.where(inc.sol(x))[0])] = True
         assert np.array_equal(lhs, rhs)
 
 

@@ -343,6 +343,14 @@ def test_mu_s_a5(a5):
     assert mu.exact and mu.lower == 8
 
 
+@pytest.mark.parametrize("mu", [sc.mu_s, sc.mu_pairwise_generators])
+def test_mu_rejects_nan_and_negative_limits(a5, mu):
+    for limits in (dict(time_limit=float("nan")), dict(time_limit=-1.0), dict(node_limit=-1)):
+        with pytest.raises(sc.BadParameter):
+            mu(a5, **limits)
+    assert mu(a5, node_limit=0).lower <= 8 <= mu(a5, node_limit=0).upper
+
+
 @pytest.mark.parametrize("spec_text", ["alternating(5)", "alternating(6)", "pgl2(7)"])
 def test_mu_s_graph_matches_pairwise(monkeypatch, spec_text):
     table = sc.build(sc.parse_spec(spec_text))
