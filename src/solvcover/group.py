@@ -203,7 +203,8 @@ class GroupTable:
 
     # -- closure -----------------------------------------------------------
 
-    def closure_indices(self, seeds: Iterable[int], stop_above: Optional[int] = None) -> Optional[list[int]]:
+    def closure_indices(self, seeds: Iterable[int], stop_above: Optional[int] = None,
+                        stop_at: Optional[np.ndarray] = None) -> Optional[list[int]]:
         """Sorted indices of the subgroup generated by seeds.
 
         Breadth-first orbit of the identity under left multiplication by the
@@ -211,7 +212,8 @@ class GroupTable:
         every seed times every frontier element in one base-image product and
         one lookup, split into blocks of at most |G| rows to bound memory.
         Returns None exactly when the subgroup has more than stop_above
-        elements; the size is checked once per layer.
+        elements or holds a nonidentity element marked in the boolean mask
+        stop_at; both are checked once per layer.
         """
         seeds = [int(s) for s in dict.fromkeys(seeds) if s != 0]
         if not seeds:
@@ -237,7 +239,7 @@ class GroupTable:
                 layer.append(img)
             frontier = np.concatenate(layer)
             count += len(frontier)
-            if stop_above is not None and count > stop_above:
+            if (stop_above is not None and count > stop_above) or (stop_at is not None and stop_at[frontier].any()):
                 return None
         return np.flatnonzero(seen).tolist()
 
@@ -493,17 +495,18 @@ def derived_subgroup(table: GroupTable, H: ElementSet) -> ElementSet:
 
 
 def _normal_closure_within(table: GroupTable, seeds: list[int], ambient_gens: Sequence[int],
-                           stop_above: Optional[int] = None) -> tuple[Optional[list[int]], Optional[list[int]]]:
+                           stop_above: Optional[int] = None, stop_at: Optional[np.ndarray] = None
+                           ) -> tuple[Optional[list[int]], Optional[list[int]]]:
     """Smallest subgroup containing seeds and closed under conjugation by ambient_gens.
 
     Returns ``(elements, generators)``: the sorted element indices and a
     generating list for them (the seeds followed by the conjugates adjoined
     along the way).  Returns ``(None, None)`` as soon as a closure has more
-    than stop_above elements.
+    than stop_above elements or meets stop_at (see ``closure_indices``).
     """
     gens = list(seeds)
     while True:
-        cur = table.closure_indices(gens, stop_above=stop_above)
+        cur = table.closure_indices(gens, stop_above=stop_above, stop_at=stop_at)
         if cur is None:
             return None, None
         new = np.zeros(table.order, dtype=bool)
@@ -621,26 +624,27 @@ def _compute_radical(table: GroupTable) -> ElementSet:
     x lies in the solvable radical exactly when its normal closure <x^G> is
     solvable, and that matches the pairwise description { x : all <x,y>
     solvable } by the radical characterization the rest of the library leans
-    on.  A closure is cut off once it passes ``table.solvable_cut()``: in a
-    nonsolvable G a solvable subgroup has index at least 5.  The radical's
-    ``gens`` are the generators of the solvable normal closures it unites.
-    Verified as a normal solvable subgroup before returning.
+    on.  A closure is cut off once it passes ``table.solvable_cut()`` (in a
+    nonsolvable G a solvable subgroup has index at least 5) or reaches a
+    class already found outside (if <x^G> holds z, it holds <z^G>).  The
+    radical's ``gens`` are the generators of the solvable normal closures it
+    unites.  Verified as a normal solvable subgroup before returning.
     """
     classes = table.conjugacy_classes()
     cut = table.solvable_cut()
     rad = np.zeros(table.order, dtype=bool)
     rad[0] = True
+    outside = np.zeros(table.order, dtype=bool)
     gens: list[int] = []
-    for rep in classes.representatives:
+    for cid, rep in enumerate(classes.representatives):
         if rep == 0 or rad[rep]:
             continue
-        sub, sub_gens = _normal_closure_within(table, [rep], table.generator_indices, stop_above=cut)
-        if sub is None:
-            continue
-        H = ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)
-        if is_solvable(table, H):
-            rad |= H.mask
+        sub, sub_gens = _normal_closure_within(table, [rep], table.generator_indices, stop_above=cut, stop_at=outside)
+        if sub is not None and is_solvable(table, ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)):
+            rad[sub] = True
             gens += sub_gens
+        else:
+            outside[classes.class_of == cid] = True
     out = ElementSet(table, rad, is_subgroup=True, gens=list(dict.fromkeys(gens)) or [0])
     if not out.verify_subgroup():
         raise InternalInconsistency("radical candidate is not a subgroup")

@@ -10,7 +10,11 @@ closure <x,y> of its least element y:
 - a solvable <x,y> puts every orbit that meets <x,y> inside Sol(x);
 - a nonsolvable <x,y>, or a closure of index below 5 (``solvable_cut``),
   puts outside the orbits of every y^j x^k with gcd(j, |y|) = 1, since
-  <x, y^j x^k> = <x, y>.
+  <x, y^j x^k> = <x, y>;
+- so does a closure that reaches an orbit already outside, where it stops:
+  for z there, <x,z> is a nonsolvable subgroup of <x,y>.
+
+Seeding the closure with x, y and their inverses halves its layers.
 
 Every other solvabilizer is materialized by conjugation equivariance:
 Sol(g x g^-1) = g Sol(x) g^-1.
@@ -66,10 +70,11 @@ def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
     label = _normalizer_orbits(table, x)
     x_powers = _power_rows(table, x)
     verdict = np.zeros(n, dtype=np.int8)  # per orbit label: 1 inside, -1 outside
+    inv = table.inverse_of
     for y in np.flatnonzero(label == np.arange(n)).tolist():
         if verdict[y]:
             continue
-        H = table.closure_indices([x, y], stop_above=cut)
+        H = table.closure_indices([x, y, inv[x], inv[y]], stop_above=cut, stop_at=verdict[label] < 0)
         if H is not None:
             if is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True, gens=[x, y])):
                 verdict[label[H]] = 1
@@ -264,23 +269,27 @@ def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[i
     """Adjoin the least element that keeps <gens> solvable until none does.
 
     Only elements of Sol(h) for every generator h are tried: otherwise <h,g>
-    is a nonsolvable subgroup of <gens,g>.  A failed adjunction stays failed
-    as the subgroup grows, so it leaves ``allowed`` for good.
+    is a nonsolvable subgroup of <gens,g>; so the closure <gens,g> ends at
+    its first element outside Sol(g) or some Sol(h).  A failed adjunction
+    stays failed as the subgroup grows, so it leaves ``allowed`` for good.
     """
     inc = sol_incidence(table)
     cut = table.solvable_cut()
-    allowed = np.ones(table.order, dtype=bool)
+    inside = np.ones(table.order, dtype=bool)  # in Sol(h) for every generator h
     for h in gens:
-        allowed &= inc.sol(h)
+        inside &= inc.sol(h)
+    allowed = inside.copy()
     cur = sorted(seed)
     allowed[cur] = False
     while True:
         for g in np.flatnonzero(allowed).tolist():
-            H2 = table.closure_indices(gens + [g], stop_above=cut)
+            sol_g = inc.sol(g)
+            H2 = table.closure_indices(gens + [g], stop_above=cut, stop_at=~(inside & sol_g))
             if H2 is not None and is_solvable(
                     table, ElementSet.from_indices(table, H2, is_subgroup=True, gens=gens + [g])):
                 cur, gens = H2, gens + [g]
-                allowed &= inc.sol(g)
+                inside &= sol_g
+                allowed &= sol_g
                 allowed[cur] = False
                 break
             allowed[g] = False

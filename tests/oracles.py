@@ -18,6 +18,7 @@ from solvcover.group import (
     ElementSet,
     _generating_subset,
     _left_cosets,
+    _normal_closure_within,
     derived_subgroup,
     index_two_subgroups,
     is_solvable,
@@ -122,8 +123,12 @@ def greedy_base(imgs):
     return base
 
 
-def closure_per_seed(table, seeds, stop_above=None):
-    """The engine's former closure walk: one lookup per seed per layer."""
+def closure_per_seed(table, seeds, stop_above=None, stop_at=None):
+    """The engine's former closure walk: one lookup per seed per layer.
+
+    None when the subgroup passes stop_above elements or a layer reaches an
+    element marked in the boolean mask stop_at.
+    """
     seeds = [int(s) for s in dict.fromkeys(seeds) if s != 0]
     if not seeds:
         return [0]
@@ -141,6 +146,8 @@ def closure_per_seed(table, seeds, stop_above=None):
         frontier = np.concatenate(layer)
         count += len(frontier)
         if stop_above is not None and count > stop_above:
+            return None
+        if stop_at is not None and stop_at[frontier].any():
             return None
     return np.flatnonzero(seen).tolist()
 
@@ -303,6 +310,29 @@ def radical_pairwise(table):
         if ok:
             out.append(x)
     return out
+
+
+def radical_by_normal_closures(table):
+    """R(G) as the union of the classes with a solvable normal closure, the engine's former loop.
+
+    Every normal closure runs to completion or to ``solvable_cut``; none
+    stops at a class already found outside.
+    """
+    cut = table.solvable_cut()
+    rad = np.zeros(table.order, dtype=bool)
+    rad[0] = True
+    gens = []
+    for rep in table.conjugacy_classes().representatives:
+        if rep == 0 or rad[rep]:
+            continue
+        sub, sub_gens = _normal_closure_within(table, [rep], table.generator_indices, stop_above=cut)
+        if sub is None:
+            continue
+        H = ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)
+        if is_solvable(table, H):
+            rad |= H.mask
+            gens += sub_gens
+    return rad, list(dict.fromkeys(gens)) or [0]
 
 
 def sol_pairwise(table, x):

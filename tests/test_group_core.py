@@ -296,6 +296,9 @@ def test_radical_sl25_is_center(sl25):
     assert len(rad) == 2
     # brute force pairwise definition agrees
     assert sorted(rad.indices().tolist()) == oracles.radical_pairwise(sl25)
+    # and so does the normal-closure loop with no early stop
+    mask, gens = oracles.radical_by_normal_closures(sl25)
+    assert rad.mask.tobytes() == mask.tobytes() and rad.gens == gens
 
 
 def test_radical_is_normal_solvable_and_quotient_fitting_free(sl25):

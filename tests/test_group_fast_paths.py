@@ -1,12 +1,13 @@
 """Differential tests: the batched group-engine walks against the paths they replaced.
 
-Enumeration, the lookup base, element orders, subgroup closure, left cosets,
-conjugacy classes with their witnesses, normalizer orbits, index-2
-subgroups and the order-based solvability rule must agree exactly with the
-per-row, per-point, per-element, per-seed, per-generator and coset-level
-references in ``oracles``.  Element lookup, through the dense key table and
-through the sorted keys used above its ceiling, must agree with a
-dictionary from image rows to indices.
+Enumeration, the lookup base, element orders, subgroup closure and its
+early stops, left cosets, conjugacy classes with their witnesses, normalizer
+orbits, index-2 subgroups, the radical and the order-based solvability rule
+must agree exactly with the per-row, per-point, per-element, per-seed,
+per-generator, coset-level and normal-closure references in ``oracles``.
+Element lookup, through the dense key table and through the sorted keys
+used above its ceiling, must agree with a dictionary from image rows to
+indices.
 """
 
 import os
@@ -143,6 +144,41 @@ def test_closure_matches_per_seed_walk(spec_text, lookup):
             assert t.closure_indices(seeds, stop_above=stop) == oracles.closure_per_seed(t, seeds, stop)
     squares = t.lookup_images(np.take_along_axis(t.imgs, t.imgs, axis=1)).tolist()
     assert t.closure_indices(squares) == oracles.closure_per_seed(t, squares)
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "pgl2(7)", "gl2(5)"])
+def test_closure_stop_at_matches_per_seed_walk(spec_text):
+    t = sc.build(sc.parse_spec(spec_text))
+    rng = np.random.default_rng(11)
+    none_marked = np.zeros(t.order, dtype=bool)
+    stopped = 0
+    for _ in range(60):
+        seeds = rng.integers(0, t.order, size=rng.integers(1, 4)).tolist()
+        assert t.closure_indices(seeds, stop_at=none_marked) == t.closure_indices(seeds)
+        marked = rng.random(t.order) < rng.choice([0.001, 0.01, 0.1])
+        got = t.closure_indices(seeds, stop_at=marked)
+        assert got == oracles.closure_per_seed(t, seeds, stop_at=marked)
+        stopped += got is None
+        H = t.closure_indices(seeds)
+        if got is None:  # a marked nonidentity element lies in the subgroup
+            assert marked[H[1:]].any()
+        else:
+            assert got == H and not marked[H[1:]].any()
+        for stop in (len(H) - 1, len(H)):
+            assert t.closure_indices(seeds, stop, marked) == oracles.closure_per_seed(t, seeds, stop, marked)
+    assert 0 < stopped < 60
+
+
+RADICAL_SPECS = [g[0] for g in GOLDEN] + ["gl2(5)", "gl2(7)", "product(alternating(5),symmetric(4))"]
+
+
+@pytest.mark.parametrize("spec_text", RADICAL_SPECS)
+def test_radical_matches_normal_closure_loop(spec_text):
+    t = sc.build(sc.parse_spec(spec_text))
+    rad = sc.solvable_radical(t)
+    mask, gens = oracles.radical_by_normal_closures(sc.build(sc.parse_spec(spec_text)))  # own caches
+    assert rad.mask.tobytes() == mask.tobytes()
+    assert rad.gens == gens
 
 
 PIN_SPECS = [g[0] for g in GOLDEN] + [
