@@ -12,9 +12,10 @@ are batched: every walk over the elements (enumeration, closure, cosets,
 classes and their witnesses, normal closures, the index-2 parity walk)
 moves its whole frontier by all of its generators in one product and one
 lookup per layer, and where a layer reaches an element twice the first
-occurrence in generator-major order wins.  Element orders come from one
-pass over the cycle lengths of every row.  Solvability is decided from the
-order alone when that suffices (below 60, or at most two prime divisors).
+occurrence in generator-major order wins.  An element's order is a class
+function, so orders are read off the cycle lengths of the class
+representatives on first use.  Solvability is decided from the order alone
+when that suffices (below 60, or at most two prime divisors).
 
 Every walk turns rows of images back into element indices.  An element is
 determined by its images of a base (Seress, Permutation Group Algorithms,
@@ -28,6 +29,7 @@ under the cap comes near it, but a wreath product with a long base does
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -59,7 +61,6 @@ class GroupTable:
         inv_imgs = np.empty_like(imgs)
         inv_imgs[np.arange(self.order)[:, None], imgs] = np.arange(self.degree)[None, :]
         self.inverse_of = self.lookup_images(inv_imgs)
-        self.order_of = _element_orders(imgs)
         self._solvable_cache: dict[bytes, bool] = {}
         self._classes: Optional[ClassPartition] = None
         self._radical: Optional[ElementSet] = None
@@ -259,6 +260,12 @@ class GroupTable:
             self._classes = _compute_classes(self)
         return self._classes
 
+    @cached_property
+    def order_of(self) -> np.ndarray:
+        """Order of every element, from one row per conjugacy class (conjugates share an order)."""
+        classes = self.conjugacy_classes()
+        return _element_orders(self.imgs[classes.representatives])[classes.class_of]
+
     def solvable_radical_set(self) -> "ElementSet":
         if self._radical is None:
             self._radical = _compute_radical(self)
@@ -376,24 +383,17 @@ def _element_orders(imgs: np.ndarray) -> np.ndarray:
     """Order of every permutation row: the lcm of its cycle lengths.
 
     Rows are raised to successive powers together; a point's cycle length is
-    the first power that fixes it, and a row is done once all its points
-    have one, so the pass takes as many steps as the longest cycle.
+    the first power that fixes it, and the loop ends once every point has
+    one, after as many steps as the longest cycle.
     """
-    n, d = imgs.shape
-    points = np.arange(d)
-    out = np.ones(n, dtype=np.int64)
-    rows, x, power = np.arange(n), imgs, imgs  # the rows not done yet, and their k-th powers
-    cycle = np.zeros((n, d), dtype=np.int64)
-    k = 1
-    while len(rows):
+    points = np.arange(imgs.shape[1])
+    cycle = np.zeros(imgs.shape, dtype=np.int64)
+    power, k = imgs, 1
+    while not cycle.all():
         cycle[(cycle == 0) & (power == points)] = k
-        done = (cycle > 0).all(axis=1)
-        if done.any():
-            out[rows[done]] = np.lcm.reduce(cycle[done], axis=1)
-            rows, x, power, cycle = rows[~done], x[~done], power[~done], cycle[~done]
-        power = np.take_along_axis(x, power, axis=1)  # x^(k+1)(p) = x(x^k(p))
+        power = np.take_along_axis(imgs, power, axis=1)  # x^(k+1)(p) = x(x^k(p))
         k += 1
-    return out
+    return np.lcm.reduce(cycle, axis=1)
 
 
 def enumerate_group(generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> GroupTable:

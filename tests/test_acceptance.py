@@ -85,6 +85,7 @@ SOLVED_BEYOND_GOLDEN = [
     ("psl2(16)", 4080, 15, 15),
     ("symmetric(7)", 5040, 21, 21),
     ("psl2(25)", 7800, 25, 25),
+    ("psl2(29)", 12180, 29, 29),
 ]
 
 
@@ -111,9 +112,9 @@ def test_solved_rows_beyond_golden(spec_text, order, alpha, alpha_inv):
 
 
 def test_cross_check_on_solved_rows():
-    rows = sc.cross_check([(sc.parse_spec(g), *solved(g)) for g in ("psl2(17)", "psl2(25)", "psl2(16)")])
-    assert [r.conjectures["q1mod4_alpha_q"] for r in rows[:2]] == ["supports", "supports"]
-    assert rows[2].conjectures["char2_qminus1"] == "supports"
+    rows = sc.cross_check([(sc.parse_spec(g), *solved(g)) for g in ("psl2(17)", "psl2(25)", "psl2(29)", "psl2(16)")])
+    assert [r.conjectures["q1mod4_alpha_q"] for r in rows[:3]] == ["supports"] * 3
+    assert rows[3].conjectures["char2_qminus1"] == "supports"
     assert all(r.conjectures["inv_equals_alpha"] == "supports" for r in rows)
 
 

@@ -43,6 +43,44 @@ def test_enumeration_and_orders_match_per_row_oracle(spec_text):
     assert t.order_of.tolist() == [perm_order(row) for row in t.imgs]
 
 
+def _order_tables():
+    abelian = sc.build(sc.parse_spec("raw(" + ";".join(f"({2 * i + 1},{2 * i + 2})" for i in range(10)) + ")"))
+    assert abelian.conjugacy_classes().count == abelian.order == 2 ** 10  # one element per class
+    yield "raw 2^10", abelian
+    gl25 = sc.build(sc.gl2(5))
+    yield "gl2(5)", gl25
+    yield "gl2(5)/R", sc.quotient_by(gl25, sc.solvable_radical(gl25))
+
+
+def test_orders_from_class_representatives_match_per_row_orders():
+    seen = 0
+    for name, t in _order_tables():
+        assert t.order_of.tolist() == [perm_order(row) for row in t.imgs], name
+        seen += 1
+    assert seen == 3
+
+
+def test_build_leaves_classes_unset_until_orders_or_classes_are_read():
+    t = sc.build(sc.parse_spec("pgl2(7)"))
+    assert t._classes is None and "order_of" not in vars(t)
+    orders = t.order_of
+    assert t._classes is not None and t.order_of is orders  # computed once
+    t = sc.build(sc.parse_spec("pgl2(7)"))
+    classes = t.conjugacy_classes()
+    assert "order_of" not in vars(t)
+    assert t.order_of.tolist() == [perm_order(row) for row in t.imgs]
+    assert t.conjugacy_classes() is classes
+
+
+def test_element_orders_match_perm_order_on_random_rows():
+    rng = np.random.default_rng(22)
+    for d in (1, 2, 7, 16, 31):
+        rows = np.stack([rng.permutation(d) for _ in range(40)]
+                        + [np.arange(d), np.roll(np.arange(d), 1), np.arange(d)]).astype(np.int16)
+        assert group._element_orders(rows).tolist() == [perm_order(row) for row in rows]
+    assert group._element_orders(np.arange(5, dtype=np.int16)[None, :]).tolist() == [1]  # ends after one step
+
+
 def _repeated_and_identity_generators():
     p = sc.parse_cycles("(1,2,3)", 4)
     return [sc.Permutation(range(4)), p, sc.parse_cycles("(1,2)(3,4)", 4), p]
