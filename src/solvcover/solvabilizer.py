@@ -1,10 +1,15 @@
 """Solvabilizer sets, the maximal-solvable census, and cover-instance reduction.
 
-Sol(x) = { y : <x,y> is solvable }.  It is computed once per conjugacy class
-representative x by an orbit walk over the normalizer N = N_G(<x>).  Each g
-in N maps x to a generator x^k of <x>, so g<x,y>g^-1 = <x, g y g^-1> and the
-verdict is constant on each orbit of N acting on G by conjugation.  The walk
-takes the orbits in index order and settles each undecided one with a single
+Sol(x) = { y : <x,y> is solvable }.  It depends only on the cyclic group <x>,
+since <x,y> = <x^k,y> for every generator x^k of <x>, so one orbit walk runs
+per conjugacy class of cyclic subgroups, for the representative of the least
+class among the generators of <x>; every other class with conjugate
+generators conjugates that mask.  The walk is over the normalizer
+N = N_G(<x>).  Each g in N maps x to a generator x^k of <x>, so
+g<x,y>g^-1 = <x, g y g^-1> and the verdict is constant on each orbit of N
+acting on G by conjugation.  N itself lies inside Sol(x) from the start: for
+y in N, <x> is normal in <x,y> with a cyclic quotient.  The walk takes the
+other orbits in index order and settles each undecided one with a single
 closure <x,y> of its least element y:
 
 - a solvable <x,y> puts every orbit that meets <x,y> inside Sol(x);
@@ -54,22 +59,23 @@ def _generator_rows(table: GroupTable, g: int) -> np.ndarray:
     return np.stack([rows[j - 1] for j in range(1, m + 1) if math.gcd(j, m) == 1])
 
 
-def _normalizer_orbits(table: GroupTable, x: int) -> np.ndarray:
-    """Least element of each element's orbit under conjugation by N_G(<x>)."""
+def _normalizer_orbits(table: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least element of each element's orbit under conjugation by N = N_G(<x>), and N's elements."""
     generates_x = np.zeros(table.order, dtype=bool)
     generates_x[table.lookup_images(_generator_rows(table, x))] = True
-    normalizer = np.flatnonzero(generates_x[table.conjugate(np.arange(table.order), x)]).tolist()
-    gens = np.array(_generating_subset(table, normalizer))
-    return _orbit_labels(table.conjugate(gens[:, None], np.arange(table.order)))
+    normalizer = np.flatnonzero(generates_x[table.conjugate(np.arange(table.order), x)])
+    gens = np.array(_generating_subset(table, normalizer.tolist()))
+    return _orbit_labels(table.conjugate(gens[:, None], np.arange(table.order))), normalizer
 
 
 def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
-    """Sol(x) as a boolean mask, by one closure per undecided N_G(<x>)-orbit."""
+    """Sol(x) as a boolean mask, by one closure per undecided N_G(<x>)-orbit outside N_G(<x>)."""
     n = table.order
     cut = table.solvable_cut()
-    label = _normalizer_orbits(table, x)
+    label, normalizer = _normalizer_orbits(table, x)
     x_powers = _power_rows(table, x)
     verdict = np.zeros(n, dtype=np.int8)  # per orbit label: 1 inside, -1 outside
+    verdict[label[normalizer]] = 1  # <x> is normal in <x,y> with a cyclic quotient
     inv = table.inverse_of
     for y in np.flatnonzero(label == np.arange(n)).tolist():
         if verdict[y]:
@@ -90,7 +96,10 @@ class SolvabilizerIncidence:
 
     Class representatives are computed lazily: verifying a certificate only
     touches the classes of its elements, while the covering pipeline pulls
-    in exactly the classes of the universe targets.
+    in exactly the classes of the universe targets.  A class whose cyclic
+    subgroups are conjugate to those of a lesser class (the algebraically
+    conjugate classes, such as PSL(2,8)'s 7A/7B/7C) conjugates that class's
+    mask instead of walking again.  Cached masks are read-only.
     """
 
     def __init__(self, table: GroupTable):
@@ -104,13 +113,21 @@ class SolvabilizerIncidence:
         return self.table.solvable_radical_set()
 
     def rep_sol(self, cid: int) -> np.ndarray:
+        """Sol of the class representative, conjugated from the least class among the generators of <rep>."""
         mask = self._rep_sol.get(cid)
         if mask is None:
-            mask = self._rep_sol[cid] = _sol_of_rep(self.table, self.classes.representatives[cid])
+            table, classes = self.table, self.classes
+            rep = classes.representatives[cid]
+            gens = table.lookup_images(_generator_rows(table, rep))
+            z = int(gens[classes.class_of[gens].argmin()])
+            # Sol(rep) = Sol(z), and the class of z is the least for its own generators too
+            mask = _sol_of_rep(table, rep) if classes.class_of[z] == cid else self.sol(z)
+            mask.flags.writeable = False
+            self._rep_sol[cid] = mask
         return mask
 
     def sol(self, x: int) -> np.ndarray:
-        """Sol(x) mask for any element, via Sol(x) = w Sol(rep) w^-1 (not cached)."""
+        """Sol(x) mask for any element, via Sol(x) = w Sol(rep) w^-1: the cached read-only mask for a representative."""
         x = int(x)
         rep_mask = self.rep_sol(int(self.classes.class_of[x]))
         w = int(self.classes.conjugator[x])

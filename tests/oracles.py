@@ -28,6 +28,7 @@ from solvcover.solvabilizer import (
     CoverInstance,
     SolvabilizerIncidence,
     _generator_rows,
+    _power_rows,
     _target_orbits,
     maximal_cyclic_generators,
 )
@@ -363,6 +364,38 @@ def sol_pairwise(table, x):
         else:
             known_out[y] = True
     return sol
+
+
+def sol_walk_every_orbit(table, x):
+    """Sol(x) by the normalizer-orbit walk with a closure for every undecided orbit.
+
+    The walk as it was before the normalizer N_G(<x>) was marked inside
+    Sol(x) up front, so the orbits inside N are settled by their closures.
+    """
+    n = table.order
+    cut = table.solvable_cut()
+    label = normalizer_orbits_per_generator(table, x)
+    x_powers = _power_rows(table, x)
+    verdict = np.zeros(n, dtype=np.int8)
+    inv = table.inverse_of
+    for y in np.flatnonzero(label == np.arange(n)).tolist():
+        if verdict[y]:
+            continue
+        H = table.closure_indices([x, y, inv[x], inv[y]], stop_above=cut, stop_at=verdict[label] < 0)
+        if H is not None:
+            if is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True, gens=[x, y])):
+                verdict[label[H]] = 1
+                continue
+        y_gens = _generator_rows(table, y)
+        same = table.lookup_images(np.concatenate([y_gens[:, p] for p in x_powers]))
+        verdict[label[same]] = -1
+    return verdict[label] == 1
+
+
+def normalizer_brute(table, x):
+    """N_G(<x>) as a boolean mask: every g with g<x>g^-1 = <x>, element by element."""
+    cyclic = table.closure_indices([x])
+    return np.array([sorted(table.conjugate(g, cyclic).tolist()) == cyclic for g in range(table.order)])
 
 
 def extend_to_maximal_solvable_scanning(table, seed, gens):

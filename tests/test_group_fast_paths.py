@@ -1,10 +1,11 @@
 """Differential tests: the batched group-engine walks against the paths they replaced.
 
 Enumeration, the lookup base, element orders, subgroup closure and its
-early stops, left cosets, conjugacy classes with their witnesses, normalizer
-orbits, index-2 subgroups, the radical and the order-based solvability rule
-must agree exactly with the per-row, per-point, per-element, per-seed,
-per-generator, coset-level and normal-closure references in ``oracles``.
+early stops, left cosets, conjugacy classes with their witnesses, normalizers
+and their orbits, index-2 subgroups, the radical and the order-based
+solvability rule must agree exactly with the per-row, per-point,
+per-element, per-seed, per-generator, coset-level and normal-closure
+references in ``oracles``.
 Element lookup, through the dense key table and through the sorted keys
 used above its ceiling, must agree with a dictionary from image rows to
 indices.
@@ -233,8 +234,19 @@ def test_broadcast_walks_match_per_generator_walks(spec_text, lookup):
     assert np.array_equal(cp.class_of, class_of) and cp.representatives == reps
     assert np.array_equal(cp.conjugator, conjugator)
     for x in reps:
-        assert np.array_equal(solvabilizer._normalizer_orbits(t, x), oracles.normalizer_orbits_per_generator(t, x))
+        label, _ = solvabilizer._normalizer_orbits(t, x)
+        assert np.array_equal(label, oracles.normalizer_orbits_per_generator(t, x))
     _assert_index_two_subgroups_match_cosets(t)
+
+
+@pytest.mark.parametrize("spec_text", ["pgl2(7)", "alternating(6)"])
+def test_normalizer_matches_brute_force(spec_text):
+    # _sol_of_rep marks N_G(<x>) inside Sol(x) without a closure, so the set must be exact
+    t = sc.build(sc.parse_spec(spec_text))
+    for x in t.conjugacy_classes().representatives:
+        label, normalizer = solvabilizer._normalizer_orbits(t, x)
+        assert normalizer.tolist() == np.flatnonzero(oracles.normalizer_brute(t, x)).tolist()
+        assert np.isin(label[normalizer], normalizer).all()  # N is a union of its own orbits
 
 
 def _coset_cases():

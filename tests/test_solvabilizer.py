@@ -119,6 +119,53 @@ def test_sol_equivariance_every_element():
         assert np.array_equal(_sol_of_rep(table, x), inc.sol(x))
 
 
+#: Groups with algebraically conjugate classes (PSL(2,q) tori, A7's 7A/7B) and
+#: GL(2,5), whose radical is its center.
+CYCLIC_CLASS_SPECS = ["psl2(8)", "psl2(11)", "psl2(13)", "psl2(16)", "alternating(7)", "psl2(27)", "gl2(5)"]
+
+
+@pytest.mark.parametrize("spec_text", CYCLIC_CLASS_SPECS)
+def test_rep_sol_matches_direct_walk_for_every_class(spec_text):
+    # a class conjugating another class's mask must equal its own walk, and the
+    # walk with N_G(<x>) marked up front must equal one closing every orbit
+    table = sc.build(sc.parse_spec(spec_text))
+    fresh = sc.build(sc.parse_spec(spec_text))  # own solvability cache
+    inc = sc.sol_incidence(table)
+    for cid, rep in enumerate(inc.classes.representatives):
+        direct = _sol_of_rep(fresh, rep)
+        assert inc.rep_sol(cid).tobytes() == direct.tobytes(), cid
+        assert direct.tobytes() == oracles.sol_walk_every_orbit(fresh, rep).tobytes(), cid
+
+
+def test_one_walk_per_class_of_cyclic_subgroups(monkeypatch):
+    walks = []
+    walk = solvabilizer._sol_of_rep
+    monkeypatch.setattr(solvabilizer, "_sol_of_rep", lambda table, x: walks.append(x) or walk(table, x))
+    table = sc.build(sc.psl2(8))
+    inc = sc.sol_incidence(table)
+    for cid in range(inc.classes.count):
+        inc.rep_sol(cid)
+    # 1, 2A, 3A, 7A/7B/7C, 9A/9B/9C
+    assert inc.classes.count == 9 and len(walks) == 5
+    walks.clear()
+    table = sc.build(sc.psl2(8))
+    sc.solve_alpha(table, "all")
+    sc.solve_alpha(table, "involutions")
+    assert len(sc.sol_incidence(table)._rep_sol) == 7 and len(walks) == 3
+
+
+def test_cached_sol_masks_are_read_only(a5):
+    inc = sc.sol_incidence(a5)
+    for cid, rep in enumerate(inc.classes.representatives):
+        for mask in (inc.rep_sol(cid), inc.sol(rep)):
+            with pytest.raises(ValueError):
+                mask[0] = False
+    x = next(x for x in range(a5.order) if inc.classes.conjugator[x] != 0)
+    derived = inc.sol(x)  # conjugated afresh on each call, so the caller's own
+    derived[0] = False
+    assert inc.sol(x)[0]
+
+
 # -- census ---------------------------------------------------------------------
 
 
