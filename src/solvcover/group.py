@@ -629,15 +629,23 @@ def _compute_radical(table: GroupTable) -> ElementSet:
     class already found outside (if <x^G> holds z, it holds <z^G>).  The
     radical's ``gens`` are the generators of the solvable normal closures it
     unites.  Verified as a normal solvable subgroup before returning.
+
+    In a nonsolvable G the quotient G/R is nonsolvable, so |G/R| >= 60, and a
+    class C inside R has |C| + 1 <= |R| <= |G|/60.  Every nonidentity class
+    with 60 (|C| + 1) > |G| is therefore outside from the start, with no
+    closure (all of them in a simple G).
     """
     classes = table.conjugacy_classes()
     cut = table.solvable_cut()
     rad = np.zeros(table.order, dtype=bool)
     rad[0] = True
     outside = np.zeros(table.order, dtype=bool)
+    if cut is not None:
+        outside = 60 * (classes.sizes[classes.class_of] + 1) > table.order
+        outside[0] = False
     gens: list[int] = []
     for cid, rep in enumerate(classes.representatives):
-        if rep == 0 or rad[rep]:
+        if rep == 0 or rad[rep] or outside[rep]:
             continue
         sub, sub_gens = _normal_closure_within(table, [rep], table.generator_indices, stop_above=cut, stop_at=outside)
         if sub is not None and is_solvable(table, ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)):

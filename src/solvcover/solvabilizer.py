@@ -8,7 +8,14 @@ generators conjugates that mask.  The walk is over the normalizer
 N = N_G(<x>).  Each g in N maps x to a generator x^k of <x>, so
 g<x,y>g^-1 = <x, g y g^-1> and the verdict is constant on each orbit of N
 acting on G by conjugation.  N itself lies inside Sol(x) from the start: for
-y in N, <x> is normal in <x,y> with a cyclic quotient.  The walk takes the
+y in N, <x> is normal in <x,y> with a cyclic quotient.  The orbits that the
+orders a = |x|, b = |y|, c = |xy| decide are settled from the start too
+(``_triangle_verdicts``): <x,y> is a quotient of the von Dyck group
+<X,Y | X^a, Y^b, (XY)^c> (von Dyck 1882; Coxeter and Moser, Generators and
+Relations for Discrete Groups, ch. 4), which for 1/a + 1/b + 1/c >= 1 is
+dihedral, A4, S4, A5 or a solvable Euclidean group (2,3,6), (2,4,4),
+(3,3,3).  So such a y is inside, except for {2,3,5}: that group is the
+simple A5, so <x,y> is A5 and y is outside.  The walk takes the
 other orbits in index order and settles each undecided one with a single
 closure <x,y> of its least element y:
 
@@ -17,7 +24,8 @@ closure <x,y> of its least element y:
   puts outside the orbits of every y^j x^k with gcd(j, |y|) = 1, since
   <x, y^j x^k> = <x, y>;
 - so does a closure that reaches an orbit already outside, where it stops:
-  for z there, <x,z> is a nonsolvable subgroup of <x,y>.
+  for z there, <x,z> is a nonsolvable subgroup of <x,y>; the {2,3,5} marks
+  stop a walk's first nonsolvable closures at an element of an A5.
 
 Seeding the closure with x, y and their inverses halves its layers.
 
@@ -68,14 +76,55 @@ def _normalizer_orbits(table: GroupTable, x: int) -> tuple[np.ndarray, np.ndarra
     return _orbit_labels(table.conjugate(gens[:, None], np.arange(table.order))), normalizer
 
 
+def _von_dyck(a, b, c) -> np.ndarray:
+    """Solvability of <x,y> from a = |x|, b = |y|, c = |xy|: 1 solvable, -1 not, 0 undecided.
+
+    <x,y> is a quotient of D(a,b,c) = <X,Y | X^a, Y^b, (XY)^c>.  For
+    1/a + 1/b + 1/c >= 1, tested as bc + ac + ab >= abc, D(a,b,c) is solvable
+    but for {2,3,5}, where it is the simple A5 and every nontrivial quotient
+    is A5.  A product of 30 with a sum of 10 is {2,3,5} and no other triple.
+    """
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    spherical = b * c + a * c + a * b >= a * b * c
+    a5 = (a * b * c == 30) & (a + b + c == 10)
+    return np.where(a5, -1, spherical).astype(np.int8)
+
+
+def _triangle_verdicts(table: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elements y whose <x,y> the orders of x, y and xy decide, and the verdicts (1 solvable, -1 not).
+
+    A triple with 1/a + 1/b + 1/c >= 1 and an entry of 7 or more has its
+    other two entries equal to 2, or one equal to 1.  So for |x| >= 7 each
+    such y inverts x, or is 1 or x^-1, and lies in N_G(<x>) already.  For
+    |x| <= 6 one product x y per element with |y| <= 6 reads c, and for an
+    involution x every y = x t with t an involution has xy = t, so <x,y> is
+    dihedral whatever |y| is.
+    """
+    orders = table.order_of
+    a = int(orders[x])
+    if a > 6:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
+    ys = np.flatnonzero(orders <= 6)
+    verdicts = _von_dyck(a, orders[ys], orders[table.mul_left(x, ys)])
+    decided = verdicts != 0
+    ys, verdicts = ys[decided], verdicts[decided]
+    if a == 2:
+        dihedral = table.mul_left(x, table.involution_indices())
+        ys = np.concatenate([ys, dihedral])
+        verdicts = np.concatenate([verdicts, np.ones(len(dihedral), dtype=np.int8)])
+    return ys, verdicts
+
+
 def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
-    """Sol(x) as a boolean mask, by one closure per undecided N_G(<x>)-orbit outside N_G(<x>)."""
+    """Sol(x) as a boolean mask, by one closure per N_G(<x>)-orbit that neither N_G(<x>) nor orders decide."""
     n = table.order
     cut = table.solvable_cut()
     label, normalizer = _normalizer_orbits(table, x)
     x_powers = _power_rows(table, x)
     verdict = np.zeros(n, dtype=np.int8)  # per orbit label: 1 inside, -1 outside
     verdict[label[normalizer]] = 1  # <x> is normal in <x,y> with a cyclic quotient
+    ys, verdicts = _triangle_verdicts(table, x)
+    verdict[label[ys]] = verdicts
     inv = table.inverse_of
     for y in np.flatnonzero(label == np.arange(n)).tolist():
         if verdict[y]:

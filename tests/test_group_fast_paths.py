@@ -208,16 +208,34 @@ def test_closure_stop_at_matches_per_seed_walk(spec_text):
     assert 0 < stopped < 60
 
 
-RADICAL_SPECS = [g[0] for g in GOLDEN] + ["gl2(5)", "gl2(7)", "product(alternating(5),symmetric(4))"]
+RADICAL_SPECS = [g[0] for g in GOLDEN] + ["gl2(5)", "gl2(7)", "product(alternating(5),symmetric(4))",
+                                          "product(alternating(5),symmetric(3))", "sl25"]
 
 
 @pytest.mark.parametrize("spec_text", RADICAL_SPECS)
-def test_radical_matches_normal_closure_loop(spec_text):
-    t = sc.build(sc.parse_spec(spec_text))
+def test_radical_matches_normal_closure_loop(request, spec_text):
+    if spec_text == "sl25":
+        sl25 = request.getfixturevalue("sl25")
+        gens = [sl25.permutation(g) for g in sl25.generator_indices]
+        t, fresh = sc.enumerate_group(gens), sc.enumerate_group(gens)
+    else:
+        t, fresh = sc.build(sc.parse_spec(spec_text)), sc.build(sc.parse_spec(spec_text))
     rad = sc.solvable_radical(t)
-    mask, gens = oracles.radical_by_normal_closures(sc.build(sc.parse_spec(spec_text)))  # own caches
+    mask, gens = oracles.radical_by_normal_closures(fresh)  # own caches
     assert rad.mask.tobytes() == mask.tobytes()
     assert rad.gens == gens
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(6)", "psl2(8)", "psl2(27)"])
+def test_radical_of_simple_group_needs_no_normal_closure(monkeypatch, spec_text):
+    # every nonidentity class of a simple G has 60 (|C| + 1) > |G|
+    t = sc.build(sc.parse_spec(spec_text))
+    assert not t.is_group_solvable()  # its derived series takes normal closures of its own
+    calls = []
+    closure = group._normal_closure_within
+    monkeypatch.setattr(group, "_normal_closure_within", lambda *args, **kw: calls.append(args) or closure(*args, **kw))
+    assert len(sc.solvable_radical(t)) == 1
+    assert calls == []
 
 
 PIN_SPECS = [g[0] for g in GOLDEN] + [

@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import solvcover as sc
 from solvcover import solvabilizer
-from solvcover.solvabilizer import Candidate, CoverInstance, _sol_of_rep
+from solvcover.solvabilizer import Candidate, CoverInstance, _sol_of_rep, _triangle_verdicts, _von_dyck
 
 import oracles
 
@@ -119,15 +120,19 @@ def test_sol_equivariance_every_element():
         assert np.array_equal(_sol_of_rep(table, x), inc.sol(x))
 
 
-#: Groups with algebraically conjugate classes (PSL(2,q) tori, A7's 7A/7B) and
-#: GL(2,5), whose radical is its center.
-CYCLIC_CLASS_SPECS = ["psl2(8)", "psl2(11)", "psl2(13)", "psl2(16)", "alternating(7)", "psl2(27)", "gl2(5)"]
+#: Groups with algebraically conjugate classes (PSL(2,q) tori, A7's 7A/7B);
+#: GL(2,5), whose radical is its center; S6, with 14 (2,3,5) marks per class
+#: on average; and A5 x S3, with the radical S3.
+CYCLIC_CLASS_SPECS = ["psl2(8)", "psl2(11)", "psl2(13)", "psl2(16)", "alternating(7)", "psl2(27)", "gl2(5)",
+                      "symmetric(6)", "product(alternating(5),symmetric(3))",
+                      pytest.param("wreath(alternating(5),2,cycle)", marks=pytest.mark.slow)]
 
 
 @pytest.mark.parametrize("spec_text", CYCLIC_CLASS_SPECS)
 def test_rep_sol_matches_direct_walk_for_every_class(spec_text):
     # a class conjugating another class's mask must equal its own walk, and the
-    # walk with N_G(<x>) marked up front must equal one closing every orbit
+    # walk with N_G(<x>) and the triangle verdicts marked up front must equal
+    # one closing every orbit
     table = sc.build(sc.parse_spec(spec_text))
     fresh = sc.build(sc.parse_spec(spec_text))  # own solvability cache
     inc = sc.sol_incidence(table)
@@ -135,6 +140,47 @@ def test_rep_sol_matches_direct_walk_for_every_class(spec_text):
         direct = _sol_of_rep(fresh, rep)
         assert inc.rep_sol(cid).tobytes() == direct.tobytes(), cid
         assert direct.tobytes() == oracles.sol_walk_every_orbit(fresh, rep).tobytes(), cid
+
+
+def _orderings(*triples):
+    return {p for t in triples for p in itertools.permutations(t)}
+
+
+SPHERICAL = _orderings(*[(2, 2, n) for n in range(1, 13)], (2, 3, 3), (2, 3, 4), (2, 3, 6), (2, 4, 4),
+                       (3, 3, 3), *[(1, b, c) for b in range(1, 13) for c in range(1, 13)])
+UNDECIDED = _orderings((2, 3, 7), (2, 5, 5), (3, 3, 4), (4, 4, 3), (3, 4, 5), (2, 4, 5), (2, 3, 8), (7, 7, 7))
+
+
+def test_von_dyck_table():
+    for triple in SPHERICAL:
+        assert _von_dyck(*triple) == 1, triple
+    for triple in _orderings((2, 3, 5)):
+        assert _von_dyck(*triple) == -1, triple
+    for triple in UNDECIDED:
+        assert _von_dyck(*triple) == 0, triple
+    a, b, c = np.array(sorted(SPHERICAL | UNDECIDED | _orderings((2, 3, 5)))).T
+    expect = [1 if t in SPHERICAL else -1 if sorted(t) == [2, 3, 5] else 0 for t in zip(a, b, c)]
+    assert _von_dyck(a, b, c).tolist() == expect
+
+
+#: The differential groups; the verdicts are checked on every pair (rep, y).
+TRIANGLE_SPECS = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)", "sl25"]
+
+
+@pytest.mark.parametrize("spec_text", TRIANGLE_SPECS)
+def test_triangle_verdicts_match_closure_solvability(request, spec_text):
+    table = request.getfixturevalue("sl25") if spec_text == "sl25" else sc.build(sc.parse_spec(spec_text))
+    verdicts = {}  # per subgroup, by brute force on its permutations
+    decided = 0
+    for x in table.conjugacy_classes().representatives:
+        ys, marks = _triangle_verdicts(table, x)
+        decided += len(ys)
+        for y, mark in zip(ys.tolist(), marks.tolist()):
+            H = tuple(table.closure_indices([x, y]))
+            if H not in verdicts:
+                verdicts[H] = oracles.is_solvable_brute({tuple(table.imgs[i].tolist()) for i in H})
+            assert mark == (1 if verdicts[H] else -1), (x, y)
+    assert decided > 0 and len(verdicts) > 1
 
 
 def test_one_walk_per_class_of_cyclic_subgroups(monkeypatch):
