@@ -120,69 +120,70 @@ class _ClassCountingBound:
     For each candidate conjugacy class c and target orbit T the coverage count
     |row(x) & T| is constant over x in c (conjugation permutes T and maps rows
     accordingly); a cover with x_c members of class c then has
-    sum_c k[c][T] * x_c >= |T| for every T, with x_c at most the class size.
+    sum_c k[c, T] * x_c >= |T| for every T, with x_c at most the class size.
     The least sum of x_c in the LP relaxation of that program is a lower
     bound on the cover size, and its dual gives the root multipliers.
-    k[c][T] is the largest count over the members of c.  A conjugation-symmetric
+    k[c, T] is the largest count over the members of c.  A conjugation-symmetric
     instance has the same count at every member, so it reads one row per class.
+    ``members`` holds each class's candidate indices, in index order.
     """
 
     def __init__(self, instance: CoverInstance):
-        cands = instance.candidates
-        self.cls_ids = sorted({c.class_id for c in cands})
-        self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
+        cids = np.array([c.class_id for c in instance.candidates], dtype=np.int64)
+        self.cls_ids, cls = np.unique(cids, return_inverse=True)
+        self.cls_sizes = np.bincount(cls)
+        starts = np.cumsum(self.cls_sizes) - self.cls_sizes
+        by_class = np.argsort(cls, kind="stable")
+        self.members = np.split(by_class, starts[1:])
         self.target_orbit = np.unique(np.array(instance.target_class, dtype=np.int64), return_inverse=True)[1]
-        self.sizes = np.bincount(self.target_orbit).tolist()
-        groups = [mem[:1] for mem in self.members] if instance.conjugation_symmetric else self.members
-        rows = instance.covers[[i for g in groups for i in g]][:, np.argsort(self.target_orbit, kind="stable")]
-        counts = np.add.reduceat(rows, np.cumsum([0] + self.sizes)[:-1], axis=1, dtype=np.int64)  # |row & T|
-        self.k = np.maximum.reduceat(counts, np.cumsum([0] + [len(g) for g in groups])[:-1], axis=0).tolist()
+        self.sizes = np.bincount(self.target_orbit)
+        if instance.conjugation_symmetric:
+            by_class, starts = by_class[starts], np.arange(len(starts))
+        rows = instance.covers[by_class][:, np.argsort(self.target_orbit, kind="stable")]
+        counts = np.add.reduceat(rows, np.cumsum(self.sizes) - self.sizes, axis=1, dtype=np.int64)  # |row & T|
+        self.k = np.maximum.reduceat(counts, starts, axis=0)
 
     def constraint_rows(self):
         """(coefficients, rhs) per target orbit, for reporting and tests."""
-        return [({cid: kc[ti] for cid, kc in zip(self.cls_ids, self.k)}, size) for ti, size in enumerate(self.sizes)]
+        cls_ids = self.cls_ids.tolist()
+        return [(dict(zip(cls_ids, col)), size) for col, size in zip(self.k.T.tolist(), self.sizes.tolist())]
 
     @cached_property
-    def lp_dual(self) -> tuple[list[float], float]:
+    def lp_dual(self) -> tuple[np.ndarray, float]:
         """Optimal multipliers w (one per target orbit) of the program's LP relaxation at the root.
 
         Primal simplex with Bland's rule on the dual LP
-            max sum_T |T| w_T - sum_c |c| v_c  s.t.  sum_T k[c][T] w_T - v_c <= 1,  w, v >= 0,
-        from the slack basis, which is feasible as every right-hand side is 1.
-        Returns (w, value) with value = sum_T |T| w_T - sum_c |c| max(sum_T k[c][T] w_T - 1, 0).
+            max sum_T |T| w_T - sum_c |c| v_c  s.t.  sum_T k[c, T] w_T - v_c <= 1,  w, v >= 0,
+        from the slack basis, which is feasible as every right-hand side is 1,
+        on one float64 tableau [k | -I | I | 1] with a row per class and the
+        reduced costs z: the first column with z > _PIVOT_TOL enters, and the
+        row of least ratio leaves, ties to the least basis index.
+        Returns (w, value) with value = sum_T |T| w_T - sum_c |c| max(sum_T k[c, T] w_T - 1, 0).
         """
-        k, sizes = self.k, self.sizes
-        nc, m = len(k), len(sizes)
-        rows = [[float(a) for a in k[c]] + [-float(c == j) for j in range(nc)] + [float(c == j) for j in range(nc)]
-                + [1.0] for c in range(nc)]
-        z = [float(a) for a in sizes] + [-float(len(mem)) for mem in self.members] + [0.0] * (nc + 1)
-        basis = list(range(m + nc, m + 2 * nc))
+        k, nc, m = self.k, len(self.k), len(self.sizes)
+        eye = np.eye(nc)
+        tab = np.concatenate([k, -eye, eye, np.ones((nc, 1))], axis=1)
+        z = np.concatenate([self.sizes, -self.cls_sizes, np.zeros(nc + 1)])
+        basis = np.arange(m + nc, m + 2 * nc)
         for _ in range(_SIMPLEX_PIVOTS):
-            enter = next((j for j in range(m + 2 * nc) if z[j] > _PIVOT_TOL), None)
-            if enter is None:
+            enter = int(np.argmax(z[:-1] > _PIVOT_TOL))
+            if z[enter] <= _PIVOT_TOL:
                 break
-            ratio = min(((row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > _PIVOT_TOL),
-                        default=None)
-            if ratio is None:
+            col = tab[:, enter]
+            rows = np.flatnonzero(col > _PIVOT_TOL)
+            if not len(rows):
                 break
-            pivot = rows[ratio[2]]
-            f = pivot[enter]
-            pivot[:] = [a / f for a in pivot]
-            for row in rows:
-                if row is not pivot and row[enter]:
-                    f = row[enter]
-                    row[:] = [a - f * b for a, b in zip(row, pivot)]
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, pivot)]
-            basis[ratio[2]] = enter
-        w = [0.0] * m
-        for row, b in zip(rows, basis):
-            if b < m:
-                w[b] = max(row[-1], 0.0)
-        value = (sum(a * b for a, b in zip(sizes, w))
-                 - sum(len(mem) * max(sum(a * b for a, b in zip(kc, w)) - 1, 0.0)
-                       for mem, kc in zip(self.members, k)))
-        return w, value
+            r = rows[np.lexsort((basis[rows], tab[rows, -1] / col[rows]))[0]]  # basis indices are distinct
+            pivot = tab[r] / col[r]
+            tab -= np.outer(col, pivot)  # a - 0 * b leaves the rows with a 0 in col as they are
+            tab[r] = pivot
+            z -= z[enter] * pivot
+            basis[r] = enter
+        w = np.zeros(m)
+        dual = basis < m
+        w[basis[dual]] = np.maximum(tab[dual, -1], 0.0)
+        value = self.sizes @ w - self.cls_sizes @ np.maximum(k @ w - 1, 0.0)
+        return w, float(value)
 
 
 def class_counting_bound(instance: CoverInstance) -> int:
@@ -296,7 +297,7 @@ class _Search:
     program is built on first use (``ccb``).  A symmetric root runs no
     ascent: y0 is already optimal for its LP, so no step can raise L.  There
     the child check subsumes reduced-cost fixing by class: s_i <= load_c =
-    sum_T k[c][T] w_T for the pick i of class c (k is a maximum over the
+    sum_T k[c, T] w_T for the pick i of class c (k is a maximum over the
     class) and L >= value, so 1 + L_c >= value + 1 - load_c.
 
     Every node but a symmetric root ascends, at about ten nodes' work each.
@@ -326,9 +327,9 @@ class _Search:
         if not self.inst.conjugation_symmetric:
             return None
         members = self.ccb.members
-        zeroed = [[mem[0]] + [i for low in members[:j] for i in low] for j, mem in enumerate(members)]
-        return ([mem[0] for mem in members], [j for j, z in enumerate(zeroed) for _ in z],
-                [i for z in zeroed for i in z])
+        zeroed = [np.concatenate([mem[:1], *members[:j]]) for j, mem in enumerate(members)]
+        return (np.array([mem[0] for mem in members]), np.repeat(np.arange(len(zeroed)), [len(z) for z in zeroed]),
+                np.concatenate(zeroed))
 
     def _density(self, unc: np.ndarray, cov: np.ndarray) -> int:
         best_cov = int(cov.max(initial=0))
@@ -471,7 +472,7 @@ class _Search:
         ub = len(incumbent)
         lo = min(max(floor, root), ub)
         cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
-        y0 = np.array(self.ccb.lp_dual[0])[self.ccb.target_orbit]  # the LP dual spread over the targets
+        y0 = self.ccb.lp_dual[0][self.ccb.target_orbit]  # the LP dual spread over the targets
         rng = random.Random(0)  # one seed per solve: an instance always gets the same certificate
         restarts = _FIRST_RESTARTS
         timed_out = False

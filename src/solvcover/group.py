@@ -61,7 +61,6 @@ class GroupTable:
         inv_imgs = np.empty_like(imgs)
         inv_imgs[np.arange(self.order)[:, None], imgs] = np.arange(self.degree)[None, :]
         self.inverse_of = self.lookup_images(inv_imgs)
-        self._solvable_cache: dict[bytes, bool] = {}
         self._classes: Optional[ClassPartition] = None
         self._radical: Optional[ElementSet] = None
         self._cyclic: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -276,6 +275,15 @@ class GroupTable:
         if self._cyclic is None:
             self._cyclic = _compute_cyclic_generators(self)
         return self._cyclic
+
+    def cyclic(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of g, g^2, ..., g^m = 1 (m the order of g), and of the generators g^j, gcd(j, m) = 1, of <g>."""
+        rows = [self.imgs[g]]
+        for _ in range(int(self.order_of[g]) - 1):
+            rows.append(rows[0][rows[-1]])
+        powers = self.lookup_images(np.stack(rows))
+        m = len(powers)
+        return powers, powers[np.gcd(np.arange(1, m + 1), m) == 1]
 
     def is_group_solvable(self) -> bool:
         if self._group_solvable is None:
@@ -543,22 +551,14 @@ def is_solvable(table: GroupTable, H: ElementSet) -> bool:
     _require_subgroup(table, H)
     if _solvable_by_order(len(H)):
         return True
-    key = H.fingerprint()
-    cached = table._solvable_cache.get(key)
-    if cached is not None:
-        return cached
     cur = H
     while True:
         nxt = derived_subgroup(table, cur)
         if _solvable_by_order(len(nxt)):
-            verdict = True
-            break
+            return True
         if len(nxt) == len(cur):
-            verdict = False
-            break
+            return False
         cur = nxt
-    table._solvable_cache[key] = verdict
-    return verdict
 
 
 def _orbit_labels(perms: np.ndarray) -> np.ndarray:
@@ -630,19 +630,21 @@ def _compute_radical(table: GroupTable) -> ElementSet:
     radical's ``gens`` are the generators of the solvable normal closures it
     unites.  Verified as a normal solvable subgroup before returning.
 
-    In a nonsolvable G the quotient G/R is nonsolvable, so |G/R| >= 60, and a
-    class C inside R has |C| + 1 <= |R| <= |G|/60.  Every nonidentity class
+    A solvable G is its own radical, returned at once with G's generators
+    and no check.
+    In a nonsolvable G the quotient G/R is nonsolvable, so |G/R| >= 60, and
+    a class C inside R has |C| + 1 <= |R| <= |G|/60.  Every nonidentity class
     with 60 (|C| + 1) > |G| is therefore outside from the start, with no
     closure (all of them in a simple G).
     """
+    if table.is_group_solvable():
+        return ElementSet.full(table)
     classes = table.conjugacy_classes()
     cut = table.solvable_cut()
     rad = np.zeros(table.order, dtype=bool)
     rad[0] = True
-    outside = np.zeros(table.order, dtype=bool)
-    if cut is not None:
-        outside = 60 * (classes.sizes[classes.class_of] + 1) > table.order
-        outside[0] = False
+    outside = 60 * (classes.sizes[classes.class_of] + 1) > table.order
+    outside[0] = False
     gens: list[int] = []
     for cid, rep in enumerate(classes.representatives):
         if rep == 0 or rad[rep] or outside[rep]:

@@ -35,7 +35,6 @@ Sol(g x g^-1) = g Sol(x) g^-1.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -52,25 +51,13 @@ from .group import (
     is_solvable,
 )
 
-def _power_rows(table: GroupTable, g: int) -> list[np.ndarray]:
-    """Image rows of g^1, g^2, ..., g^m = 1, where m is the order of g."""
-    rows = [table.imgs[g]]
-    for _ in range(int(table.order_of[g]) - 1):
-        rows.append(rows[0][rows[-1]])
-    return rows
+def _normalizer_orbits(table: GroupTable, x: int, x_gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least element of each element's orbit under conjugation by N = N_G(<x>), and N's elements.
 
-
-def _generator_rows(table: GroupTable, g: int) -> np.ndarray:
-    """Image rows of the generators g^j (gcd(j, |g|) = 1) of the cyclic group <g>."""
-    rows = _power_rows(table, g)
-    m = len(rows)
-    return np.stack([rows[j - 1] for j in range(1, m + 1) if math.gcd(j, m) == 1])
-
-
-def _normalizer_orbits(table: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Least element of each element's orbit under conjugation by N = N_G(<x>), and N's elements."""
+    x_gens are the generators of <x> (``GroupTable.cyclic``).
+    """
     generates_x = np.zeros(table.order, dtype=bool)
-    generates_x[table.lookup_images(_generator_rows(table, x))] = True
+    generates_x[x_gens] = True
     normalizer = np.flatnonzero(generates_x[table.conjugate(np.arange(table.order), x)])
     gens = np.array(_generating_subset(table, normalizer.tolist()))
     return _orbit_labels(table.conjugate(gens[:, None], np.arange(table.order))), normalizer
@@ -115,12 +102,15 @@ def _triangle_verdicts(table: GroupTable, x: int) -> tuple[np.ndarray, np.ndarra
     return ys, verdicts
 
 
-def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
-    """Sol(x) as a boolean mask, by one closure per N_G(<x>)-orbit that neither N_G(<x>) nor orders decide."""
+def _sol_of_rep(table: GroupTable, x: int, cyclic: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sol(x) as a boolean mask, by one closure per N_G(<x>)-orbit that neither N_G(<x>) nor orders decide.
+
+    cyclic is ``table.cyclic(x)``: the powers of x and the generators of <x>.
+    """
     n = table.order
     cut = table.solvable_cut()
-    label, normalizer = _normalizer_orbits(table, x)
-    x_powers = _power_rows(table, x)
+    x_powers, x_gens = cyclic
+    label, normalizer = _normalizer_orbits(table, x, x_gens)
     verdict = np.zeros(n, dtype=np.int8)  # per orbit label: 1 inside, -1 outside
     verdict[label[normalizer]] = 1  # <x> is normal in <x,y> with a cyclic quotient
     ys, verdicts = _triangle_verdicts(table, x)
@@ -134,9 +124,7 @@ def _sol_of_rep(table: GroupTable, x: int) -> np.ndarray:
             if is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True, gens=[x, y])):
                 verdict[label[H]] = 1
                 continue
-        y_gens = _generator_rows(table, y)
-        same = table.lookup_images(np.concatenate([y_gens[:, p] for p in x_powers]))  # y^j∘x^k
-        verdict[label[same]] = -1
+        verdict[label[table.mul_left(table.cyclic(y)[1], x_powers)]] = -1  # y^j x^k
     return verdict[label] == 1
 
 
@@ -167,10 +155,11 @@ class SolvabilizerIncidence:
         if mask is None:
             table, classes = self.table, self.classes
             rep = classes.representatives[cid]
-            gens = table.lookup_images(_generator_rows(table, rep))
+            cyclic = table.cyclic(rep)
+            gens = cyclic[1]
             z = int(gens[classes.class_of[gens].argmin()])
             # Sol(rep) = Sol(z), and the class of z is the least for its own generators too
-            mask = _sol_of_rep(table, rep) if classes.class_of[z] == cid else self.sol(z)
+            mask = _sol_of_rep(table, rep, cyclic) if classes.class_of[z] == cid else self.sol(z)
             mask.flags.writeable = False
             self._rep_sol[cid] = mask
         return mask

@@ -11,7 +11,16 @@ from itertools import combinations, product
 import numpy as np
 
 from solvcover.constructions import build, frobenius_permutation, mobius_permutation, pgammal2
-from solvcover.cover import EXACT, INFEASIBLE, INTERVAL, CoverOutcome, SolveBudget, greedy_cover
+from solvcover.cover import (
+    _PIVOT_TOL,
+    _SIMPLEX_PIVOTS,
+    EXACT,
+    INFEASIBLE,
+    INTERVAL,
+    CoverOutcome,
+    SolveBudget,
+    greedy_cover,
+)
 from solvcover.errors import CapExceeded, GroupSolvable, InfeasibleUniverse, InternalInconsistency
 from solvcover.fields import factor_prime_power, field_ops, is_prime
 from solvcover.group import (
@@ -27,8 +36,6 @@ from solvcover.solvabilizer import (
     Candidate,
     CoverInstance,
     SolvabilizerIncidence,
-    _generator_rows,
-    _power_rows,
     _target_orbits,
     maximal_cyclic_generators,
 )
@@ -366,6 +373,22 @@ def sol_pairwise(table, x):
     return sol
 
 
+def powers_by_products(table, g):
+    """Indices of g, g^2, ..., g^m = 1, one Permutation product and one membership search per power."""
+    p = table.permutation(g)
+    powers, cur = [g], p
+    while powers[-1] != 0:
+        cur = p * cur
+        powers.append(table.find_permutation(cur))
+    return powers
+
+
+def generators_by_products(table, g):
+    """Indices of the generators g^j, gcd(j, m) = 1, of <g>, from ``powers_by_products``."""
+    powers = powers_by_products(table, g)
+    return [powers[j - 1] for j in range(1, len(powers) + 1) if math.gcd(j, len(powers)) == 1]
+
+
 def sol_walk_every_orbit(table, x):
     """Sol(x) by the normalizer-orbit walk with a closure for every undecided orbit.
 
@@ -375,7 +398,7 @@ def sol_walk_every_orbit(table, x):
     n = table.order
     cut = table.solvable_cut()
     label = normalizer_orbits_per_generator(table, x)
-    x_powers = _power_rows(table, x)
+    x_powers = table.imgs[powers_by_products(table, x)]
     verdict = np.zeros(n, dtype=np.int8)
     inv = table.inverse_of
     for y in np.flatnonzero(label == np.arange(n)).tolist():
@@ -386,7 +409,7 @@ def sol_walk_every_orbit(table, x):
             if is_solvable(table, ElementSet.from_indices(table, H, is_subgroup=True, gens=[x, y])):
                 verdict[label[H]] = 1
                 continue
-        y_gens = _generator_rows(table, y)
+        y_gens = table.imgs[generators_by_products(table, y)]
         same = table.lookup_images(np.concatenate([y_gens[:, p] for p in x_powers]))
         verdict[label[same]] = -1
     return verdict[label] == 1
@@ -446,7 +469,7 @@ def target_orbits_per_target(classes, table, universe):
     ids = {}
     out = []
     for t in universe:
-        key = int(classes.class_of[table.lookup_images(_generator_rows(table, t))].min())
+        key = int(classes.class_of[generators_by_products(table, t)].min())
         out.append(ids.setdefault(key, len(ids)))
     return out
 
@@ -677,6 +700,44 @@ def min_count_enumerated(k, rhs, ubs):
     grid = np.stack(np.meshgrid(*[np.arange(u + 1) for u in ubs], indexing="ij"), axis=-1).reshape(-1, len(ubs))
     ok = (grid @ np.array(k, dtype=np.int64).reshape(len(ubs), len(rhs)) >= np.array(rhs)).all(axis=1)
     return int(grid[ok].sum(axis=1).min()) if ok.any() else 1 << 30
+
+
+def class_lp_dual_lists(k, sizes, class_sizes):
+    """(w, value) of the class-counting LP by Bland's rule on a tableau of Python lists.
+
+    The engine's former ``_ClassCountingBound.lp_dual``: k[c][T] per class and
+    target orbit, sizes[T] = |T| and class_sizes[c] = |c|.
+    """
+    nc, m = len(k), len(sizes)
+    rows = [[float(a) for a in k[c]] + [-float(c == j) for j in range(nc)] + [float(c == j) for j in range(nc)]
+            + [1.0] for c in range(nc)]
+    z = [float(a) for a in sizes] + [-float(s) for s in class_sizes] + [0.0] * (nc + 1)
+    basis = list(range(m + nc, m + 2 * nc))
+    for _ in range(_SIMPLEX_PIVOTS):
+        enter = next((j for j in range(m + 2 * nc) if z[j] > _PIVOT_TOL), None)
+        if enter is None:
+            break
+        ratio = min(((row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > _PIVOT_TOL),
+                    default=None)
+        if ratio is None:
+            break
+        pivot = rows[ratio[2]]
+        f = pivot[enter]
+        pivot[:] = [a / f for a in pivot]
+        for row in rows:
+            if row is not pivot and row[enter]:
+                f = row[enter]
+                row[:] = [a - f * b for a, b in zip(row, pivot)]
+        f = z[enter]
+        z = [a - f * b for a, b in zip(z, pivot)]
+        basis[ratio[2]] = enter
+    w = [0.0] * m
+    for row, b in zip(rows, basis):
+        if b < m:
+            w[b] = max(row[-1], 0.0)
+    value = (sum(a * b for a, b in zip(sizes, w))
+             - sum(s * max(sum(a * b for a, b in zip(kc, w)) - 1, 0.0) for s, kc in zip(class_sizes, k)))
+    return w, value
 
 
 class ScanningClassCountingBound:
@@ -919,7 +980,7 @@ def normalizer_orbits_per_generator(table, x):
     imgs = table.imgs
     conj = table.lookup_images(np.take_along_axis(imgs[:, imgs[x]], imgs[table.inverse_of], axis=1))
     generates_x = np.zeros(table.order, dtype=bool)
-    generates_x[table.lookup_images(_generator_rows(table, x))] = True
+    generates_x[generators_by_products(table, x)] = True
     normalizer = np.flatnonzero(generates_x[conj]).tolist()
     perms = [table.conjugate(g, np.arange(table.order)) for g in _generating_subset(table, normalizer)]
     return orbit_labels_loop(table.order, perms)

@@ -273,14 +273,48 @@ def test_class_counts_match_bitmask_counts(spec_text, mode):
     # one row per class on a symmetric instance, every row otherwise: both give the oracle's largest count
     inst = golden_instance(spec_text, mode)
     want = oracles.ScanningClassCountingBound(inst).k
-    assert cover._ClassCountingBound(inst).k == want
-    assert cover._ClassCountingBound(dataclasses.replace(inst, conjugation_symmetric=False)).k == want
+    assert cover._ClassCountingBound(inst).k.tolist() == want
+    assert cover._ClassCountingBound(dataclasses.replace(inst, conjugation_symmetric=False)).k.tolist() == want
 
 
 def test_class_counts_of_an_asymmetric_class_take_the_largest_member():
     inst = oracles.instance_from_rows([0b001, 0b011, 0b100], range(3), [0, 0, 1],
                                       candidates=[Candidate(0, 0), Candidate(1, 0), Candidate(2, 1)])
-    assert cover._ClassCountingBound(inst).k == oracles.ScanningClassCountingBound(inst).k == [[2, 0], [0, 1]]
+    assert cover._ClassCountingBound(inst).k.tolist() == oracles.ScanningClassCountingBound(inst).k == [[2, 0], [0, 1]]
+
+
+def assert_lp_dual_is_the_list_simplex(inst):
+    # the same pivots in the same float64 arithmetic give the same bytes; value sums in another order
+    oracle = oracles.ScanningClassCountingBound(inst)
+    w, value = cover._ClassCountingBound(inst).lp_dual
+    want_w, want_value = oracles.class_lp_dual_lists(oracle.k, [tm.bit_count() for tm in oracle.tmasks],
+                                                     [len(mem) for mem in oracle.members])
+    assert w.dtype == np.float64 and w.tobytes() == np.array(want_w, dtype=np.float64).tobytes()
+    assert cover._ceil_bound(value) == cover._ceil_bound(want_value)
+    assert value == pytest.approx(want_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
+def test_lp_dual_is_the_list_simplex(spec_text, mode):
+    inst = golden_instance(spec_text, mode)
+    assert_lp_dual_is_the_list_simplex(inst)
+    assert_lp_dual_is_the_list_simplex(dataclasses.replace(inst, conjugation_symmetric=False))
+    # every other candidate dropped: members of a class now differ in their counts
+    keep = list(range(0, len(inst.candidates), 2))
+    assert_lp_dual_is_the_list_simplex(dataclasses.replace(
+        inst, candidates=[inst.candidates[i] for i in keep], covers=inst.covers[keep], conjugation_symmetric=False))
+
+
+def test_lp_dual_is_the_list_simplex_on_synthetics():
+    rng = random.Random(25)
+    assert_lp_dual_is_the_list_simplex(oracles.instance_from_rows(
+        [0b001, 0b011, 0b100], range(3), [0, 0, 1], candidates=[Candidate(0, 0), Candidate(1, 0), Candidate(2, 1)]))
+    for _ in range(3000):  # a ratio tie that the basis index breaks unlike the row order is rare
+        nu, n = rng.randint(1, 12), rng.randint(1, 10)
+        rows = [rng.getrandbits(nu) for _ in range(n)]
+        orbits = [rng.randrange(3) for _ in range(nu)]
+        cands = [Candidate(i, rng.randrange(4)) for i in range(n)]
+        assert_lp_dual_is_the_list_simplex(oracles.instance_from_rows(rows, range(nu), orbits, candidates=cands))
 
 
 def outcome_key(out):

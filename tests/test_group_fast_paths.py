@@ -1,11 +1,12 @@
 """Differential tests: the batched group-engine walks against the paths they replaced.
 
-Enumeration, the lookup base, element orders, subgroup closure and its
-early stops, left cosets, conjugacy classes with their witnesses, normalizers
-and their orbits, index-2 subgroups, the radical and the order-based
-solvability rule must agree exactly with the per-row, per-point,
-per-element, per-seed, per-generator, coset-level and normal-closure
-references in ``oracles``.
+Enumeration, the lookup base, element orders, an element's powers and the
+generators of its cyclic group, subgroup closure and its early stops, left
+cosets, conjugacy classes with their witnesses, normalizers and their
+orbits, index-2 subgroups, the radical and the order-based solvability rule
+must agree exactly with the per-row, per-point, per-element, per-product,
+per-seed, per-generator, coset-level and normal-closure references in
+``oracles``.
 Element lookup, through the dense key table and through the sorted keys
 used above its ceiling, must agree with a dictionary from image rows to
 indices.
@@ -238,6 +239,28 @@ def test_radical_of_simple_group_needs_no_normal_closure(monkeypatch, spec_text)
     assert calls == []
 
 
+@pytest.mark.parametrize("spec_text", ["wreath(symmetric(3),4,cycle)", "product(symmetric(4),dihedral(5))"])
+def test_radical_of_solvable_group_is_the_group_with_no_normal_closure(monkeypatch, spec_text):
+    # order 5,184 = 2^6 3^4 is solvable by its order alone; 240 = 2^4 3 5 needs the derived series
+    t = sc.build(sc.parse_spec(spec_text))
+    assert t.is_group_solvable()  # its derived series takes normal closures of its own
+    calls = []
+    closure = group._normal_closure_within
+    monkeypatch.setattr(group, "_normal_closure_within", lambda *args, **kw: calls.append(args) or closure(*args, **kw))
+    rad = sc.solvable_radical(t)
+    assert rad.mask.all() and rad.is_subgroup and rad.gens == t.generator_indices
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "pgl2(7)", "gl2(5)", "wreath(symmetric(3),2,cycle)"])
+def test_cyclic_matches_permutation_powers(spec_text):
+    t = sc.build(sc.parse_spec(spec_text))
+    for g in range(t.order):
+        powers, gens = t.cyclic(g)
+        assert powers.tolist() == oracles.powers_by_products(t, g), g
+        assert gens.tolist() == oracles.generators_by_products(t, g), g
+
+
 PIN_SPECS = [g[0] for g in GOLDEN] + [
     "gl2(5)", "symmetric(4)", "dihedral(6)", "squished(symmetric(5),symmetric(5))",
     "product(psl2(7),symmetric(3))",
@@ -252,7 +275,7 @@ def test_broadcast_walks_match_per_generator_walks(spec_text, lookup):
     assert np.array_equal(cp.class_of, class_of) and cp.representatives == reps
     assert np.array_equal(cp.conjugator, conjugator)
     for x in reps:
-        label, _ = solvabilizer._normalizer_orbits(t, x)
+        label, _ = solvabilizer._normalizer_orbits(t, x, t.cyclic(x)[1])
         assert np.array_equal(label, oracles.normalizer_orbits_per_generator(t, x))
     _assert_index_two_subgroups_match_cosets(t)
 
@@ -262,7 +285,7 @@ def test_normalizer_matches_brute_force(spec_text):
     # _sol_of_rep marks N_G(<x>) inside Sol(x) without a closure, so the set must be exact
     t = sc.build(sc.parse_spec(spec_text))
     for x in t.conjugacy_classes().representatives:
-        label, normalizer = solvabilizer._normalizer_orbits(t, x)
+        label, normalizer = solvabilizer._normalizer_orbits(t, x, t.cyclic(x)[1])
         assert normalizer.tolist() == np.flatnonzero(oracles.normalizer_brute(t, x)).tolist()
         assert np.isin(label[normalizer], normalizer).all()  # N is a union of its own orbits
 

@@ -96,7 +96,7 @@ SOL_GROUPS = GOLDEN_SPECS[:10] + [pytest.param(g, marks=pytest.mark.slow) for g 
 @pytest.mark.parametrize("spec_text", SOL_GROUPS)
 def test_sol_orbit_walk_matches_pairwise(spec_text):
     table = sc.build(sc.parse_spec(spec_text))
-    reference = sc.build(sc.parse_spec(spec_text))  # own solvability cache
+    reference = sc.build(sc.parse_spec(spec_text))  # own caches
     inc = sc.sol_incidence(table)
     for cid, rep in enumerate(inc.classes.representatives):
         if rep == 0 or rep in inc.radical:
@@ -109,7 +109,7 @@ def test_sol_orbit_walk_matches_pairwise_outside_radical(sl25):
     assert len(inc.radical) == 2
     for x in range(1, sl25.order):
         if x not in inc.radical:
-            assert _sol_of_rep(sl25, x).tobytes() == oracles.sol_pairwise(sl25, x).tobytes()
+            assert _sol_of_rep(sl25, x, sl25.cyclic(x)).tobytes() == oracles.sol_pairwise(sl25, x).tobytes()
 
 
 def test_sol_equivariance_every_element():
@@ -117,7 +117,7 @@ def test_sol_equivariance_every_element():
     inc = sc.sol_incidence(table)
     assert len(inc.radical) == 1
     for x in range(1, table.order):
-        assert np.array_equal(_sol_of_rep(table, x), inc.sol(x))
+        assert np.array_equal(_sol_of_rep(table, x, table.cyclic(x)), inc.sol(x))
 
 
 #: Groups with algebraically conjugate classes (PSL(2,q) tori, A7's 7A/7B);
@@ -134,10 +134,10 @@ def test_rep_sol_matches_direct_walk_for_every_class(spec_text):
     # walk with N_G(<x>) and the triangle verdicts marked up front must equal
     # one closing every orbit
     table = sc.build(sc.parse_spec(spec_text))
-    fresh = sc.build(sc.parse_spec(spec_text))  # own solvability cache
+    fresh = sc.build(sc.parse_spec(spec_text))  # own caches
     inc = sc.sol_incidence(table)
     for cid, rep in enumerate(inc.classes.representatives):
-        direct = _sol_of_rep(fresh, rep)
+        direct = _sol_of_rep(fresh, rep, fresh.cyclic(rep))
         assert inc.rep_sol(cid).tobytes() == direct.tobytes(), cid
         assert direct.tobytes() == oracles.sol_walk_every_orbit(fresh, rep).tobytes(), cid
 
@@ -186,7 +186,7 @@ def test_triangle_verdicts_match_closure_solvability(request, spec_text):
 def test_one_walk_per_class_of_cyclic_subgroups(monkeypatch):
     walks = []
     walk = solvabilizer._sol_of_rep
-    monkeypatch.setattr(solvabilizer, "_sol_of_rep", lambda table, x: walks.append(x) or walk(table, x))
+    monkeypatch.setattr(solvabilizer, "_sol_of_rep", lambda table, x, cyclic: walks.append(x) or walk(table, x, cyclic))
     table = sc.build(sc.psl2(8))
     inc = sc.sol_incidence(table)
     for cid in range(inc.classes.count):
