@@ -38,7 +38,6 @@ from .cover import (
     class_counting_bound,
     class_counting_rows,
     greedy_cover,
-    lower_bound,
     solve_alpha,
     solve_exact,
     solve_product,

@@ -3,25 +3,27 @@
 The solver runs iterative deepening on the optimum: for k = lb, lb+1, ... it
 searches for a cover of size <= k with the incumbent pinned to k+1, so the
 bound prunes at equality.  A completed round with no cover proves lb > k; the
-first hit is optimal.  Branching picks the uncovered target with the fewest
-remaining candidates, except at the root of a conjugation-symmetric instance,
-which branches on conjugacy-class representatives, each excluding its whole
-class (conjugating an optimal cover is again an optimal cover, so the lowest
-class present may be normalized to its representative).  Pruning bounds, in
-order: universe density, the Lagrangian relaxation of set cover (Beasley, EJOR
-1990; Caprara, Fischetti, Toth, Oper. Res. 47, 1999), and a target with no
-candidate left; the root also packs candidate-disjoint targets.  The
-Lagrangian bound takes a few subgradient steps on float64 multipliers y >= 0
-over the uncovered targets, warm-started from the parent's, whose value bounds
-the LP relaxation from below.  The multipliers a node holds bound every child
-before it is entered, which fixes out the children whose reduced cost lifts
-them to the incumbent.  The root multipliers are the dual of the
-class-counting LP (the set-cover LP with candidates grouped by conjugacy class
-and targets by orbit), optimal for the root LP of a conjugation-symmetric
-instance; the ceiling of its value is the root's class-counting bound.  Every
-bound only cuts subtrees that hold no cover below the incumbent, so the search
-visits the nodes of the plain search in the same order, minus those, and finds
-the same first cover.
+first hit is optimal.  The first k is the class-counting bound (or the
+instance's floor, when higher): the ceiling of the value of the class-counting
+LP, the set-cover LP with candidates grouped by conjugacy class and targets by
+orbit, which equals the root LP of a conjugation-symmetric instance.  Density
+and packing bounds are values of dual-feasible points of that LP (Beasley,
+EJOR 31, 1987), so they never start the deepening higher.  Branching picks the
+uncovered target with the fewest remaining candidates, except at the root of a
+conjugation-symmetric instance, which branches on conjugacy-class
+representatives, each excluding its whole class (conjugating an optimal cover
+is again an optimal cover, so the lowest class present may be normalized to its
+representative).  Pruning bounds, in order: universe density, the Lagrangian
+relaxation of set cover (Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper.
+Res. 47, 1999), and a target with no candidate left.  The Lagrangian bound
+takes a few subgradient steps on float64 multipliers y >= 0 over the uncovered
+targets, warm-started from the parent's, whose value bounds the LP relaxation
+from below.  The multipliers a node holds bound every child before it is
+entered, which fixes out the children whose reduced cost lifts them to the
+incumbent.  The root multipliers are the class-counting LP's dual.  Every bound
+only cuts subtrees that hold no cover below the incumbent, so the search visits
+the nodes of the plain search in the same order, minus those, and finds the
+same first cover.
 
 Exactness rests only on the lower end, so any cover of that size is a
 certificate.  Besides the search's first cover the solver tries a primal
@@ -166,9 +168,10 @@ class _ClassCountingBound:
         z = np.concatenate([self.sizes, -self.cls_sizes, np.zeros(nc + 1)])
         basis = np.arange(m + nc, m + 2 * nc)
         for _ in range(_SIMPLEX_PIVOTS):
-            enter = int(np.argmax(z[:-1] > _PIVOT_TOL))
-            if z[enter] <= _PIVOT_TOL:
+            entering = np.flatnonzero(z[:-1] > _PIVOT_TOL)
+            if not len(entering):
                 break
+            enter = entering[0]
             col = tab[:, enter]
             rows = np.flatnonzero(col > _PIVOT_TOL)
             if not len(rows):
@@ -194,13 +197,6 @@ def class_counting_bound(instance: CoverInstance) -> int:
 def class_counting_rows(instance: CoverInstance):
     """Constraint rows (class coverage coefficients, target count) per target orbit."""
     return _ClassCountingBound(instance).constraint_rows()
-
-
-def lower_bound(instance: CoverInstance) -> int:
-    """Best of the density, packing, and class-counting bounds."""
-    if instance.size == 0:
-        return 0
-    return _Search(instance).root_bound()
 
 
 # -- branch and bound -------------------------------------------------------------
@@ -292,8 +288,8 @@ class _Search:
 
     The root multipliers are the class-counting LP dual (``lp_dual``, solved once),
     constant on target orbits; for conjugation-symmetric instances they are
-    optimal for the root LP.  Its value, rounded up, is the class-counting
-    term of the root bound, and its dual seeds every deepening round; the
+    optimal for the root LP.  Its value, rounded up, is where the deepening
+    starts (above the floor), and its dual seeds every deepening round; the
     program is built on first use (``ccb``).  A symmetric root runs no
     ascent: y0 is already optimal for its LP, so no step can raise L.  There
     the child check subsumes reduced-cost fixing by class: s_i <= load_c =
@@ -334,22 +330,6 @@ class _Search:
     def _density(self, unc: np.ndarray, cov: np.ndarray) -> int:
         best_cov = int(cov.max(initial=0))
         return -(-int(np.count_nonzero(unc)) // best_cov) if best_cov else 1 << 30
-
-    def _packing(self) -> int:
-        """Greedy count of candidate-disjoint targets, in target order: a target with
-        candidates counts unless a candidate of a counted target covers it."""
-        covers = self.inst.covers
-        blocked = ~covers.any(axis=0)
-        packing = 0
-        while not blocked.all():
-            packing += 1
-            blocked |= covers[covers[:, blocked.argmin()]].any(axis=0)
-        return packing
-
-    def root_bound(self) -> int:
-        """Best of the density, packing and class-counting bounds at the root."""
-        cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
-        return max(self._density(unc, cov), self._packing(), _ceil_bound(self.ccb.lp_dual[1]))
 
     def _branching(self, unc: np.ndarray, cov: np.ndarray) -> list[int]:
         """Available candidates of the first uncovered target with the fewest (empty when it has
@@ -467,7 +447,7 @@ class _Search:
         if not self.inst.feasible():
             return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only,
                                 seconds=time.monotonic() - t0)
-        root = self.root_bound()
+        root = _ceil_bound(self.ccb.lp_dual[1])
         incumbent = [self.elements[i] for i in self._restart(None)]
         ub = len(incumbent)
         lo = min(max(floor, root), ub)

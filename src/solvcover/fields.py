@@ -177,7 +177,7 @@ class GF:
         return self._exp[(self._log[a] // 2) % (self.q - 1)] if self.p != 2 else self.pow(a, self.q // 2)
 
     def primitive_element(self) -> int:
-        return self._exp[1]
+        return self._exp[1 % (self.q - 1)]
 
 
 _FIELDS: dict[int, GF] = {}

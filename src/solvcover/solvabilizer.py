@@ -608,7 +608,7 @@ def _max_clique(verts: list[int], adj: dict[int, int], node_limit: int, time_lim
     full = 0
     for v in verts:
         full |= 1 << v
-    root_bound = max((c for _, c in color_sort(full)), default=0)
+    color_bound = max((c for _, c in color_sort(full)), default=0)
     expand(full, [])
-    upper = root_bound if timeout[0] else len(best)
+    upper = color_bound if timeout[0] else len(best)
     return CliqueResult(lower=len(best), upper=max(upper, len(best)), witness=sorted(best))

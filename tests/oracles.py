@@ -12,6 +12,7 @@ import numpy as np
 
 from solvcover.constructions import build, frobenius_permutation, mobius_permutation, pgammal2
 from solvcover.cover import (
+    _EPS,
     _PIVOT_TOL,
     _SIMPLEX_PIVOTS,
     EXACT,
@@ -499,25 +500,20 @@ def cols_of(instance):
 
 
 def bitmask_sweep(cols, unc, cov):
-    """The search's former pass over a node's uncovered targets, on int bitmasks: (packing, order).
+    """The search's former branching pass over a node's uncovered targets, on int bitmasks.
 
     cols is ``cols_of(instance)``, unc and cov are a node's vectors, and the
-    available candidates are those with cov > 0.  The packing greedily counts
-    targets whose available candidates are disjoint from those of the targets
-    counted before.  The order is the available candidates of the first target
-    with the fewest, decoded bit by bit and stably sorted by descending cov;
-    it is empty when some target has none.
+    available candidates are those with cov > 0.  Returns the available
+    candidates of the first target with the fewest, decoded bit by bit and
+    stably sorted by descending cov; it is empty when some target has none.
     """
     avail = sum(1 << i for i in np.flatnonzero(cov > 0).tolist())
-    packing, used, pick, pick_n = 0, 0, 0, 1 << 30
+    pick, pick_n = 0, 1 << 30
     for t in np.flatnonzero(unc).tolist():
         col = cols[t] & avail
         n = col.bit_count()
         if n < pick_n:
             pick_n, pick = n, col
-        if col and not (col & used):
-            packing += 1
-            used |= col
     order = []
     while pick:
         low = pick & -pick
@@ -525,7 +521,7 @@ def bitmask_sweep(cols, unc, cov):
         order.append(low.bit_length() - 1)
     keys = cov.tolist()
     order.sort(key=lambda i: -keys[i])
-    return packing, order
+    return order
 
 
 def element_scan_greedy(instance, weights=None):
@@ -821,8 +817,9 @@ class _Budget(Exception):
 class ScanningSearch:
     """The engine's former branch and bound, which rescans candidates at every node.
 
-    Same iterative deepening, root symmetry, cheap bounds and branching rule
-    as `cover._Search`, with each node's coverage counts taken afresh from the
+    Same iterative deepening, from the ceiling of the class-counting LP (or
+    the floor), root symmetry, cheap bounds and branching rule as
+    `cover._Search`, with each node's coverage counts taken afresh from the
     candidate rows, the class-counting integer program at every node and no
     Lagrangian bound.  The search must return its status, bounds and first
     cover, in no more nodes: the Lagrangian bound and fixing only cut
@@ -874,8 +871,9 @@ class ScanningSearch:
             return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only)
         incumbent = greedy_cover(self.inst)
         ub = len(incumbent)
-        lo = max(self.inst.alpha_floor, self.cheap_bounds(self.full, avail), self.ccb.bound(self.full, avail))
-        lo = min(lo, ub)
+        value = class_lp_dual_lists(self.ccb.k, [tm.bit_count() for tm in self.ccb.tmasks],
+                                    [len(mem) for mem in self.ccb.members])[1]
+        lo = min(max(self.inst.alpha_floor, math.ceil(value - _EPS)), ub)
         timed_out = False
         while lo < ub:
             self.best = lo + 1

@@ -252,6 +252,14 @@ def test_solve_degenerate_spec_errors(group, capsys):
     assert err.startswith("error: BadParameter: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("group", ["gl2(2)", "pgl2(2)"])
+def test_solve_solvable_spec_errors(group, capsys):
+    # GL(2,2) = PGL(2,2) = S3; building it reads the primitive element of GF(2)
+    assert run_cli("solve", "--group", group) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: GroupSolvable: ") and err.count("\n") == 1
+
+
 def test_solve_nan_time_limit_errors(capsys):
     assert run_cli("solve", "--group", "alternating(5)", "--time-limit", "nan") == 1
     captured = capsys.readouterr()

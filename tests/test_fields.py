@@ -71,8 +71,9 @@ def test_squareness_matches_enumeration(q):
             assert F.mul(r, r) == a
 
 
-def test_primitive_element_generates():
-    F = field_ops(16)
+@pytest.mark.parametrize("q", [2, 3, 16])
+def test_primitive_element_generates(q):
+    F = field_ops(q)
     g = F.primitive_element()
     seen = set()
     x = 1
