@@ -6,14 +6,12 @@ bound prunes at equality.  A completed round with no cover proves lb > k; the
 first hit is optimal.  The first k is the class-counting bound (or the
 instance's floor, when higher): the ceiling of the value of the class-counting
 LP, the set-cover LP with candidates grouped by conjugacy class and targets by
-orbit, which equals the root LP of a conjugation-symmetric instance.  Density
-and packing bounds are values of dual-feasible points of that LP (Beasley,
-EJOR 31, 1987), so they never start the deepening higher.  Branching picks the
-uncovered target with the fewest remaining candidates, except at the root of a
-conjugation-symmetric instance, which branches on conjugacy-class
-representatives, each excluding its whole class (conjugating an optimal cover
-is again an optimal cover, so the lowest class present may be normalized to its
-representative).  Pruning bounds, in order: universe density, the Lagrangian
+orbit, which equals the root LP of a conjugation-symmetric instance.
+Branching picks the uncovered target with the fewest remaining candidates,
+except at the root of a conjugation-symmetric instance, which branches on
+conjugacy-class representatives, each excluding its whole class (conjugating
+an optimal cover is again an optimal cover, so the lowest class present may be
+normalized to its representative).  Pruning bounds, in order: the Lagrangian
 relaxation of set cover (Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper.
 Res. 47, 1999), and a target with no candidate left.  The Lagrangian bound
 takes a few subgradient steps on float64 multipliers y >= 0 over the uncovered
@@ -40,8 +38,8 @@ A node's whole state is two vectors over one float64 target x candidate
 matrix: unc, 1 on the uncovered targets, and the coverage vector cov, with
 cov[i] = |row_i & uncovered| for the available candidates and cov[i] <= 0
 for the chosen and excluded ones.  Both are kept incrementally: a child's cov
-is its parent's minus the matrix rows of the targets it newly covers, so the
-density bound is cov.max() and the branching order sorts by cov.  Each
+is its parent's minus the matrix rows of the targets it newly covers, and the
+branching order sorts by cov.  Each
 subgradient step is two products with the same matrix; at a node the ascent
 keeps, one more, hit @ (cov > 0), counts the available candidates of every
 target and gives the branching target.
@@ -91,9 +89,6 @@ class CoverOutcome:
     quotient_level: bool = False                 # certificate names quotient elements
     certificate_perms: Optional[list[Permutation]] = None
     notes: list[str] = field(default_factory=list)
-
-    def value(self) -> Optional[int]:
-        return self.lower if self.status == EXACT else None
 
     def render(self) -> str:
         return render_outcome(self.status, self.lower, self.upper)
@@ -258,11 +253,11 @@ class _Search:
 
     is a lower bound on the number of further candidates any cover below the
     node needs: it is the Lagrangian relaxation of the node's set-cover
-    program, so L(y) <= LP <= IP whether or not y is a good choice.  Bounds, in
-    order: density, then ``_ascend``: at most ``_NODE_STEPS`` projected
-    subgradient steps from the y the parent handed down, each step aiming L
-    half a unit past the pruning level (Polyak's rule), stopping as soon as it
-    prunes; the node is pruned when depth + ceil(L - eps) >= best.  Then an
+    program, so L(y) <= LP <= IP whether or not y is a good choice.  The one
+    node bound is ``_ascend``: at most ``_NODE_STEPS`` projected subgradient
+    steps from the y the parent handed down, each step aiming L half a unit
+    past the pruning level (Polyak's rule), stopping as soon as it prunes; the
+    node is pruned when depth + ceil(L - eps) >= best.  Then an
     uncovered target with no available candidate (``_branching`` is empty).
     Last, the child check: the node's y (its best after the ascent; y0 at a
     symmetric root), restricted to each child's uncovered targets, bounds every
@@ -305,11 +300,10 @@ class _Search:
 
     def __init__(self, instance: CoverInstance):
         self.inst = instance
-        self.elements = [c.element for c in instance.candidates]
         self.nu = instance.size
-        self.row_sizes = instance.covers.sum(axis=1).tolist()
         self.hit = instance.covers.T.astype(np.float64)  # hit[t, i]: candidate i covers t
         self.row_vecs = np.ascontiguousarray(self.hit.T)
+        self.cov0 = self.hit.sum(axis=0)  # the root's coverage vector: |row_i|
         self.nodes = 0
 
     @cached_property
@@ -326,10 +320,6 @@ class _Search:
         zeroed = [np.concatenate([mem[:1], *members[:j]]) for j, mem in enumerate(members)]
         return (np.array([mem[0] for mem in members]), np.repeat(np.arange(len(zeroed)), [len(z) for z in zeroed]),
                 np.concatenate(zeroed))
-
-    def _density(self, unc: np.ndarray, cov: np.ndarray) -> int:
-        best_cov = int(cov.max(initial=0))
-        return -(-int(np.count_nonzero(unc)) // best_cov) if best_cov else 1 << 30
 
     def _branching(self, unc: np.ndarray, cov: np.ndarray) -> list[int]:
         """Available candidates of the first uncovered target with the fewest (empty when it has
@@ -357,22 +347,17 @@ class _Search:
         return y.sum(axis=-1) - np.where(over, s - 1, 0).sum(axis=-1), s, over
 
     def _ascend(self, y: np.ndarray, unc: np.ndarray, cov: np.ndarray, need: int,
-                first: Optional[tuple[float, np.ndarray]] = None):
+                first: tuple[float, np.ndarray]):
         """(L, y) at the best of at most _NODE_STEPS evaluations of L, from y on.
 
-        first, when the parent computed it, is (L, s) at y, and y is then
-        already zero on covered targets.  Stops once ceil(L - eps) reaches
-        need.  Each step moves y along the subgradient 1 - hit @ over on the
-        uncovered targets, zeroed where y is 0 and it points down, by Polyak's
-        rule aimed at L = need - 1/2.
+        y is zero on covered targets, and first is (L, s) at y.  Stops once
+        ceil(L - eps) reaches need.  Each step moves y along the subgradient
+        1 - hit @ over on the uncovered targets, zeroed where y is 0 and it
+        points down, by Polyak's rule aimed at L = need - 1/2.
         """
         act = cov > 0
-        if first is None:
-            y = y * unc
-            L, s, over = self.lagrangian(y, act)
-        else:
-            L, s = first
-            over = (s > 1) & act
+        L, s = first
+        over = (s > 1) & act
         best = L, y
         aim = need - 0.5
         for _ in range(_NODE_STEPS - 1):
@@ -402,8 +387,8 @@ class _Search:
         first, a pick is dropped when the other picks still cover every
         target.  Raises InfeasibleUniverse when some target has no candidate.
         """
-        weights = 1 if rng is None else 1 + _WEIGHT_SPREAD * np.array([rng.random() for _ in self.row_sizes])
-        counts = np.array(self.row_sizes, dtype=np.float64)
+        weights = 1 if rng is None else 1 + _WEIGHT_SPREAD * np.array([rng.random() for _ in self.cov0])
+        counts = self.cov0.copy()
         unc = np.ones(self.nu, dtype=bool)
         picks: list[int] = []
         while unc.any():
@@ -416,7 +401,7 @@ class _Search:
             unc &= ~newly
             counts -= self.hit[newly].sum(axis=0)
         count = self.row_vecs[picks].sum(axis=0)  # picks covering each target
-        for i in sorted(picks, key=self.row_sizes.__getitem__):
+        for i in sorted(picks, key=self.cov0.__getitem__):
             rest = count - self.row_vecs[i]
             if rest.min() > 0:
                 count = rest
@@ -448,11 +433,12 @@ class _Search:
             return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only,
                                 seconds=time.monotonic() - t0)
         root = _ceil_bound(self.ccb.lp_dual[1])
-        incumbent = [self.elements[i] for i in self._restart(None)]
+        incumbent = self._restart(None)
         ub = len(incumbent)
         lo = min(max(floor, root), ub)
-        cov, unc = self.hit.sum(axis=0), np.ones(self.nu)
+        cov, unc = self.cov0, np.ones(self.nu)
         y0 = self.ccb.lp_dual[0][self.ccb.target_orbit]  # the LP dual spread over the targets
+        first = self.lagrangian(y0, cov > 0)[:2]
         rng = random.Random(0)  # one seed per solve: an instance always gets the same certificate
         restarts = _FIRST_RESTARTS
         timed_out = False
@@ -460,21 +446,21 @@ class _Search:
             better = self._heuristic(rng, restarts, lo, ub)
             restarts = _ROUND_RESTARTS
             if better is not None:
-                incumbent = [self.elements[i] for i in better]
+                incumbent = better
                 ub = len(better)
                 if ub == lo:
                     break
             self.best = lo + 1
             self.found: Optional[list[int]] = None
             try:
-                self._descend(0, [], cov, unc, y0, None)
+                self._descend(0, [], cov, unc, y0, first)
             except _FoundCover:
                 pass
             except _OutOfBudget:
                 timed_out = True
                 break
             if self.found is not None:
-                incumbent = [self.elements[i] for i in self.found]
+                incumbent = self.found
                 ub = len(self.found)
                 lo = ub
             else:
@@ -484,23 +470,20 @@ class _Search:
             status,
             lo,
             ub,
-            incumbent,  # on Interval this is still a valid cover of size upper
+            [self.inst.candidates[i].element for i in incumbent],  # on Interval still a cover of size upper
             self.inst.involutions_only,
             nodes=self.nodes,
             seconds=time.monotonic() - t0,
         )
 
     def _descend(self, depth: int, chosen: list[int], cov: np.ndarray, unc: np.ndarray, y: np.ndarray,
-                 first: Optional[tuple[float, np.ndarray]]):
+                 first: tuple[float, np.ndarray]):
         self.nodes += 1
         if self.nodes > self.node_limit or time.monotonic() >= self.deadline:
             raise _OutOfBudget
         if not unc.any():
-            self.best = depth
             self.found = list(chosen)
             raise _FoundCover
-        if depth + self._density(unc, cov) >= self.best:  # the density bound is at least 1 here
-            return
         need = self.best - depth
         if depth == 0 and self.root_branches is not None:
             order, off_rows, off_cols = self.root_branches

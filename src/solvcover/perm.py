@@ -76,7 +76,7 @@ class Permutation:
     def order(self) -> int:
         return perm_order(self.images)
 
-    def cycles(self, include_fixed: bool = False):
+    def cycles(self):
         """Cycle decomposition as 1-based tuples, longest-first stable order."""
         seen = [False] * self.degree
         out = []
@@ -89,7 +89,7 @@ class Permutation:
                 seen[t] = True
                 cyc.append(t + 1)
                 t = int(self.images[t])
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 

@@ -400,8 +400,12 @@ def test_search_matches_scanning_oracle_without_root_symmetry(monkeypatch, a5_in
         assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
 
 
-def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
-    # every candidate is its own class, so the class-counting program has up to 12 classes
+def oracle_synthetics():
+    """60 random instances, each yielded as is and then conjugation-symmetric.
+
+    Every candidate is its own class, so the class-counting program has up
+    to 12 classes.
+    """
     rng = np.random.default_rng(7)
     for trial in range(60):
         nu = int(rng.integers(3, 11))
@@ -409,9 +413,14 @@ def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
         inst = synthetic_instance(rows, nu, target_class=[int(c) for c in rng.integers(0, 3, size=nu)])
         for sym in (False, True):
             inst.conjugation_symmetric = sym
-            old = oracles.ScanningSearch(inst).solve()
-            assert_within_oracle(inst, solve_with_heuristic(monkeypatch, inst), old)
-            assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
+            yield inst
+
+
+def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
+    for inst in oracle_synthetics():
+        old = oracles.ScanningSearch(inst).solve()
+        assert_within_oracle(inst, solve_with_heuristic(monkeypatch, inst), old)
+        assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
 
 
 @pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
@@ -440,7 +449,7 @@ def test_branching_runs_only_at_nodes_the_ascent_keeps(monkeypatch, spec_text, m
     last = {"kept": None}  # whether the ascent just run left its node unpruned
     calls = []
 
-    def checked_ascend(search, y, unc, cov, need, first=None):
+    def checked_ascend(search, y, unc, cov, need, first):
         L, y = ascend(search, y, unc, cov, need, first)
         last["kept"] = cover._ceil_bound(L) < need
         return L, y
@@ -456,6 +465,29 @@ def test_branching_runs_only_at_nodes_the_ascent_keeps(monkeypatch, spec_text, m
     out = sc.solve_exact(inst)
     assert out.status == sc.EXACT
     assert 0 < len(calls) < out.nodes
+
+
+def test_ascent_prunes_wherever_universe_density_does(monkeypatch):
+    # density, ceil(|uncovered| / max cov), is L(y) at y = unc / max cov, so the
+    # ascent needs no density test before it; at a symmetric root it never beats the class LP
+    ascend = cover._Search._ascend
+    fired = []
+
+    def checked_ascend(search, y, unc, cov, need, first):
+        L, y = ascend(search, y, unc, cov, need, first)
+        best_cov = int(cov.max(initial=0))
+        if best_cov <= 0 or -(-int(np.count_nonzero(unc)) // best_cov) >= need:
+            assert cover._ceil_bound(L) >= need
+            fired.append(need)
+        return L, y
+
+    monkeypatch.setattr(cover._Search, "_ascend", checked_ascend)
+    for spec_text, mode in FEASIBLE_GOLDEN:
+        sc.solve_exact(golden_instance(spec_text, mode))
+    for inst in oracle_synthetics():
+        for heuristic in (True, False):
+            solve_with_heuristic(monkeypatch, inst, heuristic)
+    assert fired  # density would have pruned these nodes
 
 
 @pytest.mark.parametrize("spec_text,mode,most", [("pgl2(9)", "all", 9), ("pgl2(9)", "involutions", 9),
@@ -633,7 +665,8 @@ def test_lagrangian_bound_within_residual_lp(spec_text, mode):
         lp = residual_lp(linprog, search, unc, cov)
         if lp is None or not uncovered:
             continue
-        L, _ = search._ascend(y0 * unc, unc, cov, need=1 << 20)
+        y = y0 * unc
+        L, _ = search._ascend(y, unc, cov, 1 << 20, search.lagrangian(y, cov > 0)[:2])
         assert L <= lp + 1e-9
         assert cover._ceil_bound(L) <= math.ceil(lp - 1e-9)
 
