@@ -18,8 +18,8 @@ for q in (8, 13, 11):
         print(f"  PSL(2,{q}): {b.kind} {b.value} on {b.applies_to} ({b.theorem}){flag}")
 
 print("\ncross-check of three computed rows:")
-mk = lambda v: sc.CoverOutcome(sc.EXACT, v, v, None, False)
-inf = sc.CoverOutcome(sc.INFEASIBLE, 0, None, None, True)
+mk = lambda v: sc.CoverOutcome(sc.EXACT, v, v, None)
+inf = sc.CoverOutcome(sc.INFEASIBLE, 0, None, None)
 rows = sc.cross_check([
     (sc.alternating(5), mk(3), mk(3)),
     (sc.psl2(7), mk(5), inf),

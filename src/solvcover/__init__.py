@@ -79,7 +79,6 @@ from .group import (
 )
 from .perm import Permutation, format_cycles, parse_cycles
 from .solvabilizer import (
-    Candidate,
     CoverInstance,
     MaximalSolvableCensus,
     SolvabilizerIncidence,

@@ -83,7 +83,6 @@ class CoverOutcome:
     lower: int
     upper: Optional[int]
     certificate: Optional[list[int]]            # element indices in the solved table
-    involutions_only: bool
     nodes: int = 0
     seconds: float = 0.0
     quotient_level: bool = False                 # certificate names quotient elements
@@ -108,7 +107,7 @@ def render_outcome(status: str, lower: int, upper: Optional[int]) -> str:
 
 def greedy_cover(instance: CoverInstance) -> list[int]:
     """Max-coverage greedy certificate, redundant picks dropped (``_Search._restart`` with unit weights)."""
-    return [instance.candidates[i].element for i in _Search(instance)._restart(None)]
+    return instance.candidates[_Search(instance)._restart(None)].tolist()
 
 
 class _ClassCountingBound:
@@ -126,13 +125,12 @@ class _ClassCountingBound:
     """
 
     def __init__(self, instance: CoverInstance):
-        cids = np.array([c.class_id for c in instance.candidates], dtype=np.int64)
-        self.cls_ids, cls = np.unique(cids, return_inverse=True)
+        self.cls_ids, cls = np.unique(instance.candidate_class, return_inverse=True)
         self.cls_sizes = np.bincount(cls)
         starts = np.cumsum(self.cls_sizes) - self.cls_sizes
         by_class = np.argsort(cls, kind="stable")
         self.members = np.split(by_class, starts[1:])
-        self.target_orbit = np.unique(np.array(instance.target_class, dtype=np.int64), return_inverse=True)[1]
+        self.target_orbit = np.unique(instance.target_class, return_inverse=True)[1]
         self.sizes = np.bincount(self.target_orbit)
         if instance.conjugation_symmetric:
             by_class, starts = by_class[starts], np.arange(len(starts))
@@ -377,7 +375,7 @@ class _Search:
     def _restart(self, rng: Optional[random.Random]) -> list[int]:
         """One greedy cover, as candidate indices, with no redundant pick.
 
-        Candidate i scores w_i |row_i & uncovered|, with one weight
+        A candidate i scores w_i |row_i & uncovered|, with one weight
         w_i = 1 + _WEIGHT_SPREAD U[0,1) per candidate drawn for the restart,
         or w_i = 1 when rng is None (max-coverage greedy); the best score is
         picked (ties to the least index; ``reduce_instance`` lists candidates
@@ -430,8 +428,7 @@ class _Search:
         self.deadline = t0 + budget.time_limit
         self.node_limit = budget.node_limit
         if not self.inst.feasible():
-            return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only,
-                                seconds=time.monotonic() - t0)
+            return CoverOutcome(INFEASIBLE, 0, None, None, seconds=time.monotonic() - t0)
         root = _ceil_bound(self.ccb.lp_dual[1])
         incumbent = self._restart(None)
         ub = len(incumbent)
@@ -470,8 +467,7 @@ class _Search:
             status,
             lo,
             ub,
-            [self.inst.candidates[i].element for i in incumbent],  # on Interval still a cover of size upper
-            self.inst.involutions_only,
+            self.inst.candidates[incumbent].tolist(),  # on Interval still a cover of size upper
             nodes=self.nodes,
             seconds=time.monotonic() - t0,
         )
@@ -547,8 +543,7 @@ def solve_alpha(table: GroupTable, mode: str = MODE_ALL, budget: Optional[SolveB
     try:
         inst = reduce_instance(inc, involutions_only=(mode == MODE_INVOLUTIONS))
     except InfeasibleUniverse:
-        return CoverOutcome(INFEASIBLE, 0, None, None, mode == MODE_INVOLUTIONS,
-                            quotient_level=quotient_level)
+        return CoverOutcome(INFEASIBLE, 0, None, None, quotient_level=quotient_level)
     out = solve_exact(inst, budget)
     out.quotient_level = quotient_level
     if out.certificate is not None:
@@ -579,8 +574,7 @@ def solve_product(tables: Sequence[GroupTable], mode: str = MODE_ALL,
         raise GroupSolvable("every factor is solvable, so the product is solvable")
     usable = [(i, o) for i, o in enumerate(outcomes) if o is not None and o.status != INFEASIBLE]
     if not usable:
-        return CoverOutcome(INFEASIBLE, 0, None, None, mode == MODE_INVOLUTIONS,
-                            notes=["every nonsolvable factor is involution-infeasible"])
+        return CoverOutcome(INFEASIBLE, 0, None, None, notes=["every nonsolvable factor is involution-infeasible"])
     lower = min(o.lower for _, o in usable)
     upper = min(o.upper for _, o in usable)
     best_i, best = min(usable, key=lambda io: (io[1].upper, io[0]))
@@ -592,25 +586,20 @@ def solve_product(tables: Sequence[GroupTable], mode: str = MODE_ALL,
     notes += [f"factor {i}: solvable, dropped" for i, o in enumerate(outcomes) if o is None]
     notes += [f"factor {i}: involution-infeasible, ignored in min"
               for i, o in enumerate(outcomes) if o is not None and o.status == INFEASIBLE]
-    return CoverOutcome(status, lower, upper, None, mode == MODE_INVOLUTIONS,
-                        nodes=sum(o.nodes for _, o in usable),
+    return CoverOutcome(status, lower, upper, None, nodes=sum(o.nodes for _, o in usable),
                         certificate_perms=cert_perms, notes=notes)
 
 
-def solve_wreath(base_table: GroupTable, mode: str = MODE_ALL,
-                 budget: Optional[SolveBudget] = None) -> CoverOutcome:
-    """Wreath-product fast path: 3 <= alpha(H wr K) <= alpha(H), no enumeration.
+def solve_wreath(base_table: GroupTable, budget: Optional[SolveBudget] = None) -> CoverOutcome:
+    """Wreath-product fast path in mode all: 3 <= alpha(H wr K) <= alpha(H) for a nonsolvable H, no enumeration.
 
     Exact exactly when the base value is 3; involution mode has no wreath
-    theorem, so only the generic floor survives on the lower side.
+    theorem, so ``spec_solver`` builds the group for it.
     """
-    budget = budget or SolveBudget()
-    if mode != MODE_ALL:
-        raise BadParameter("the wreath fast path only supports mode=all; build the group to solve involutions")
-    base = solve_alpha(base_table, MODE_ALL, budget)
+    base = solve_alpha(base_table, MODE_ALL, budget or SolveBudget())
     upper = base.upper
     status = EXACT if upper == 3 else INTERVAL
-    return CoverOutcome(status, 3, upper, None, False,
+    return CoverOutcome(status, 3, upper, None,
                         notes=[f"wreath bound: 3 <= alpha <= alpha(base) = {base.render()}"])
 
 
@@ -620,8 +609,9 @@ def spec_solver(spec: GroupSpec, budget: Optional[SolveBudget] = None,
 
     Products and wreath products are not enumerated: |A x B| = |A||B| and the
     product theorems solve from the factors; |H wr K| = |H|^n |K| and mode
-    all takes the wreath bound from the base (involution mode builds the
-    group).  The order is None when the wreath's top group cannot be built.
+    all takes the wreath bound from a nonsolvable base (involution mode, and
+    a solvable base, build the group).  The order is None when the wreath's
+    top group cannot be built.
     """
     budget = budget or SolveBudget()
     if spec.kind == "product":
@@ -630,16 +620,17 @@ def spec_solver(spec: GroupSpec, budget: Optional[SolveBudget] = None,
     if spec.kind == "wreath":
         base_spec, n, top = spec.params
         base = build(base_spec, cap)
-        try:
-            order = base.order ** n * enumerate_group(list(top), cap).order
-        except SolvcoverError:
-            order = None
+        if not base.is_group_solvable():
+            try:
+                order = base.order ** n * enumerate_group(list(top), cap).order
+            except SolvcoverError:
+                order = None
 
-        def solve(mode):
-            if mode == MODE_ALL:
-                return solve_wreath(base, mode, budget)
-            return solve_alpha(build(spec, cap), mode, budget)
-        return order, solve
+            def solve(mode):
+                if mode == MODE_ALL:
+                    return solve_wreath(base, budget)
+                return solve_alpha(build(spec, cap), mode, budget)
+            return order, solve
     table = build(spec, cap)
     return table.order, lambda mode: solve_alpha(table, mode, budget)
 

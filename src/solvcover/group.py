@@ -177,12 +177,10 @@ class GroupTable:
         if perm.degree != self.degree:
             return -1
         row = np.asarray(perm.images, dtype=np.int16)
-        key = int(row[self.base] @ self._base_weights)
-        if self._dense is not None:
-            idx = int(self._dense[key]) if key < len(self._dense) else -1
-        else:
-            pos = int(np.searchsorted(self._sorted_keys, key))
-            idx = int(self._sorted_pos[pos]) if pos < self.order else -1
+        try:
+            idx = int(self._index_of(row[self.base]))
+        except IndexError:  # a key past the dense table, or past the last sorted key
+            return -1
         return idx if idx >= 0 and np.array_equal(self.imgs[idx], row) else -1
 
     def permutation(self, i: int) -> Permutation:
@@ -343,12 +341,6 @@ class ElementSet:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ElementSet) and self.owner is other.owner and np.array_equal(self.mask, other.mask)
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.owner, self.mask | other.mask)
-
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(self.owner, self.mask & other.mask)
 
     def issubset(self, other: "ElementSet") -> bool:
         return bool(np.all(~self.mask | other.mask))

@@ -355,19 +355,13 @@ def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[i
 # -- cover instance reduction ---------------------------------------------------
 
 
-@dataclass
-class Candidate:
-    element: int
-    class_id: int
-
-
-@dataclass(eq=False)  # == is identity: a field-wise == would compare the ndarray ambiguously
+@dataclass(eq=False)  # == is identity: a field-wise == would compare the ndarrays ambiguously
 class CoverInstance:
-    universe: list[int]              # canonical generator per maximal cyclic subgroup
-    target_class: list[int]          # conjugation orbit id per universe entry
-    candidates: list[Candidate]
+    universe: np.ndarray             # int64: canonical generator per maximal cyclic subgroup
+    target_class: np.ndarray         # int64: conjugation orbit id per universe entry
+    candidates: np.ndarray           # int64: the element of each candidate
+    candidate_class: np.ndarray      # int64: the conjugacy class of each candidate
     covers: np.ndarray               # bool, candidates x universe: covers[i, t] when t in Sol(candidate i)
-    involutions_only: bool
     alpha_floor: int = 0
     #: candidate classes are whole conjugation orbits of an instance symmetry;
     #: only then may the solver restrict its first pick to class representatives,
@@ -395,9 +389,13 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
 
     Universe: one canonical generator per maximal cyclic subgroup not inside
     the radical (covering a generator covers its whole cyclic group, and
-    radical targets lie in every solvabilizer).  Candidates: prime-order
-    nonradical elements (Sol(x) never shrinks under x -> x^n, so a cover maps
-    to a no-larger prime-order cover), or just the involutions.  Identical
+    radical targets lie in every solvabilizer).  Candidates: the involutions,
+    or in mode all the nonradical elements, of prime order when the radical
+    is trivial.  Sol(x) never shrinks under x -> x^n, and with a trivial
+    radical every prime-order power of a nontrivial x is nonradical, so a
+    cover maps to a no-larger prime-order cover.  With a nontrivial radical
+    that power can lie in it (in SL(2,5) the square of an element of order 4
+    is -1), so every nonradical element is a candidate.  Identical
     coverage rows are merged, keeping the least element, and, unless
     disabled, dominated candidates are dropped (both preserve the optimum).
 
@@ -421,19 +419,20 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         raise GroupSolvable("covering numbers are undefined for solvable groups")
     notes = []
     rad_mask = incidence.radical.mask
-    universe = maximal_cyclic_generators(table)
-    kept_universe = [t for t in universe if not rad_mask[t]]
-    if len(kept_universe) != len(universe):
-        notes.append(f"universe: dropped {len(universe) - len(kept_universe)} radical targets")
-    universe = kept_universe
+    universe = np.array(maximal_cyclic_generators(table), dtype=np.int64)
+    targets = universe[~rad_mask[universe]]
+    if len(targets) != len(universe):
+        notes.append(f"universe: dropped {len(universe) - len(targets)} radical targets")
     orders = table.order_of
     if involutions_only:
         eligible = orders == 2
+    elif rad_mask[1:].any():
+        eligible = np.ones(table.order, dtype=bool)
     else:
         prime = np.array([is_prime(o) for o in range(int(orders.max()) + 1)])
         eligible = prime[orders]
     eligible &= ~rad_mask
-    notes.append(f"universe {len(universe)} maximal cyclic targets; raw candidates {int(eligible.sum())}")
+    notes.append(f"universe {len(targets)} maximal cyclic targets; raw candidates {int(eligible.sum())}")
     canonical, _ = table.cyclic_generators()
     eligible &= canonical == np.arange(table.order)
     cand = np.flatnonzero(eligible)
@@ -442,7 +441,6 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     # every (target t = w r w^-1, canonical candidate s in Sol(r)) pair, classes
     # in order of first appearance among the targets
     classes = incidence.classes
-    targets = np.array(universe, dtype=np.int64)
     target_cids = classes.class_of[targets]
     pair_w, pair_s, pair_col = [], [], []
     for cid in dict.fromkeys(target_cids.tolist()):
@@ -452,7 +450,7 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         pair_s.append(np.tile(inside, len(cols)))
         pair_col.append(np.repeat(cols, len(inside)))
     conj = table.conjugate(np.concatenate(pair_w), np.concatenate(pair_s))
-    member = np.zeros((len(cand), len(universe)), dtype=bool)
+    member = np.zeros((len(cand), len(targets)), dtype=bool)
     member[pos[canonical[conj]], np.concatenate(pair_col)] = True
     # dedupe identical rows (keep least element), then drop dominated rows
     packed = np.packbits(member, axis=1, bitorder="little")
@@ -469,14 +467,12 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         kept = uniq[~dominated]
     notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
     elements = cand[kept]
-    candidates = [Candidate(x, cid) for x, cid in zip(elements.tolist(), classes.class_of[elements].tolist())]
-    target_class = _target_orbits(classes, table, universe)
     inst = CoverInstance(
-        universe=universe,
-        target_class=target_class,
-        candidates=candidates,
+        universe=targets,
+        target_class=_target_orbits(classes, table, targets),
+        candidates=elements,
+        candidate_class=classes.class_of[elements],
         covers=member[kept],
-        involutions_only=involutions_only,
         alpha_floor=3,
         conjugation_symmetric=True,
         notes=notes,
@@ -488,7 +484,7 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     return inst
 
 
-def _target_orbits(classes: ClassPartition, table: GroupTable, universe: list[int]) -> list[int]:
+def _target_orbits(classes: ClassPartition, table: GroupTable, universe: np.ndarray) -> np.ndarray:
     """Conjugation-orbit id of each universe target's cyclic subgroup.
 
     <s> and <t> are conjugate exactly when a generator of <s> is conjugate to
@@ -500,7 +496,7 @@ def _target_orbits(classes: ClassPartition, table: GroupTable, universe: list[in
     key = np.full(table.order, classes.count, dtype=np.int64)
     np.minimum.at(key, canonical, classes.class_of)
     ids: dict[int, int] = {}
-    return [ids.setdefault(k, len(ids)) for k in key[universe].tolist()]
+    return np.array([ids.setdefault(k, len(ids)) for k in key[universe].tolist()], dtype=np.int64)
 
 
 # -- clique numbers -------------------------------------------------------------
@@ -515,11 +511,6 @@ class CliqueResult:
     @property
     def exact(self) -> bool:
         return self.lower == self.upper
-
-    def __int__(self) -> int:
-        if not self.exact:
-            raise ValueError("clique bound is an interval")
-        return self.lower
 
 
 def mu_s(table: GroupTable, node_limit: int = 10 ** 7, time_limit: float = 60.0) -> CliqueResult:

@@ -34,7 +34,6 @@ from solvcover.group import (
     is_solvable,
 )
 from solvcover.solvabilizer import (
-    Candidate,
     CoverInstance,
     SolvabilizerIncidence,
     _target_orbits,
@@ -475,18 +474,22 @@ def target_orbits_per_target(classes, table, universe):
     return out
 
 
-def instance_from_rows(rows, universe, target_class, candidates=None, involutions_only=False, **fields):
+def instance_from_rows(rows, universe, target_class, candidates=None, candidate_class=None, **fields):
     """Cover instance whose candidate i covers target t when bit t of rows[i] is set.
 
     Candidate i defaults to element i in class i; ``fields`` are the other
     ``CoverInstance`` fields.  ``rows_of`` turns the instance back into rows.
     """
     if candidates is None:
-        candidates = [Candidate(i, i) for i in range(len(rows))]
+        candidates = np.arange(len(rows))
+    if candidate_class is None:
+        candidate_class = np.arange(len(rows))
     covers = np.array([[(r >> t) & 1 for t in range(len(universe))] for r in rows], dtype=bool)
-    return CoverInstance(universe=list(universe), target_class=list(target_class), candidates=candidates,
-                         covers=covers.reshape(len(rows), len(universe)), involutions_only=involutions_only,
-                         **fields)
+    return CoverInstance(universe=np.array(universe, dtype=np.int64),
+                         target_class=np.array(target_class, dtype=np.int64),
+                         candidates=np.array(candidates, dtype=np.int64),
+                         candidate_class=np.array(candidate_class, dtype=np.int64),
+                         covers=covers.reshape(len(rows), len(universe)), **fields)
 
 
 def rows_of(instance):
@@ -529,7 +532,7 @@ def element_scan_greedy(instance, weights=None):
     and picks the first with the highest weight x |row & uncovered|.  With no
     weights (all 1) it is the max-coverage greedy."""
     weights = weights or [1] * len(instance.candidates)
-    cands = sorted(zip((c.element for c in instance.candidates), rows_of(instance), weights))
+    cands = sorted(zip(instance.candidates.tolist(), rows_of(instance), weights))
     uncovered = (1 << instance.size) - 1
     chosen = []
     while uncovered:
@@ -547,7 +550,7 @@ def element_scan_greedy(instance, weights=None):
 
 def drop_redundant_picks(instance, elements):
     """The cover minus each pick, smallest rows first, that the remaining picks make redundant."""
-    row = {c.element: r for c, r in zip(instance.candidates, rows_of(instance))}
+    row = dict(zip(instance.candidates.tolist(), rows_of(instance)))
     full = (1 << instance.size) - 1
     kept = list(elements)
     for x in sorted(elements, key=lambda x: row[x].bit_count()):
@@ -566,11 +569,13 @@ def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: 
 
     Universe: one canonical generator per maximal cyclic subgroup not inside
     the radical (covering a generator covers its whole cyclic group, and
-    radical targets lie in every solvabilizer).  Candidates: prime-order
-    nonradical elements (Sol(x) never shrinks under x -> x^n, so a cover maps
-    to a no-larger prime-order cover), or just the involutions.  Identical
-    coverage rows are merged and, unless disabled, dominated candidates are
-    dropped (both preserve the optimum).
+    radical targets lie in every solvabilizer).  Candidates: the involutions,
+    or in mode all the nonradical elements, of prime order when the radical
+    is trivial (Sol(x) never shrinks under x -> x^n, so a cover maps to a
+    no-larger prime-order cover; with a nontrivial radical the prime-order
+    powers of x can lie in it).  Identical coverage rows are merged and,
+    unless disabled, dominated candidates are dropped (both preserve the
+    optimum).
     """
     table = incidence.table
     if table.is_group_solvable():
@@ -585,6 +590,8 @@ def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: 
     orders = table.order_of
     if involutions_only:
         cand_elems = [x for x in range(1, table.order) if orders[x] == 2 and not rad_mask[x]]
+    elif rad_mask[1:].any():
+        cand_elems = [x for x in range(1, table.order) if not rad_mask[x]]
     else:
         prime_orders = {o for o in set(orders.tolist()) if is_prime(o)}
         cand_elems = [x for x in range(1, table.order) if orders[x] in prime_orders and not rad_mask[x]]
@@ -615,8 +622,8 @@ def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: 
         [r for r, _ in kept],
         universe,
         _target_orbits(classes, table, universe),
-        candidates=[Candidate(x, int(classes.class_of[x])) for _, x in kept],
-        involutions_only=involutions_only,
+        candidates=[x for _, x in kept],
+        candidate_class=[int(classes.class_of[x]) for _, x in kept],
         alpha_floor=3,
         conjugation_symmetric=True,
         notes=notes,
@@ -745,13 +752,14 @@ class ScanningClassCountingBound:
     """
 
     def __init__(self, instance):
-        cands, rows = instance.candidates, rows_of(instance)
-        self.cls_ids = sorted({c.class_id for c in cands})
-        self.members = [[i for i, c in enumerate(cands) if c.class_id == cid] for cid in self.cls_ids]
+        cls, rows = instance.candidate_class.tolist(), rows_of(instance)
+        self.cls_ids = sorted(set(cls))
+        self.members = [[i for i, c in enumerate(cls) if c == cid] for cid in self.cls_ids]
         self.tmasks = []
-        for t in sorted(set(instance.target_class)):
+        target_class = instance.target_class.tolist()
+        for t in sorted(set(target_class)):
             m = 0
-            for u, tc in enumerate(instance.target_class):
+            for u, tc in enumerate(target_class):
                 if tc == t:
                     m |= 1 << u
             self.tmasks.append(m)
@@ -828,7 +836,7 @@ class ScanningSearch:
 
     def __init__(self, instance):
         self.inst = instance
-        self.cands = instance.candidates
+        self.cands = instance.candidates.tolist()
         self.rows = rows_of(instance)
         self.full = (1 << instance.size) - 1
         self.cols = []
@@ -868,7 +876,7 @@ class ScanningSearch:
         self.node_limit = budget.node_limit
         avail = (1 << len(self.cands)) - 1
         if not self.inst.feasible():
-            return CoverOutcome(INFEASIBLE, 0, None, None, self.inst.involutions_only)
+            return CoverOutcome(INFEASIBLE, 0, None, None)
         incumbent = greedy_cover(self.inst)
         ub = len(incumbent)
         value = class_lp_dual_lists(self.ccb.k, [tm.bit_count() for tm in self.ccb.tmasks],
@@ -886,12 +894,11 @@ class ScanningSearch:
                 timed_out = True
                 break
             if self.found is not None:
-                incumbent = [self.cands[i].element for i in self.found]
+                incumbent = [self.cands[i] for i in self.found]
                 ub = lo = len(self.found)
             else:
                 lo += 1
-        return CoverOutcome(INTERVAL if timed_out else EXACT, lo, ub, incumbent,
-                            self.inst.involutions_only, nodes=self.nodes)
+        return CoverOutcome(INTERVAL if timed_out else EXACT, lo, ub, incumbent, nodes=self.nodes)
 
     def _root(self, avail):
         if not self.inst.conjugation_symmetric:

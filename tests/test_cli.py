@@ -70,6 +70,16 @@ def test_solve_wreath_builds_only_the_base(tmp_path, recorded_builds):
     assert "order: 7200" in out.read_text()
 
 
+def test_solve_wreath_with_a_solvable_base_builds_the_group_once(tmp_path, recorded_builds):
+    # C2 wr A5 is nonsolvable through its top group alone, so no wreath bound applies
+    out = tmp_path / "w.result"
+    assert run_cli("solve", "--group", "wreath(symmetric(2),5,(1,2,3);(3,4,5))", "--mode", "both",
+                   "--out", str(out)) == 0
+    assert len(recorded_builds) == 2 and recorded_builds[0] == "symmetric(2)"
+    rec = ResultRecord.from_text(out.read_text())
+    assert (rec.order, rec.alpha.render_value(), rec.alpha_inv.render_value()) == (1920, "3", "3")
+
+
 def test_solve_product_builds_each_factor_once(tmp_path, recorded_builds):
     out = tmp_path / "p.result"
     assert run_cli("solve", "--group", "product(psl2(7),psl2(9))", "--mode", "both", "--out", str(out)) == 0

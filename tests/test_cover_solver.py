@@ -9,19 +9,18 @@ import pytest
 
 import solvcover as sc
 from solvcover import cover
-from solvcover.solvabilizer import Candidate, CoverInstance
+from solvcover.solvabilizer import CoverInstance
 from solvcover.theorems import Certificate, verify_certificate
 
 import oracles
 from test_solvabilizer import GOLDEN_SPECS
 
 
-def synthetic_instance(rows, nu=None, target_class=None, involutions_only=False, floor=0):
+def synthetic_instance(rows, nu=None, target_class=None, floor=0):
     """Instance from explicit coverage bitmask rows over nu targets (element = position)."""
     if nu is None:
         nu = max(m.bit_length() for m in rows)
-    return oracles.instance_from_rows(rows, range(nu), target_class or [0] * nu,
-                                      involutions_only=involutions_only, alpha_floor=floor)
+    return oracles.instance_from_rows(rows, range(nu), target_class or [0] * nu, alpha_floor=floor)
 
 
 # -- greedy ------------------------------------------------------------------------
@@ -35,7 +34,7 @@ def test_greedy_singletons():
 def test_greedy_a5_valid_and_small(a5_instance):
     cert = sc.greedy_cover(a5_instance)
     assert len(cert) <= 5
-    rows = {c.element: r for c, r in zip(a5_instance.candidates, oracles.rows_of(a5_instance))}
+    rows = dict(zip(a5_instance.candidates.tolist(), oracles.rows_of(a5_instance)))
     m = 0
     for e in cert:
         m |= rows[e]
@@ -87,8 +86,9 @@ def test_greedy_infeasible_passthrough():
 
 def test_lower_bound_empty():
     # no targets and no candidates: no column can enter the class LP's simplex
-    inst = CoverInstance(universe=[], target_class=[], candidates=[], covers=np.zeros((0, 0), dtype=bool),
-                         involutions_only=False)
+    none = np.zeros(0, dtype=np.int64)
+    inst = CoverInstance(universe=none, target_class=none, candidates=none, candidate_class=none,
+                         covers=np.zeros((0, 0), dtype=bool))
     assert sc.class_counting_bound(inst) == 0
     out = sc.solve_exact(inst)
     assert (out.status, out.lower, out.upper, out.certificate) == (sc.EXACT, 0, 0, [])
@@ -292,8 +292,7 @@ def test_class_counts_match_bitmask_counts(spec_text, mode):
 
 
 def test_class_counts_of_an_asymmetric_class_take_the_largest_member():
-    inst = oracles.instance_from_rows([0b001, 0b011, 0b100], range(3), [0, 0, 1],
-                                      candidates=[Candidate(0, 0), Candidate(1, 0), Candidate(2, 1)])
+    inst = oracles.instance_from_rows([0b001, 0b011, 0b100], range(3), [0, 0, 1], candidate_class=[0, 0, 1])
     assert cover._ClassCountingBound(inst).k.tolist() == oracles.ScanningClassCountingBound(inst).k == [[2, 0], [0, 1]]
 
 
@@ -316,19 +315,20 @@ def test_lp_dual_is_the_list_simplex(spec_text, mode):
     # every other candidate dropped: members of a class now differ in their counts
     keep = list(range(0, len(inst.candidates), 2))
     assert_lp_dual_is_the_list_simplex(dataclasses.replace(
-        inst, candidates=[inst.candidates[i] for i in keep], covers=inst.covers[keep], conjugation_symmetric=False))
+        inst, candidates=inst.candidates[keep], candidate_class=inst.candidate_class[keep], covers=inst.covers[keep],
+        conjugation_symmetric=False))
 
 
 def test_lp_dual_is_the_list_simplex_on_synthetics():
     rng = random.Random(25)
     assert_lp_dual_is_the_list_simplex(oracles.instance_from_rows(
-        [0b001, 0b011, 0b100], range(3), [0, 0, 1], candidates=[Candidate(0, 0), Candidate(1, 0), Candidate(2, 1)]))
+        [0b001, 0b011, 0b100], range(3), [0, 0, 1], candidate_class=[0, 0, 1]))
     for _ in range(3000):  # a ratio tie that the basis index breaks unlike the row order is rare
         nu, n = rng.randint(1, 12), rng.randint(1, 10)
         rows = [rng.getrandbits(nu) for _ in range(n)]
         orbits = [rng.randrange(3) for _ in range(nu)]
-        cands = [Candidate(i, rng.randrange(4)) for i in range(n)]
-        assert_lp_dual_is_the_list_simplex(oracles.instance_from_rows(rows, range(nu), orbits, candidates=cands))
+        classes = [rng.randrange(4) for _ in range(n)]
+        assert_lp_dual_is_the_list_simplex(oracles.instance_from_rows(rows, range(nu), orbits, candidate_class=classes))
 
 
 def outcome_key(out):
@@ -338,7 +338,7 @@ def outcome_key(out):
 def covers_instance(inst, elements):
     """Whether the candidates with these elements cover every target of the instance."""
     wanted = set(elements)
-    picked = [i for i, c in enumerate(inst.candidates) if c.element in wanted]
+    picked = [i for i, x in enumerate(inst.candidates.tolist()) if x in wanted]
     return len(picked) == len(elements) and bool(inst.covers[picked].any(axis=0).all())
 
 
@@ -503,7 +503,7 @@ def test_greedy_cover_is_the_element_scan_greedy_minus_redundant_picks(spec_text
     scan = oracles.element_scan_greedy(inst)
     cert = sc.greedy_cover(inst)
     assert cert == oracles.drop_redundant_picks(inst, scan)
-    index = {c.element: i for i, c in enumerate(inst.candidates)}
+    index = {x: i for i, x in enumerate(inst.candidates.tolist())}
     hits = inst.covers[[index[x] for x in cert]].sum(axis=0)  # picks covering each target
     assert hits.min() >= 1
     assert all((hits[inst.covers[index[x]]] == 1).any() for x in cert)
@@ -512,7 +512,7 @@ def test_greedy_cover_is_the_element_scan_greedy_minus_redundant_picks(spec_text
         rng = random.Random(seed)
         weights = [1 + cover._WEIGHT_SPREAD * rng.random() for _ in inst.candidates]
         picks = cover._Search(inst)._restart(random.Random(seed))
-        assert [inst.candidates[i].element for i in picks] == \
+        assert inst.candidates[picks].tolist() == \
             oracles.drop_redundant_picks(inst, oracles.element_scan_greedy(inst, weights))
 
 

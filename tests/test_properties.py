@@ -78,10 +78,9 @@ def _random_subinstance(rng, inst):
     k = int(rng.integers(4, 15))
     picks = np.sort(rng.choice(len(inst.candidates), size=min(k, len(inst.candidates)), replace=False))
     keep = np.flatnonzero(inst.covers[picks].any(axis=0))
-    return CoverInstance(universe=[inst.universe[u] for u in keep],
-                         target_class=[inst.target_class[u] for u in keep],
-                         candidates=[inst.candidates[i] for i in picks],
-                         covers=inst.covers[np.ix_(picks, keep)], involutions_only=inst.involutions_only)
+    return CoverInstance(universe=inst.universe[keep], target_class=inst.target_class[keep],
+                         candidates=inst.candidates[picks], candidate_class=inst.candidate_class[picks],
+                         covers=inst.covers[np.ix_(picks, keep)])
 
 
 def test_solver_brute_force_equivalence(a5_instance, s5_instance, psl27):

@@ -6,7 +6,7 @@ import pytest
 
 import solvcover as sc
 from solvcover import solvabilizer
-from solvcover.solvabilizer import Candidate, CoverInstance, _sol_of_rep, _triangle_verdicts, _von_dyck
+from solvcover.solvabilizer import CoverInstance, _sol_of_rep, _triangle_verdicts, _von_dyck
 
 import oracles
 
@@ -329,14 +329,14 @@ def test_target_orbits_match_per_target_oracle(spec_text):
     table = sc.build(sc.parse_spec(spec_text))
     classes = table.conjugacy_classes()
     universe = sc.maximal_cyclic_generators(table)
-    assert solvabilizer._target_orbits(classes, table, universe) == \
+    assert solvabilizer._target_orbits(classes, table, universe).tolist() == \
         oracles.target_orbits_per_target(classes, table, universe)
 
 
 def test_a5_involution_covers_two_c5_targets(a5, a5_instance):
     five_positions = [i for i, t in enumerate(a5_instance.universe) if a5.order_of[t] == 5]
-    for c, row in zip(a5_instance.candidates, oracles.rows_of(a5_instance)):
-        if a5.order_of[c.element] == 2:
+    for x, row in zip(a5_instance.candidates, oracles.rows_of(a5_instance)):
+        if a5.order_of[x] == 2:
             hit = sum(1 for i in five_positions if (row >> i) & 1)
             assert hit == 2
 
@@ -344,7 +344,7 @@ def test_a5_involution_covers_two_c5_targets(a5, a5_instance):
 def test_candidates_are_prime_order_and_deduped(s5_instance, s5):
     rows = oracles.rows_of(s5_instance)
     assert len(rows) == len(set(rows))
-    assert all(s5.order_of[c.element] in (2, 3, 5) for c in s5_instance.candidates)
+    assert all(s5.order_of[x] in (2, 3, 5) for x in s5_instance.candidates)
     # no dominated rows remain
     for i, r in enumerate(rows):
         assert not any(i != j and (r | r2) == r2 for j, r2 in enumerate(rows))
@@ -361,12 +361,13 @@ def test_reduce_rejects_solvable_group(s4):
 
 
 def _reduction(reduce, inc, **kwargs):
-    """The instance's fields, its matrix as bytes, or the type of the error raised instead."""
+    """The instance's fields (arrays as dtype and list), its matrix as bytes, or the type of the error raised instead."""
     try:
         inst = reduce(inc, **kwargs)
     except sc.SolvcoverError as err:
         return type(err)
     fields = tuple(getattr(inst, f.name) for f in dataclasses.fields(inst) if f.name != "covers")
+    fields = tuple((v.dtype, v.tolist()) if isinstance(v, np.ndarray) else v for v in fields)
     return fields, inst.covers.dtype, inst.covers.shape, inst.covers.tobytes()
 
 
@@ -389,10 +390,21 @@ def test_reduce_instance_matches_rows_oracle_with_radical(sl25):
 
 
 def test_cover_instance_equality_answers():
-    inst = CoverInstance(universe=[1], target_class=[0], candidates=[Candidate(1, 0)],
-                         covers=np.ones((1, 1), dtype=bool), involutions_only=False)
+    inst = CoverInstance(universe=np.array([1]), target_class=np.array([0]), candidates=np.array([1]),
+                         candidate_class=np.array([0]), covers=np.ones((1, 1), dtype=bool))
     assert inst == inst
     assert inst != dataclasses.replace(inst)  # identity, not a field-wise comparison of the matrix
+
+
+@pytest.mark.parametrize("group,alpha", [("sl25", 3), ("gl2(9)", 8)])
+def test_reduction_with_a_radical_solves_to_the_quotient_value(request, group, alpha):
+    # the prime-order powers of an element of order 4 in SL(2,5) are -1 and 1, both in the radical
+    table = request.getfixturevalue(group) if group == "sl25" else sc.build(sc.parse_spec(group))
+    assert len(table.solvable_radical_set()) > 1
+    out = sc.solve_exact(sc.reduce_instance(sc.sol_incidence(table)))
+    assert (out.status, out.lower) == (sc.EXACT, alpha) == (sc.EXACT, sc.solve_alpha(table).lower)
+    perms = [table.permutation(x) for x in out.certificate]
+    assert len(perms) == alpha and sc.verify_certificate(table, sc.Certificate(None, "all", perms))
 
 
 def _affine_5(a, b, c, d, e=0, f=0):

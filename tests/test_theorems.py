@@ -127,21 +127,21 @@ def test_product_and_wreath_bounds():
 
 def test_attach_computed_verdicts():
     rep = sc.family_bounds(sc.psl2(8))
-    ok = sc.CoverOutcome(sc.EXACT, 7, 7, None, False)
+    ok = sc.CoverOutcome(sc.EXACT, 7, 7, None)
     assert sc.attach_computed(rep, ok, ok).verdict == "consistent"
-    bad = sc.CoverOutcome(sc.EXACT, 6, 6, None, False)
+    bad = sc.CoverOutcome(sc.EXACT, 6, 6, None)
     rep2 = sc.family_bounds(sc.psl2(8))
     assert sc.attach_computed(rep2, bad, None).verdict == "violation"
     # the flagged PSL2(11) bound must not create a violation for the table value 15
     rep3 = sc.family_bounds(sc.psl2(11))
-    fifteen = sc.CoverOutcome(sc.EXACT, 15, 15, None, False)
+    fifteen = sc.CoverOutcome(sc.EXACT, 15, 15, None)
     assert sc.attach_computed(rep3, fifteen, None).verdict == "consistent"
 
 
 def test_cross_check_rows():
     e = sc.EXACT
-    mk = lambda v: sc.CoverOutcome(e, v, v, None, False)
-    inf = sc.CoverOutcome(sc.INFEASIBLE, 0, None, None, True)
+    mk = lambda v: sc.CoverOutcome(e, v, v, None)
+    inf = sc.CoverOutcome(sc.INFEASIBLE, 0, None, None)
     rows = sc.cross_check([
         (sc.alternating(5), mk(3), mk(3)),
         (sc.psl2(7), mk(5), inf),
@@ -156,8 +156,8 @@ def test_cross_check_rows():
 
 
 def test_cross_check_char2_conjecture():
-    rows = sc.cross_check([(sc.psl2(8), sc.CoverOutcome(sc.EXACT, 7, 7, None, False),
-                            sc.CoverOutcome(sc.EXACT, 7, 7, None, False))])
+    rows = sc.cross_check([(sc.psl2(8), sc.CoverOutcome(sc.EXACT, 7, 7, None),
+                            sc.CoverOutcome(sc.EXACT, 7, 7, None))])
     assert rows[0].conjectures["char2_qminus1"] == "supports"
 
 
