@@ -5,13 +5,14 @@ searches for a cover of size <= k with the incumbent pinned to k+1, so the
 bound prunes at equality.  A completed round with no cover proves lb > k; the
 first hit is optimal.  The first k is the class-counting bound (or the
 instance's floor, when higher): the ceiling of the value of the class-counting
-LP, the set-cover LP with candidates grouped by conjugacy class and targets by
-orbit, which equals the root LP of a conjugation-symmetric instance.
-Branching picks the uncovered target with the fewest remaining candidates,
-except at the root of a conjugation-symmetric instance, which branches on
-conjugacy-class representatives, each excluding its whole class (conjugating
-an optimal cover is again an optimal cover, so the lowest class present may be
-normalized to its representative).  Pruning bounds, in order: the Lagrangian
+LP, the set-cover LP with candidates grouped by class and targets by target
+class, which equals the root LP when every class of either kind is a whole
+orbit of the instance's symmetry (``CoverInstance``).  Branching picks the
+uncovered target with the fewest remaining candidates, except at the root,
+which branches on class representatives, each excluding its whole class (a
+symmetry maps an optimal cover to an optimal cover, and each class lies in
+one orbit, so an image whose lowest class is least may be normalized to hold
+that class's representative).  Pruning bounds, in order: the Lagrangian
 relaxation of set cover (Beasley, EJOR 1990; Caprara, Fischetti, Toth, Oper.
 Res. 47, 1999), and a target with no candidate left.  The Lagrangian bound
 takes a few subgradient steps on float64 multipliers y >= 0 over the uncovered
@@ -113,15 +114,15 @@ def greedy_cover(instance: CoverInstance) -> list[int]:
 class _ClassCountingBound:
     """The class-counting program: set cover counted per candidate class.
 
-    For each candidate conjugacy class c and target orbit T the coverage count
-    |row(x) & T| is constant over x in c (conjugation permutes T and maps rows
-    accordingly); a cover with x_c members of class c then has
-    sum_c k[c, T] * x_c >= |T| for every T, with x_c at most the class size.
-    The least sum of x_c in the LP relaxation of that program is a lower
-    bound on the cover size, and its dual gives the root multipliers.
-    k[c, T] is the largest count over the members of c.  A conjugation-symmetric
-    instance has the same count at every member, so it reads one row per class.
-    ``members`` holds each class's candidate indices, in index order.
+    For each candidate class c and target class T the coverage count
+    k[c, T] = |row(x) & T| is the same for every x in c (a symmetry of the
+    instance maps x to any other member of c and T onto itself; see
+    ``CoverInstance``), so it is read off the least member.  A cover with x_c
+    members of class c then has sum_c k[c, T] * x_c >= |T| for every T, with
+    x_c at most the class size.  The least sum of x_c in the LP relaxation
+    of that program is a lower bound on the cover size, and its dual gives
+    the root multipliers.  ``members`` holds each class's candidate indices,
+    in index order.
     """
 
     def __init__(self, instance: CoverInstance):
@@ -132,11 +133,8 @@ class _ClassCountingBound:
         self.members = np.split(by_class, starts[1:])
         self.target_orbit = np.unique(instance.target_class, return_inverse=True)[1]
         self.sizes = np.bincount(self.target_orbit)
-        if instance.conjugation_symmetric:
-            by_class, starts = by_class[starts], np.arange(len(starts))
-        rows = instance.covers[by_class][:, np.argsort(self.target_orbit, kind="stable")]
-        counts = np.add.reduceat(rows, np.cumsum(self.sizes) - self.sizes, axis=1, dtype=np.int64)  # |row & T|
-        self.k = np.maximum.reduceat(counts, starts, axis=0)
+        rows = instance.covers[by_class[starts]][:, np.argsort(self.target_orbit, kind="stable")]
+        self.k = np.add.reduceat(rows, np.cumsum(self.sizes) - self.sizes, axis=1, dtype=np.int64)  # |row & T|
 
     def constraint_rows(self):
         """(coefficients, rhs) per target orbit, for reporting and tests."""
@@ -257,9 +255,9 @@ class _Search:
     past the pruning level (Polyak's rule), stopping as soon as it prunes; the
     node is pruned when depth + ceil(L - eps) >= best.  Then an
     uncovered target with no available candidate (``_branching`` is empty).
-    Last, the child check: the node's y (its best after the ascent; y0 at a
-    symmetric root), restricted to each child's uncovered targets, bounds every
-    child in one batched product before the child is entered: child j is
+    Last, the child check: the node's y (its best after the ascent; y0 at the
+    root), restricted to each child's uncovered targets, bounds every child in
+    one batched product before the child is entered: child j is
     skipped when depth + 1 + ceil(L_j - eps) >= best, and its candidate is
     still zeroed in its later siblings, since its subtree holds no cover below
     best.  L_j is at least L + (1 - s_i) - 1, the Lagrangian bound with the
@@ -279,17 +277,18 @@ class _Search:
     integer do come out a few ulps above it, and the search then misses
     optima (PGL(2,9) and S6 among the golden groups).
 
-    The root multipliers are the class-counting LP dual (``lp_dual``, solved once),
-    constant on target orbits; for conjugation-symmetric instances they are
-    optimal for the root LP.  Its value, rounded up, is where the deepening
-    starts (above the floor), and its dual seeds every deepening round; the
-    program is built on first use (``ccb``).  A symmetric root runs no
-    ascent: y0 is already optimal for its LP, so no step can raise L.  There
-    the child check subsumes reduced-cost fixing by class: s_i <= load_c =
-    sum_T k[c, T] w_T for the pick i of class c (k is a maximum over the
-    class) and L >= value, so 1 + L_c >= value + 1 - load_c.
+    The root multipliers are the class-counting LP dual (``lp_dual``, solved
+    once), constant on target classes; when every class of either kind is a
+    whole orbit they are optimal for the root LP.  Its value, rounded up, is
+    where the deepening starts (above the floor), and its dual seeds every
+    deepening round; the program is built on first use (``ccb``).  The root
+    runs no ascent: it always branches on class representatives
+    (``root_branches``), and L(y0) is already the class LP's value.  There the
+    child check subsumes reduced-cost fixing by class: s_i = load_c =
+    sum_T k[c, T] w_T for the pick i of class c and L = value, so
+    1 + L_c >= value + 1 - load_c.
 
-    Every node but a symmetric root ascends, at about ten nodes' work each.
+    Every node but the root ascends, at about ten nodes' work each.
     Against no ascent in the first 64 nodes this cuts nodes (PGL(2,9) 76 -> 9,
     PGL(2,17) 502 -> 380) and time, except on A7: no bound prunes its 41-deep
     dive to the optimum, so 87 -> 47 nodes take 95-123 ms, not 54-85 ms
@@ -310,10 +309,8 @@ class _Search:
 
     @cached_property
     def root_branches(self):
-        """(picks, zeroed rows and columns of its children) at a symmetric root, else None: branch j
-        picks the least member of class j and zeroes classes 0..j-1, which the branches before it took."""
-        if not self.inst.conjugation_symmetric:
-            return None
+        """(picks, zeroed rows and columns of its children) at the root: branch j picks the least
+        member of class j and zeroes classes 0..j-1, which the branches before it took."""
         members = self.ccb.members
         zeroed = [np.concatenate([mem[:1], *members[:j]]) for j, mem in enumerate(members)]
         return (np.array([mem[0] for mem in members]), np.repeat(np.arange(len(zeroed)), [len(z) for z in zeroed]),
@@ -435,7 +432,6 @@ class _Search:
         lo = min(max(floor, root), ub)
         cov, unc = self.cov0, np.ones(self.nu)
         y0 = self.ccb.lp_dual[0][self.ccb.target_orbit]  # the LP dual spread over the targets
-        first = self.lagrangian(y0, cov > 0)[:2]
         rng = random.Random(0)  # one seed per solve: an instance always gets the same certificate
         restarts = _FIRST_RESTARTS
         timed_out = False
@@ -450,7 +446,7 @@ class _Search:
             self.best = lo + 1
             self.found: Optional[list[int]] = None
             try:
-                self._descend(0, [], cov, unc, y0, first)
+                self._descend(0, [], cov, unc, y0, None)
             except _FoundCover:
                 pass
             except _OutOfBudget:
@@ -473,7 +469,7 @@ class _Search:
         )
 
     def _descend(self, depth: int, chosen: list[int], cov: np.ndarray, unc: np.ndarray, y: np.ndarray,
-                 first: tuple[float, np.ndarray]):
+                 first: Optional[tuple[float, np.ndarray]]):
         self.nodes += 1
         if self.nodes > self.node_limit or time.monotonic() >= self.deadline:
             raise _OutOfBudget
@@ -481,7 +477,7 @@ class _Search:
             self.found = list(chosen)
             raise _FoundCover
         need = self.best - depth
-        if depth == 0 and self.root_branches is not None:
+        if depth == 0:
             order, off_rows, off_cols = self.root_branches
         else:
             L, y = self._ascend(y, unc, cov, need, first)

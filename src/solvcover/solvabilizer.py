@@ -357,16 +357,21 @@ def _extend_to_maximal_solvable(table: GroupTable, seed: list[int], gens: list[i
 
 @dataclass(eq=False)  # == is identity: a field-wise == would compare the ndarrays ambiguously
 class CoverInstance:
+    """Set cover: candidate i covers target t when covers[i, t].
+
+    The solver's contract: a symmetry group H of ``covers`` has each
+    candidate class inside one H-orbit, not necessarily a whole one (on
+    PSL(2,16), rows of different conjugacy classes coincide and the dedupe
+    keeps part of three classes), and each target class a union of H-orbits.
+    A singleton class claims no symmetry.
+    """
+
     universe: np.ndarray             # int64: canonical generator per maximal cyclic subgroup
     target_class: np.ndarray         # int64: conjugation orbit id per universe entry
     candidates: np.ndarray           # int64: the element of each candidate
     candidate_class: np.ndarray      # int64: the conjugacy class of each candidate
     covers: np.ndarray               # bool, candidates x universe: covers[i, t] when t in Sol(candidate i)
     alpha_floor: int = 0
-    #: candidate classes are whole conjugation orbits of an instance symmetry;
-    #: only then may the solver restrict its first pick to class representatives,
-    #: and read each class's coverage counts per target orbit off one member
-    conjugation_symmetric: bool = False
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -474,7 +479,6 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
         candidate_class=classes.class_of[elements],
         covers=member[kept],
         alpha_floor=3,
-        conjugation_symmetric=True,
         notes=notes,
     )
     if not inst.feasible():

@@ -27,7 +27,6 @@ from .errors import (
     CapExceeded,
     ElementInRadical,
     ElementNotInGroup,
-    EvenFieldOrder,
 )
 from .fields import factor_prime_power, is_prime
 from .group import DEFAULT_CAP, GroupTable
@@ -200,7 +199,7 @@ def _is_simple_spec(spec: GroupSpec) -> bool:
 
 
 def _mentions_a5(spec: GroupSpec) -> bool:
-    if spec.kind in ("psl2",) and spec.params[0] in (4, 5):
+    if spec.kind in ("psl2", "pgl2") and spec.params[0] in (4, 5):  # PGL(2,4) = PSL(2,4), PGL(2,5) = S5
         return True
     if spec.kind == "alternating" and spec.params[0] == 5:
         return True
@@ -251,7 +250,8 @@ def cross_check(entries: Sequence[tuple[GroupSpec, Optional[CoverOutcome], Optio
                 )
             if pf and q % 4 == 1 and a is not None:
                 conj["q1mod4_alpha_q"] = (
-                    "supports" if a.status == EXACT and a.lower == q
+                    "inapplicable (alpha(PSL(2,5)) = 3)" if q == 5
+                    else "supports" if a.status == EXACT and a.lower == q
                     else ("refutes" if a.status == EXACT else "inconclusive")
                 )
         # conjecture: alpha = 3 forces an A5 composition factor (data-level note only)
@@ -287,12 +287,9 @@ def verify_gl2_cover(q: int, cap: int = DEFAULT_CAP) -> bool:
     default), only the projected PSL2(q) certificate is checked, which needs
     q = 1 mod 4.
     """
-    pf = factor_prime_power(q)
-    if pf is None or pf[0] == 2:
-        raise EvenFieldOrder("cover construction needs odd prime power q")
+    mats = gl2_cover_elements(q)  # NotAPrimePower, or EvenFieldOrder for even q
     if q == 3:
         raise BadParameter("GL2(3) is solvable; the cover question is empty")
-    mats = gl2_cover_elements(q)
     gl_order = (q * q - 1) * (q * q - q)
     ok = True
     if gl_order <= cap:

@@ -625,7 +625,6 @@ def reduce_instance_by_rows(incidence: SolvabilizerIncidence, involutions_only: 
         candidates=[x for _, x in kept],
         candidate_class=[int(classes.class_of[x]) for _, x in kept],
         alpha_floor=3,
-        conjugation_symmetric=True,
         notes=notes,
     )
     if not inst.feasible():
@@ -831,11 +830,15 @@ class ScanningSearch:
     candidate rows, the class-counting integer program at every node and no
     Lagrangian bound.  The search must return its status, bounds and first
     cover, in no more nodes: the Lagrangian bound and fixing only cut
-    subtrees of this tree that hold no cover below the incumbent.
+    subtrees of this tree that hold no cover below the incumbent.  With
+    ``root_symmetry=False`` the root branches like every other node, on the
+    candidates of its rarest target, so the optimum owes nothing to the
+    instance's class contract (``CoverInstance``).
     """
 
-    def __init__(self, instance):
+    def __init__(self, instance, root_symmetry=True):
         self.inst = instance
+        self.root_symmetry = root_symmetry
         self.cands = instance.candidates.tolist()
         self.rows = rows_of(instance)
         self.full = (1 << instance.size) - 1
@@ -901,7 +904,7 @@ class ScanningSearch:
         return CoverOutcome(INTERVAL if timed_out else EXACT, lo, ub, incumbent, nodes=self.nodes)
 
     def _root(self, avail):
-        if not self.inst.conjugation_symmetric:
+        if not self.root_symmetry:
             self._descend(self.full, avail, 0, [])
             return
         self.nodes += 1

@@ -150,14 +150,6 @@ def test_solve_psl27(psl27):
         sc.reduce_instance(sc.sol_incidence(psl27), involutions_only=True)
 
 
-def test_root_symmetry_preserves_optimum(a5_instance, s5_instance):
-    for inst in (a5_instance, s5_instance):
-        with_sym = sc.solve_exact(inst)
-        without = sc.solve_exact(dataclasses.replace(inst, conjugation_symmetric=False))
-        assert with_sym.status == without.status == sc.EXACT
-        assert with_sym.lower == without.lower
-
-
 def test_interval_on_tiny_budget(s5_instance):
     out = sc.solve_exact(s5_instance, sc.SolveBudget(time_limit=60, node_limit=1))
     assert out.status == sc.INTERVAL
@@ -251,10 +243,11 @@ def test_root_bound_equals_class_counting_program(spec_text, mode):
     assert sc.class_counting_bound(inst) == program
 
 
-# HiGHS takes 0.5-2.8 s on each instance of these three, under 0.35 s on the others
-MILP_SLOW = {"pgl2(9)", "pgl2(11)", "pgammal2(9)"}
+# HiGHS takes 0.5-2.8 s on each instance of these three, under 0.35 s on the others; the scanning oracle
+# without root symmetry takes 1.1-3.9 s on each, 0.7 s on all the others together
+SLOW_GOLDEN = {"pgl2(9)", "pgl2(11)", "pgammal2(9)"}
 FEASIBLE_GOLDEN = [(g, m) for g in GOLDEN_SPECS for m in ("all", "involutions") if (g, m) not in NO_INVOLUTION_COVER]
-GOLDEN_INSTANCES = [pytest.param(g, m, marks=[pytest.mark.slow] if g in MILP_SLOW else []) for g, m in FEASIBLE_GOLDEN]
+GOLDEN_INSTANCES = [pytest.param(g, m, marks=[pytest.mark.slow] if g in SLOW_GOLDEN else []) for g, m in FEASIBLE_GOLDEN]
 # rows beyond the golden table pinned in tests/test_acceptance.py, all with a trivial radical
 BEYOND_GOLDEN_PINS = ["pgl2(19)", "pgammal2(16)", "squished(symmetric(5),symmetric(5))", "pgl2(23)",
                       "wreath(alternating(5),2,cycle)", "product(symmetric(5),alternating(5))",
@@ -282,26 +275,24 @@ def test_search_optimum_matches_milp(spec_text, mode):
     assert out.status == sc.EXACT and out.lower == round(res.fun)
 
 
-@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
+@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN + [("psl2(16)", "all")])
 def test_class_counts_match_bitmask_counts(spec_text, mode):
-    # one row per class on a symmetric instance, every row otherwise: both give the oracle's largest count
+    # one row per class gives the oracle's largest count over the members, because of the CoverInstance
+    # contract it relies on: every member has the same count on each target class (the least is the largest)
     inst = golden_instance(spec_text, mode)
-    want = oracles.ScanningClassCountingBound(inst).k
-    assert cover._ClassCountingBound(inst).k.tolist() == want
-    assert cover._ClassCountingBound(dataclasses.replace(inst, conjugation_symmetric=False)).k.tolist() == want
-
-
-def test_class_counts_of_an_asymmetric_class_take_the_largest_member():
-    inst = oracles.instance_from_rows([0b001, 0b011, 0b100], range(3), [0, 0, 1], candidate_class=[0, 0, 1])
-    assert cover._ClassCountingBound(inst).k.tolist() == oracles.ScanningClassCountingBound(inst).k == [[2, 0], [0, 1]]
+    oracle, rows = oracles.ScanningClassCountingBound(inst), oracles.rows_of(inst)
+    least = [[min((rows[i] & tm).bit_count() for i in mem) for tm in oracle.tmasks] for mem in oracle.members]
+    assert cover._ClassCountingBound(inst).k.tolist() == oracle.k == least
+    if spec_text == "psl2(16)":  # rows of different classes coincide: 136, 85 and 51 canonical generators
+        assert np.unique(inst.candidate_class, return_counts=True)[1].tolist() == [255, 45, 51, 40]
 
 
 def assert_lp_dual_is_the_list_simplex(inst):
-    # the same pivots in the same float64 arithmetic give the same bytes; value sums in another order
-    oracle = oracles.ScanningClassCountingBound(inst)
-    w, value = cover._ClassCountingBound(inst).lp_dual
-    want_w, want_value = oracles.class_lp_dual_lists(oracle.k, [tm.bit_count() for tm in oracle.tmasks],
-                                                     [len(mem) for mem in oracle.members])
+    # on the engine's own k, the same pivots in the same float64 arithmetic give the same bytes; value sums
+    # in another order
+    ccb = cover._ClassCountingBound(inst)
+    w, value = ccb.lp_dual
+    want_w, want_value = oracles.class_lp_dual_lists(ccb.k.tolist(), ccb.sizes.tolist(), ccb.cls_sizes.tolist())
     assert w.dtype == np.float64 and w.tobytes() == np.array(want_w, dtype=np.float64).tobytes()
     assert cover._ceil_bound(value) == cover._ceil_bound(want_value)
     assert value == pytest.approx(want_value, rel=1e-12)
@@ -311,12 +302,10 @@ def assert_lp_dual_is_the_list_simplex(inst):
 def test_lp_dual_is_the_list_simplex(spec_text, mode):
     inst = golden_instance(spec_text, mode)
     assert_lp_dual_is_the_list_simplex(inst)
-    assert_lp_dual_is_the_list_simplex(dataclasses.replace(inst, conjugation_symmetric=False))
-    # every other candidate dropped: members of a class now differ in their counts
+    # every other candidate dropped: other class sizes
     keep = list(range(0, len(inst.candidates), 2))
     assert_lp_dual_is_the_list_simplex(dataclasses.replace(
-        inst, candidates=inst.candidates[keep], candidate_class=inst.candidate_class[keep], covers=inst.covers[keep],
-        conjugation_symmetric=False))
+        inst, candidates=inst.candidates[keep], candidate_class=inst.candidate_class[keep], covers=inst.covers[keep]))
 
 
 def test_lp_dual_is_the_list_simplex_on_synthetics():
@@ -392,28 +381,27 @@ def test_search_matches_scanning_oracle(monkeypatch, spec_text, mode):
     assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
 
 
-def test_search_matches_scanning_oracle_without_root_symmetry(monkeypatch, a5_instance, s5_instance):
-    for inst in (a5_instance, s5_instance):
-        inst = dataclasses.replace(inst, conjugation_symmetric=False)
-        old = oracles.ScanningSearch(inst).solve()
-        assert_within_oracle(inst, solve_with_heuristic(monkeypatch, inst), old)
-        assert_oracle_tree(solve_with_heuristic(monkeypatch, inst, heuristic=False), old)
+@pytest.mark.parametrize("spec_text,mode", GOLDEN_INSTANCES)
+def test_search_optimum_matches_scanning_oracle_without_root_symmetry(spec_text, mode):
+    # the oracle's root branches on a target, like every other node, so the optimum owes nothing to the classes
+    inst = golden_instance(spec_text, mode)
+    old = oracles.ScanningSearch(inst, root_symmetry=False).solve()
+    new = sc.solve_exact(inst)
+    assert old.status == new.status == sc.EXACT
+    assert (new.lower, new.upper) == (old.lower, old.upper) and covers_instance(inst, new.certificate)
 
 
 def oracle_synthetics():
-    """60 random instances, each yielded as is and then conjugation-symmetric.
+    """120 random instances.
 
     Every candidate is its own class, so the class-counting program has up
-    to 12 classes.
+    to 12 classes, and the root branches on every candidate.
     """
     rng = np.random.default_rng(7)
-    for trial in range(60):
+    for trial in range(120):
         nu = int(rng.integers(3, 11))
         rows = [int(rng.integers(1, 1 << nu)) for _ in range(int(rng.integers(3, 13)))]
-        inst = synthetic_instance(rows, nu, target_class=[int(c) for c in rng.integers(0, 3, size=nu)])
-        for sym in (False, True):
-            inst.conjugation_symmetric = sym
-            yield inst
+        yield synthetic_instance(rows, nu, target_class=[int(c) for c in rng.integers(0, 3, size=nu)])
 
 
 def test_search_matches_scanning_oracle_on_synthetics(monkeypatch):
@@ -469,7 +457,7 @@ def test_branching_runs_only_at_nodes_the_ascent_keeps(monkeypatch, spec_text, m
 
 def test_ascent_prunes_wherever_universe_density_does(monkeypatch):
     # density, ceil(|uncovered| / max cov), is L(y) at y = unc / max cov, so the
-    # ascent needs no density test before it; at a symmetric root it never beats the class LP
+    # ascent needs no density test before it; at the root it never beats the class LP
     ascend = cover._Search._ascend
     fired = []
 

@@ -161,6 +161,22 @@ def test_cross_check_char2_conjecture():
     assert rows[0].conjectures["char2_qminus1"] == "supports"
 
 
+def test_cross_check_q1mod4_conjecture_is_inapplicable_at_q5():
+    # family_bounds leaves PSL(2,5) out of the corollary alpha = q, as alpha(PSL(2,5)) = 3
+    three, nine = sc.CoverOutcome(sc.EXACT, 3, 3, None), sc.CoverOutcome(sc.EXACT, 9, 9, None)
+    rows = sc.cross_check([(sc.psl2(5), three, three), (sc.psl2(9), nine, nine)])
+    assert rows[0].conjectures["q1mod4_alpha_q"].startswith("inapplicable")
+    assert rows[1].conjectures["q1mod4_alpha_q"] == "supports"
+
+
+@pytest.mark.parametrize("spec_text", ["psl2(4)", "pgl2(4)", "psl2(5)", "alternating(5)"])
+def test_cross_check_sees_a5_in_every_spec_of_it(spec_text):
+    # PGL(2,4) = PSL(2,4) = A5, as its field has characteristic 2
+    three = sc.CoverOutcome(sc.EXACT, 3, 3, None)
+    row = sc.cross_check([(sc.parse_spec(spec_text), three, three)])[0]
+    assert row.conjectures["a5_factor"] == "supports (A5 visible in the spec)"
+
+
 def test_solver_certificates_verify_and_are_tight(a5, s5, psl27):
     # every Exact outcome's certificate is a valid cover, and removing any
     # single element breaks it (it is a minimum cover)
@@ -183,8 +199,12 @@ def test_verify_gl2_cover_q5():
 
 
 def test_verify_gl2_cover_rejects_bad_q():
-    with pytest.raises(sc.EvenFieldOrder):
-        sc.verify_gl2_cover(8)
+    for q in (4, 8):
+        with pytest.raises(sc.EvenFieldOrder):
+            sc.verify_gl2_cover(q)
+    for q in (1, 6):  # as gl2_cover_elements does
+        with pytest.raises(sc.NotAPrimePower):
+            sc.verify_gl2_cover(q)
     with pytest.raises(sc.BadParameter):
         sc.verify_gl2_cover(3)
     with pytest.raises(sc.CapExceeded):
