@@ -136,13 +136,22 @@ class SolvabilizerIncidence:
     in exactly the classes of the universe targets.  A class whose cyclic
     subgroups are conjugate to those of a lesser class (the algebraically
     conjugate classes, such as PSL(2,8)'s 7A/7B/7C) conjugates that class's
-    mask instead of walking again.  Cached masks are read-only.
+    mask instead of walking again.
+
+    The incidence also keeps what ``reduce_instance`` derives from the table
+    alone, so a table reduced again (the other mode, another solve) rebuilds
+    none of it: the targets with their orbit ids and the count of radical
+    targets dropped (``targets``), and each mode's candidates with their
+    candidate x target matrix (``cover_rows``).  Every cached array is
+    read-only, the instances' ``universe`` and ``target_class`` included.
     """
 
     def __init__(self, table: GroupTable):
         self.table = table
         self.classes: ClassPartition = table.conjugacy_classes()
         self._rep_sol: dict[int, np.ndarray] = {}
+        self._targets: tuple[np.ndarray, np.ndarray, int] | None = None
+        self._cover_rows: dict[bool, tuple[np.ndarray, int, np.ndarray]] = {}
 
     @property
     def radical(self) -> ElementSet:
@@ -180,6 +189,41 @@ class SolvabilizerIncidence:
 
     def sol_size_of_class(self, cid: int) -> int:
         return int(self.rep_sol(cid).sum())
+
+    def targets(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The cover targets, their orbit ids (``_target_orbits``) and how many radical targets were dropped.
+
+        The targets are the canonical generators of the maximal cyclic
+        subgroups outside the radical, from one ``maximal_cyclic_generators``
+        call per table.
+        """
+        if self._targets is None:
+            universe = np.array(maximal_cyclic_generators(self.table), dtype=np.int64)
+            targets = universe[~self.radical.mask[universe]]
+            orbits = _target_orbits(self.classes, self.table, targets)
+            targets.flags.writeable = orbits.flags.writeable = False
+            self._targets = (targets, orbits, len(universe) - len(targets))
+        return self._targets
+
+    def cover_rows(self, involutions_only: bool) -> tuple[np.ndarray, int, np.ndarray]:
+        """One mode's canonical candidates, its raw candidate count, and the candidate x target matrix.
+
+        Built once per table and mode (``_candidates``, ``_cover_matrix``).
+        Every nonradical involution is a mode-all candidate, with the same
+        row, so involution mode takes its rows from the mode-all matrix when
+        that is already built; otherwise it builds its own rows only, which
+        on a group with a radical are far fewer than every nonradical
+        element's.
+        """
+        key = bool(involutions_only)
+        rows = self._cover_rows.get(key)
+        if rows is None:
+            cand, raw = _candidates(self, key)
+            full = self._cover_rows.get(False)
+            member = _cover_matrix(self, cand) if full is None else full[2][np.searchsorted(full[0], cand)]
+            cand.flags.writeable = member.flags.writeable = False
+            rows = self._cover_rows[key] = (cand, raw, member)
+        return rows
 
 
 def sol_of(table: GroupTable, x: int) -> ElementSet:
@@ -404,77 +448,51 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     coverage rows are merged, keeping the least element, and, unless
     disabled, dominated candidates are dropped (both preserve the optimum).
 
-    A row depends only on <x>, since Sol(x) = Sol(x^k) for every generator
-    x^k, so the least element with a given row is a canonical generator
-    (``cyclic_generators``) and only those enter the candidate x target
-    boolean matrix.  Its columns come from t in Sol(x) iff x in Sol(t): for
-    a target t = w r w^-1 of the class of r, the candidates in Sol(t) are the
-    canonical generators of w s w^-1 for the canonical candidates s in
-    Sol(r), and every such pair of the instance is conjugated in one lookup,
-    (w s w^-1)[b] = w[s[w^-1[b]]] on the base points.  A row is dominated
-    when it lies inside another row, and only the rows covering its rarest
-    target can hold it, so those pairs alone are tested, on packed bits; the
-    rows left, the maximal ones, are the instance's ``covers``.  Every
-    pairwise product over the whole matrix costs more: numpy's boolean
-    matmul scans rows for 3-6x as long on the larger groups, and a float
-    product wakes OpenBLAS threads that spin on the other cores.
+    The targets and each mode's candidate x target matrix depend on the
+    table alone, so the incidence builds them once and keeps them read-only
+    (``SolvabilizerIncidence.targets`` and ``cover_rows``); each call merges
+    and prunes rows of its own.  A row is dominated when it lies inside
+    another row (Garfinkel and Nemhauser, Integer Programming, 1972), and
+    that is a property of a whole conjugacy class: conjugation by g permutes
+    the targets, maps the row of x onto the row of the canonical generator
+    of g x g^-1, so it maps the set of rows onto itself, and it preserves
+    containment, so a member's row lies inside another row exactly when the
+    least member's does.  So only the least merged row of each class is
+    tested, against the rows covering its rarest target (only those can
+    hold it), on packed bits, and a dominated class goes whole; the rows
+    left, the maximal ones, are the instance's ``covers``.  Every pairwise
+    product over the whole matrix costs more: numpy's boolean matmul scans
+    rows for 3-6x as long on the larger groups, and a float product wakes
+    OpenBLAS threads that spin on the other cores.
     """
     table = incidence.table
     if table.is_group_solvable():
         raise GroupSolvable("covering numbers are undefined for solvable groups")
-    notes = []
-    rad_mask = incidence.radical.mask
-    universe = np.array(maximal_cyclic_generators(table), dtype=np.int64)
-    targets = universe[~rad_mask[universe]]
-    if len(targets) != len(universe):
-        notes.append(f"universe: dropped {len(universe) - len(targets)} radical targets")
-    orders = table.order_of
-    if involutions_only:
-        eligible = orders == 2
-    elif rad_mask[1:].any():
-        eligible = np.ones(table.order, dtype=bool)
-    else:
-        prime = np.array([is_prime(o) for o in range(int(orders.max()) + 1)])
-        eligible = prime[orders]
-    eligible &= ~rad_mask
-    notes.append(f"universe {len(targets)} maximal cyclic targets; raw candidates {int(eligible.sum())}")
-    canonical, _ = table.cyclic_generators()
-    eligible &= canonical == np.arange(table.order)
-    cand = np.flatnonzero(eligible)
-    pos = np.full(table.order, -1, dtype=np.int64)
-    pos[cand] = np.arange(len(cand))
-    # every (target t = w r w^-1, canonical candidate s in Sol(r)) pair, classes
-    # in order of first appearance among the targets
-    classes = incidence.classes
-    target_cids = classes.class_of[targets]
-    pair_w, pair_s, pair_col = [], [], []
-    for cid in dict.fromkeys(target_cids.tolist()):
-        cols = np.flatnonzero(target_cids == cid)
-        inside = cand[incidence.rep_sol(cid)[cand]]
-        pair_w.append(np.repeat(classes.conjugator[targets[cols]], len(inside)))
-        pair_s.append(np.tile(inside, len(cols)))
-        pair_col.append(np.repeat(cols, len(inside)))
-    conj = table.conjugate(np.concatenate(pair_w), np.concatenate(pair_s))
-    member = np.zeros((len(cand), len(targets)), dtype=bool)
-    member[pos[canonical[conj]], np.concatenate(pair_col)] = True
-    # dedupe identical rows (keep least element), then drop dominated rows
+    targets, target_class, dropped = incidence.targets()
+    cand, raw, member = incidence.cover_rows(involutions_only)
+    notes = [f"universe: dropped {dropped} radical targets"] if dropped else []
+    notes.append(f"universe {len(targets)} maximal cyclic targets; raw candidates {raw}")
+    # dedupe identical rows (keep least element), then drop dominated classes
     packed = np.packbits(member, axis=1, bitorder="little")
     uniq = np.sort(np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)[1])
     kept = uniq
+    classes = incidence.classes
     if prune_dominated:
-        # row i lies inside row j only if j covers i's rarest target: test those pairs
-        rows, bits = member[uniq], packed[uniq]
-        rarest = np.where(rows, rows.sum(axis=0), len(rows) + 1).argmin(axis=1)
-        i, j = np.nonzero(rows[:, rarest].T)
+        # the least row of a class lies inside row j only if j covers its rarest target: test those pairs
+        rows, bits, uniq_class = member[uniq], packed[uniq], classes.class_of[cand[uniq]]
+        least = np.unique(uniq_class, return_index=True)[1]
+        rarest = np.where(rows[least], rows.sum(axis=0), len(rows) + 1).argmin(axis=1)
+        k, j = np.nonzero(rows[:, rarest].T)
+        i = least[k]
         i, j = i[i != j], j[i != j]
-        dominated = np.zeros(len(uniq), dtype=bool)
-        dominated[i[~(bits[i] & ~bits[j]).any(axis=1)]] = True
-        kept = uniq[~dominated]
+        dominated = np.zeros(classes.count, dtype=bool)
+        dominated[uniq_class[i[~(bits[i] & ~bits[j]).any(axis=1)]]] = True
+        kept = uniq[~dominated[uniq_class]]
     notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
     elements = cand[kept]
     inst = CoverInstance(
         universe=targets,
-        target_class=_target_orbits(classes, table, targets),
+        target_class=target_class,
         candidates=elements,
         candidate_class=classes.class_of[elements],
         covers=member[kept],
@@ -486,6 +504,55 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
             raise InfeasibleUniverse("some target is covered by no involution")
         raise InternalInconsistency("unrestricted instance must be feasible")
     return inst
+
+
+def _candidates(incidence: SolvabilizerIncidence, involutions_only: bool) -> tuple[np.ndarray, int]:
+    """One mode's candidates that are canonical generators, and the count of all its candidates."""
+    table = incidence.table
+    rad_mask = incidence.radical.mask
+    orders = table.order_of
+    if involutions_only:
+        eligible = orders == 2
+    elif rad_mask[1:].any():
+        eligible = np.ones(table.order, dtype=bool)
+    else:
+        prime = np.array([is_prime(o) for o in range(int(orders.max()) + 1)])
+        eligible = prime[orders]
+    eligible &= ~rad_mask
+    canonical, _ = table.cyclic_generators()
+    return np.flatnonzero(eligible & (canonical == np.arange(table.order))), int(eligible.sum())
+
+
+def _cover_matrix(incidence: SolvabilizerIncidence, cand: np.ndarray) -> np.ndarray:
+    """The candidate x target boolean matrix: [i, t] when target t is in Sol(cand[i]).
+
+    A row depends only on <x>, since Sol(x) = Sol(x^k) for every generator
+    x^k, so the least element with a given row is a canonical generator
+    (``cyclic_generators``) and only those get a row.  The columns come from
+    t in Sol(x) iff x in Sol(t): for a target t = w r w^-1 of the class of
+    r, the candidates in Sol(t) are the canonical generators of w s w^-1 for
+    the canonical candidates s in Sol(r), and every such pair is conjugated
+    in one lookup, (w s w^-1)[b] = w[s[w^-1[b]]] on the base points.
+    """
+    table, classes = incidence.table, incidence.classes
+    targets = incidence.targets()[0]
+    canonical, _ = table.cyclic_generators()
+    pos = np.full(table.order, -1, dtype=np.int64)
+    pos[cand] = np.arange(len(cand))
+    # every (target t = w r w^-1, canonical candidate s in Sol(r)) pair, classes
+    # in order of first appearance among the targets
+    target_cids = classes.class_of[targets]
+    pair_w, pair_s, pair_col = [], [], []
+    for cid in dict.fromkeys(target_cids.tolist()):
+        cols = np.flatnonzero(target_cids == cid)
+        inside = cand[incidence.rep_sol(cid)[cand]]
+        pair_w.append(np.repeat(classes.conjugator[targets[cols]], len(inside)))
+        pair_s.append(np.tile(inside, len(cols)))
+        pair_col.append(np.repeat(cols, len(inside)))
+    conj = table.conjugate(np.concatenate(pair_w), np.concatenate(pair_s))
+    member = np.zeros((len(cand), len(targets)), dtype=bool)
+    member[pos[canonical[conj]], np.concatenate(pair_col)] = True
+    return member
 
 
 def _target_orbits(classes: ClassPartition, table: GroupTable, universe: np.ndarray) -> np.ndarray:

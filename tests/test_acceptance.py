@@ -78,8 +78,9 @@ def test_criterion_1_golden_table(spec_text, order, alpha, alpha_inv):
 # Solved rows beyond the golden table, each 0.1-1.6 s end to end: on most the
 # primal heuristic supplies the optimal cover before the deepening round that
 # would re-find it, and PGL(2,19) and PGammaL(2,16) take 444 and 153 nodes a
-# mode.  PGL(2,23) takes 4.5 s (1,045 nodes a mode), so it runs with the slow
-# tests.  They stay out of GOLDEN, which perfbench/workloads.py copies.
+# mode.  PGL(2,23) takes 4.5 s (1,045 nodes a mode) and PGL(2,25) 8-10 s a
+# mode (6,249 nodes a mode), so they run with the slow tests.  They stay out of
+# GOLDEN, which perfbench/workloads.py copies.
 SOLVED_BEYOND_GOLDEN = [
     # spec text, order, alpha, alpha_inv (None = infinite)
     ("psl2(17)", 2448, 17, 17),
@@ -92,7 +93,7 @@ SOLVED_BEYOND_GOLDEN = [
     ("psl2(29)", 12180, 29, 29),
     ("pgammal2(16)", 16320, 17, 17),
 ]
-SLOW_BEYOND_GOLDEN = [("pgl2(23)", 12144, 23, 23)]
+SLOW_BEYOND_GOLDEN = [("pgl2(23)", 12144, 23, 23), ("pgl2(25)", 15600, 25, 25)]
 
 
 @lru_cache(maxsize=None)
