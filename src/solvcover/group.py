@@ -15,7 +15,9 @@ lookup per layer, and where a layer reaches an element twice the first
 occurrence in generator-major order wins.  An element's order is a class
 function, so orders are read off the cycle lengths of the class
 representatives on first use.  Solvability is decided from the order alone
-when that suffices (below 60, or at most two prime divisors).
+when that suffices (below 60, or at most two prime divisors); G itself is
+shown nonsolvable by two elements of pairwise coprime orders |x|, |y|,
+|xy| > 1, which generate a perfect subgroup, before any derived series.
 
 Every walk turns rows of images back into element indices.  An element is
 determined by its images of a base (Seress, Permutation Group Algorithms,
@@ -246,7 +248,9 @@ class GroupTable:
 
         G acts on the k cosets of a solvable H with kernel inside H; if k <= 4
         the image lies in the solvable S_k, so G would be solvable.  Hence a
-        solvable subgroup of a nonsolvable G has index at least 5.
+        solvable subgroup of a nonsolvable G has index at least 5.  G's own
+        solvability comes from ``is_group_solvable``: on a nonsolvable table
+        usually from a perfect pair, with no derived series of G.
         """
         return None if self.is_group_solvable() else self.order // 5
 
@@ -284,8 +288,22 @@ class GroupTable:
         return powers, powers[np.gcd(np.arange(1, m + 1), m) == 1]
 
     def is_group_solvable(self) -> bool:
+        """Whether G is solvable: from its order, else from a perfect pair, else from its derived series.
+
+        A perfect pair is x, y with |x|, |y|, |xy| > 1 and pairwise coprime.
+        They generate a nontrivial perfect subgroup H = <x,y>, so G is not
+        solvable: in the abelian H/H' the image of x has order dividing |x|
+        and, as x = (xy) y^-1, dividing lcm(|y|, |xy|), so it is 1, and so is
+        the image of y.  (This is the perfect triangle group D(a,b,c) of
+        pairwise coprime periods; Conder, Hurwitz groups: a brief survey,
+        Bull. AMS 23, 1990.)  The search takes x among the involution class
+        representatives and y of odd order, one product x y per such y; on a
+        solvable G, or a GL(2,q), it finds none and the derived series
+        decides.
+        """
         if self._group_solvable is None:
-            self._group_solvable = is_solvable(self, ElementSet.full(self))
+            self._group_solvable = _solvable_by_order(self.order) or (
+                not _has_perfect_pair(self) and is_solvable(self, ElementSet.full(self)))
         return self._group_solvable
 
     def involution_indices(self) -> np.ndarray:
@@ -476,7 +494,7 @@ def _is_normal(table: GroupTable, idx: np.ndarray) -> bool:
     return bool((np.sort(table.conjugate(np.asarray(table.generator_indices)[:, None], idx), axis=1) == idx).all())
 
 
-def derived_subgroup(table: GroupTable, H: ElementSet) -> ElementSet:
+def derived_subgroup(table: GroupTable, H: ElementSet, stop_above: Optional[int] = None) -> Optional[ElementSet]:
     """Subgroup generated by all commutators [a,b] with a,b in H.
 
     Computed as the normal closure in H of the commutators [g_i, g_j] of a
@@ -484,13 +502,16 @@ def derived_subgroup(table: GroupTable, H: ElementSet) -> ElementSet:
     when H carries none).  That closure lies in H', and modulo it the
     generators commute, so the quotient is abelian and the two agree.  The
     result carries the generators its normal closure was built from.
+    Returns None as soon as the closure has more than stop_above elements.
     """
     _require_subgroup(table, H)
     gens = H.gens or _generating_subset(table, H.indices().tolist())
     comms = _commutators(table, gens)
     if not comms:
         return ElementSet.trivial(table)
-    sub, sub_gens = _normal_closure_within(table, sorted(comms), gens)
+    sub, sub_gens = _normal_closure_within(table, sorted(comms), gens, stop_above=stop_above)
+    if sub is None:
+        return None
     return ElementSet.from_indices(table, sub, is_subgroup=True, gens=sub_gens)
 
 
@@ -535,21 +556,40 @@ def _solvable_by_order(n: int) -> bool:
     return primes + (n > 1) <= 2
 
 
+def _has_perfect_pair(table: GroupTable) -> bool:
+    """Whether an involution class representative x and a y of odd order > 1 have |xy| odd, > 1 and coprime to |y|.
+
+    Such x, y generate a nontrivial perfect subgroup (see
+    ``GroupTable.is_group_solvable``).
+    """
+    orders = table.order_of
+    odd = np.flatnonzero(orders % 2 == 1)[1:]  # the identity is the only element of order 1, at index 0
+    b = orders[odd]
+    for x in table.conjugacy_classes().representatives:
+        if orders[x] == 2:
+            c = orders[table.mul_left(x, odd)]
+            if ((c % 2 == 1) & (c > 1) & (np.gcd(b, c) == 1)).any():
+                return True
+    return False
+
+
 def is_solvable(table: GroupTable, H: ElementSet) -> bool:
     """Whether the derived series of H reaches the trivial subgroup.
 
-    Stops with True at the first term whose order alone forces solvability.
+    Stops with True at the first term whose order alone forces solvability,
+    and with False at the first term K whose derived subgroup has more than
+    |K|/2 elements: by Lagrange it is K itself, so K is perfect.
     """
     _require_subgroup(table, H)
     if _solvable_by_order(len(H)):
         return True
     cur = H
     while True:
-        nxt = derived_subgroup(table, cur)
+        nxt = derived_subgroup(table, cur, stop_above=len(cur) // 2)
+        if nxt is None:
+            return False
         if _solvable_by_order(len(nxt)):
             return True
-        if len(nxt) == len(cur):
-            return False
         cur = nxt
 
 

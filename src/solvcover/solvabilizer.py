@@ -14,18 +14,20 @@ orders a = |x|, b = |y|, c = |xy| decide are settled from the start too
 <X,Y | X^a, Y^b, (XY)^c> (von Dyck 1882; Coxeter and Moser, Generators and
 Relations for Discrete Groups, ch. 4), which for 1/a + 1/b + 1/c >= 1 is
 dihedral, A4, S4, A5 or a solvable Euclidean group (2,3,6), (2,4,4),
-(3,3,3).  So such a y is inside, except for {2,3,5}: that group is the
-simple A5, so <x,y> is A5 and y is outside.  The walk takes the
-other orbits in index order and settles each undecided one with a single
-closure <x,y> of its least element y:
+(3,3,3).  So such a y is inside, except for {2,3,5}.  That triple is one
+of the pairwise coprime ones, such as (2,3,7) and (3,4,5), for which <x,y>
+is a nontrivial perfect group, so y is outside (``_von_dyck``).  The walk
+takes the other orbits in index order and settles each undecided one with
+a single closure <x,y> of its least element y:
 
 - a solvable <x,y> puts every orbit that meets <x,y> inside Sol(x);
 - a nonsolvable <x,y>, or a closure of index below 5 (``solvable_cut``),
   puts outside the orbits of every y^j x^k with gcd(j, |y|) = 1, since
   <x, y^j x^k> = <x, y>;
 - so does a closure that reaches an orbit already outside, where it stops:
-  for z there, <x,z> is a nonsolvable subgroup of <x,y>; the {2,3,5} marks
-  stop a walk's first nonsolvable closures at an element of an A5.
+  for z there, <x,z> is a nonsolvable subgroup of <x,y>; the coprime marks
+  stop a walk's first nonsolvable closures at an element of a perfect
+  subgroup.
 
 Seeding the closure with x, y and their inverses halves its layers.
 
@@ -66,15 +68,16 @@ def _normalizer_orbits(table: GroupTable, x: int, x_gens: np.ndarray) -> tuple[n
 def _von_dyck(a, b, c) -> np.ndarray:
     """Solvability of <x,y> from a = |x|, b = |y|, c = |xy|: 1 solvable, -1 not, 0 undecided.
 
-    <x,y> is a quotient of D(a,b,c) = <X,Y | X^a, Y^b, (XY)^c>.  For
-    1/a + 1/b + 1/c >= 1, tested as bc + ac + ab >= abc, D(a,b,c) is solvable
-    but for {2,3,5}, where it is the simple A5 and every nontrivial quotient
-    is A5.  A product of 30 with a sum of 10 is {2,3,5} and no other triple.
+    <x,y> is a quotient of D(a,b,c) = <X,Y | X^a, Y^b, (XY)^c>.  For a, b, c
+    > 1 and pairwise coprime, <x,y> is nontrivial and perfect, so not
+    solvable (the proof is in ``GroupTable.is_group_solvable``).  Otherwise,
+    for 1/a + 1/b + 1/c >= 1, tested as bc + ac + ab >= abc, D(a,b,c) is
+    solvable: {2,3,5}, where it is A5, is the only coprime such triple.
     """
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     spherical = b * c + a * c + a * b >= a * b * c
-    a5 = (a * b * c == 30) & (a + b + c == 10)
-    return np.where(a5, -1, spherical).astype(np.int8)
+    perfect = (a > 1) & (b > 1) & (c > 1) & (np.gcd(a, b) == 1) & (np.gcd(a, c) == 1) & (np.gcd(b, c) == 1)
+    return np.where(perfect, -1, spherical).astype(np.int8)
 
 
 def _triangle_verdicts(table: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +88,10 @@ def _triangle_verdicts(table: GroupTable, x: int) -> tuple[np.ndarray, np.ndarra
     such y inverts x, or is 1 or x^-1, and lies in N_G(<x>) already.  For
     |x| <= 6 one product x y per element with |y| <= 6 reads c, and for an
     involution x every y = x t with t an involution has xy = t, so <x,y> is
-    dihedral whatever |y| is.
+    dihedral whatever |y| is.  The scan also settles the pairwise coprime
+    triples it meets, such as (2,3,7), (2,3,13) and (3,4,5); those with |x|
+    or |y| above 6 are left to the closures, since scanning every y of order
+    coprime to |x| measured slower.
     """
     orders = table.order_of
     a = int(orders[x])

@@ -410,3 +410,40 @@ def test_order_rule_agrees_with_full_derived_series(spec_text):
     want = {"alternating(5)": {60}, "psl2(7)": {168}, "alternating(6)": {60, 360},
             "symmetric(6)": {60, 120, 360, 720}, "pgl2(9)": {60, 360, 720}}[spec_text]
     assert want <= nonsolvable_orders
+
+
+SOLVABILITY_SPECS = [g[0] for g in GOLDEN] + ["gl2(5)", "gl2(7)", "sl25", "product(symmetric(4),dihedral(5))",
+                                              "product(gl2(3),dihedral(35))"]
+
+
+@pytest.mark.parametrize("spec_text", SOLVABILITY_SPECS)
+def test_group_solvability_matches_derived_series(request, spec_text):
+    # the perfect pair, or the derived series where none exists (GL(2,q), solvable groups)
+    t = request.getfixturevalue("sl25") if spec_text == "sl25" else sc.build(sc.parse_spec(spec_text))
+    assert t.is_group_solvable() == sc.is_solvable(t, sc.ElementSet.full(t))
+
+
+def test_golden_groups_are_nonsolvable_by_a_perfect_pair(monkeypatch):
+    def derived_series(*args, **kw):
+        raise AssertionError("derived series taken")
+
+    monkeypatch.setattr(group, "derived_subgroup", derived_series)
+    for spec_text, *_ in GOLDEN:
+        assert not sc.build(sc.parse_spec(spec_text)).is_group_solvable(), spec_text
+
+
+@pytest.mark.parametrize("spec_text", ["alternating(5)", "symmetric(5)", "symmetric(6)", "sl25", "gl2(5)",
+                                       "product(symmetric(4),dihedral(5))"])
+def test_derived_series_stopped_at_half_matches_full_series(request, spec_text):
+    # a derived subgroup with more than half of K's elements is K itself, so K is perfect
+    t = request.getfixturevalue("sl25") if spec_text == "sl25" else sc.build(sc.parse_spec(spec_text))
+    cur = sc.ElementSet.full(t)
+    while True:
+        whole = sc.derived_subgroup(t, cur)
+        cut = sc.derived_subgroup(t, cur, stop_above=len(cur) // 2)
+        assert (cut is None) == (len(whole) == len(cur) > 1)
+        assert cut is None or cut.mask.tobytes() == whole.mask.tobytes()
+        assert sc.is_solvable(t, cur) == oracles.solvable_by_derived_series(t, cur)
+        if cut is None or len(whole) == 1:
+            break
+        cur = whole

@@ -148,23 +148,25 @@ def _orderings(*triples):
 
 SPHERICAL = _orderings(*[(2, 2, n) for n in range(1, 13)], (2, 3, 3), (2, 3, 4), (2, 3, 6), (2, 4, 4),
                        (3, 3, 3), *[(1, b, c) for b in range(1, 13) for c in range(1, 13)])
-UNDECIDED = _orderings((2, 3, 7), (2, 5, 5), (3, 3, 4), (4, 4, 3), (3, 4, 5), (2, 4, 5), (2, 3, 8), (7, 7, 7))
+#: pairwise coprime periods > 1: <x,y> is perfect and nontrivial
+COPRIME = _orderings((2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 3, 13), (2, 5, 7))
+UNDECIDED = _orderings((2, 5, 5), (3, 3, 4), (4, 4, 3), (2, 4, 5), (2, 3, 8), (7, 7, 7))
 
 
 def test_von_dyck_table():
     for triple in SPHERICAL:
         assert _von_dyck(*triple) == 1, triple
-    for triple in _orderings((2, 3, 5)):
+    for triple in COPRIME:
         assert _von_dyck(*triple) == -1, triple
     for triple in UNDECIDED:
         assert _von_dyck(*triple) == 0, triple
-    a, b, c = np.array(sorted(SPHERICAL | UNDECIDED | _orderings((2, 3, 5)))).T
-    expect = [1 if t in SPHERICAL else -1 if sorted(t) == [2, 3, 5] else 0 for t in zip(a, b, c)]
+    a, b, c = np.array(sorted(SPHERICAL | UNDECIDED | COPRIME)).T
+    expect = [1 if t in SPHERICAL else -1 if t in COPRIME else 0 for t in zip(a, b, c)]
     assert _von_dyck(a, b, c).tolist() == expect
 
 
-#: The differential groups; the verdicts are checked on every pair (rep, y).
-TRIANGLE_SPECS = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)", "sl25"]
+#: The differential groups; the verdicts are checked on every pair (rep, y).  PSL(2,8) has (2,3,7) pairs.
+TRIANGLE_SPECS = ["alternating(5)", "symmetric(5)", "psl2(7)", "pgl2(7)", "alternating(6)", "psl2(8)", "sl25"]
 
 
 @pytest.mark.parametrize("spec_text", TRIANGLE_SPECS)
