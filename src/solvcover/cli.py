@@ -10,6 +10,7 @@ The enumeration cap honors SOLVCOVER_CAP when --cap is absent.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -111,6 +112,7 @@ def cmd_table(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="solvcover",

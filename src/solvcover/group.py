@@ -22,16 +22,19 @@ shown nonsolvable by two elements of pairwise coprime orders |x|, |y|,
 Every walk turns rows of images back into element indices.  An element is
 determined by its images of a base (Seress, Permutation Group Algorithms,
 2003, 4.1), so a row's key is its base images read as a mixed-radix number,
-each base point's radix the span of its orbit.  A dense table from key to
-index makes a lookup of many rows one gather.  Only where the keys outrun
-_DENSE_KEYS is the sorted list of keys searched instead: no simple group
-under the cap comes near it, but a wreath product with a long base does
+each base point's radix the span of its orbit.  The enumeration finds the
+base, adding a point wherever two elements share a key, and the key index
+it grows is the lookup: a dense table from key to index makes a lookup of
+many rows one gather.  Only where the keys outrun _DENSE_KEYS is the
+sorted list of keys searched instead: no simple group under the cap comes
+near it, but a wreath product with a long base does
 (wreath(symmetric(3),4,cycle) has 12^8 keys).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,19 +50,21 @@ from .errors import (
 from .perm import Permutation
 
 DEFAULT_CAP = 20000
-# most keys of a dense lookup table (int64 entries, 16 MiB); see GroupTable._build_lookup
+# most keys of a dense lookup table (int64 entries, 16 MiB); the enumeration's _key_index sorts keys above it
 _DENSE_KEYS = 2 ** 21
 
 
 class GroupTable:
     """Fully enumerated permutation group with indexed elements."""
 
-    def __init__(self, imgs: np.ndarray, generator_indices: Sequence[int]):
+    def __init__(self, imgs: np.ndarray, generator_indices: Sequence[int], base: Sequence[int], index: tuple):
         self.imgs = imgs
         self.order = len(imgs)
         self.degree = imgs.shape[1]
         self.generator_indices = list(generator_indices)
-        self._build_lookup()
+        self.base = np.array(base, dtype=np.int64)
+        self._base_imgs = imgs[:, self.base]
+        self._index = index  # (weights, dense, sorted keys, sorted positions); see _key_index
         inv_imgs = np.empty_like(imgs)
         inv_imgs[np.arange(self.order)[:, None], imgs] = np.arange(self.degree)[None, :]
         self.inverse_of = self.lookup_images(inv_imgs)
@@ -72,6 +77,13 @@ class GroupTable:
 
     @classmethod
     def from_generators(cls, generators: Sequence[Permutation], cap: int = DEFAULT_CAP) -> "GroupTable":
+        """Breadth-first enumeration that finds its own base, starting from none.
+
+        A layer stands when every product equals the row stored at its key.
+        Else two elements a != b share a key, and the first point they differ
+        on joins the base (a^-1 b fixes the old base and moves it, so no base
+        point is redundant) before the layer runs again on the new keys.
+        """
         if not generators:
             raise EmptyGenerators("need at least one generator")
         degree = generators[0].degree
@@ -82,93 +94,46 @@ class GroupTable:
         if cap < 1:
             raise BadParameter("cap must be >= 1")
         gen_imgs = np.stack([np.asarray(g.images, dtype=np.int16) for g in generators])
-        row = np.dtype((np.void, gen_imgs.itemsize * degree))  # one row as one comparable key
-        ident = np.arange(degree, dtype=np.int16)[None, :]
-        elems = [ident]
-        known = ident.view(row).ravel()  # keys of every element so far, sorted
-        count = 1
-        frontier = ident
-        while len(frontier):
-            prods = np.take(gen_imgs, frontier, axis=1).reshape(-1, degree)  # generator x frontier rows
-            keys = prods.view(row).ravel()
-            pos = np.searchsorted(known, keys)
-            fresh = known[np.minimum(pos, len(known) - 1)] != keys
-            keys, prods = keys[fresh], prods[fresh]
-            uniq, first = np.unique(keys, return_index=True)
-            known = np.insert(known, np.searchsorted(known, uniq), uniq)
-            frontier = prods[np.sort(first)]  # first occurrences, generator-major
-            count += len(frontier)
-            if count > cap:
-                raise CapExceeded(cap)
-            elems.append(frontier)
-        table = cls(np.concatenate(elems), [])
-        table.generator_indices = table.lookup_images(gen_imgs).tolist()
-        return table
-
-    def _build_lookup(self):
-        """Greedy base, and a table from each element's base key to its index.
-
-        The elements that agree on the base points so far are the cosets of
-        their pointwise stabilizer S, and a next point p splits each coset
-        into |p^S| parts; the base takes the point with the largest S-orbit
-        (the least such point) until every element has its own key.
-
-        An element's key is its row of base images read as the digits of a
-        mixed-radix number, each digit's radix being the span hi - lo + 1 of
-        that base point's images over the group (d for a transitive group).
-        Below _DENSE_KEYS keys, ``_dense[key]`` is the element's index, or -1
-        for a key of no element.  Above it the sorted keys are searched
-        instead: a table of every key would not fit in memory there (a coset
-        action of degree m with a two-point base has about m^2 keys).
-        """
-        n, d = self.order, self.degree
-        base = []
-        stab = np.ones(n, dtype=bool)
-        distinct = 1
-        while distinct < n:
-            hit = np.zeros((d, d), dtype=bool)
-            hit[np.arange(d), self.imgs[stab]] = True  # hit[p, s(p)] for s in S
-            orbit = hit.sum(axis=1)
-            best = int(np.argmax(orbit))
-            if orbit[best] == 1:
-                raise InternalInconsistency("image matrix contains duplicate rows")
-            base.append(best)
-            stab &= self.imgs[:, best] == best
-            distinct *= int(orbit[best])
-        self.base = np.array(base, dtype=np.int64)
-        self._base_imgs = self.imgs[:, self.base]
-        lo = self._base_imgs.min(axis=0).tolist()
-        hi = self._base_imgs.max(axis=0).tolist()
-        weights = [1] * len(base)
-        for i in range(len(base) - 1, 0, -1):
-            weights[i - 1] = weights[i] * (hi[i] - lo[i] + 1)
-        size = sum(h * w for h, w in zip(hi, weights)) + 1  # keys 0..max key, as Python ints
-        if size >= 2 ** 62:
-            raise InternalInconsistency("base key overflow")
-        self._base_weights = np.array(weights, dtype=np.int64)
-        key = self._base_imgs @ self._base_weights
-        if size <= _DENSE_KEYS:
-            at = np.arange(n, dtype=np.int64)
-            self._dense = np.full(size, -1, dtype=np.int64)
-            self._dense[key] = at
-            duplicate = (self._dense[key] != at).any()  # a later row overwrote an earlier one
-        else:
-            self._dense = None
-            order = np.argsort(key, kind="stable")
-            self._sorted_keys = key[order]
-            self._sorted_pos = order
-            duplicate = (np.diff(self._sorted_keys) == 0).any()
-        if duplicate:
-            raise InternalInconsistency("image matrix contains duplicate rows")
+        orbit = _orbit_labels(gen_imgs)  # least point of each point's orbit under G
+        # the elements found so far, then spare rows; no view of it outlives a statement, so it resizes in place
+        imgs = np.arange(degree, dtype=np.int16)[None, :].copy()
+        base: list[int] = []
+        index = _key_index(imgs, base, orbit)  # (weights, dense, sorted keys, sorted positions)
+        start, count = 0, 1
+        while start < count:
+            prods = np.take(gen_imgs, imgs[start:count], axis=1).reshape(-1, degree)  # generator x frontier rows
+            while True:
+                weights, dense = index[:2]
+                key = prods[:, base] @ weights
+                new = np.flatnonzero(_find(key, index) < 0)
+                if dense is not None:  # ufunc.at applies every write, so a new key keeps its least position
+                    np.maximum.at(dense, key[new], len(prods) - new)
+                    first = new[dense[key[new]] == len(prods) - new]
+                    dense[key[first]] = count + np.arange(len(first))
+                else:  # np.unique returns the first occurrence of each key
+                    first = np.sort(new[np.unique(key[new], return_index=True)[1]])
+                    index = _key_index(np.concatenate([imgs[:count], prods[first]]), base, orbit)
+                stop = count + len(first)
+                if stop > cap:  # distinct new keys are distinct new elements
+                    raise CapExceeded(cap)
+                if stop > len(imgs):  # double the row buffer in place, up to cap rows
+                    imgs.resize((min(max(2 * len(imgs), stop), cap), degree), refcheck=False)
+                imgs[count:stop] = prods[first]
+                wrong = np.flatnonzero((imgs[_find(key, index)] != prods).any(axis=1))
+                if not len(wrong):
+                    break
+                j = wrong[0]  # the first product unlike the row at its key
+                base.append(int(np.argmax(imgs[_find(key[j], index)] != prods[j])))
+                index = _key_index(imgs[:count], base, orbit)
+            start, count = count, stop
+        imgs.resize((count, degree), refcheck=False)
+        return cls(imgs, _find(gen_imgs[:, base] @ index[0], index).tolist(), base, index)
 
     # -- lookup and multiplication -----------------------------------------
 
     def _index_of(self, base_imgs: np.ndarray) -> np.ndarray:
         """Indices of the elements with these rows of base images (one gather in the key table)."""
-        key = base_imgs @ self._base_weights
-        if self._dense is not None:
-            return self._dense[key]
-        return self._sorted_pos[np.searchsorted(self._sorted_keys, key)]
+        return _find(base_imgs @ self._index[0], self._index)
 
     def lookup_images(self, imgs: np.ndarray) -> np.ndarray:
         """Indices of image rows known to belong to the group."""
@@ -181,7 +146,7 @@ class GroupTable:
         row = np.asarray(perm.images, dtype=np.int16)
         try:
             idx = int(self._index_of(row[self.base]))
-        except IndexError:  # a key past the dense table, or past the last sorted key
+        except IndexError:  # a key past the dense table
             return -1
         return idx if idx >= 0 and np.array_equal(self.imgs[idx], row) else -1
 
@@ -604,6 +569,39 @@ def _orbit_labels(perms: np.ndarray) -> np.ndarray:
         if np.array_equal(pulled, label):
             return label
         label = pulled
+
+
+def _key_index(rows: np.ndarray, base: list[int], orbit: np.ndarray):
+    """``(weights, dense, sorted_keys, sorted_pos)``: the base key's weights and the index of rows by key.
+
+    A key reads the base images as mixed-radix digits, each digit's radix
+    the span of its base point's orbit (orbit[p] is the least point of p's).
+    Below _DENSE_KEYS keys, ``dense[key]`` is a row's index, or -1 for a key
+    of no row.  Above it the keys are sorted beside their rows' positions:
+    a coset action of degree m with a two-point base has about m^2 keys.
+    """
+    span = [int(np.flatnonzero(orbit == orbit[b])[-1] - orbit[b]) + 1 for b in base]  # of each base point's orbit
+    weights = [prod(span[i + 1:]) for i in range(len(base))]
+    size = sum((int(orbit[b]) + s - 1) * w for b, s, w in zip(base, span, weights)) + 1  # keys 0..max key
+    if size >= 2 ** 62:
+        raise InternalInconsistency("base key overflow")
+    weights = np.array(weights, dtype=np.int64)
+    key = rows[:, base] @ weights
+    if size <= _DENSE_KEYS:
+        dense = np.full(size, -1, dtype=np.int64)
+        dense[key] = np.arange(len(rows))
+        return weights, dense, None, None
+    order = np.argsort(key)
+    return weights, None, key[order], order
+
+
+def _find(key: np.ndarray, index: tuple) -> np.ndarray:
+    """Index of each key's row in a _key_index, -1 for a key of none (IndexError past a dense table)."""
+    _, dense, sorted_keys, sorted_pos = index
+    if dense is not None:
+        return dense[key]
+    pos = np.minimum(np.searchsorted(sorted_keys, key), len(sorted_keys) - 1)
+    return np.where(sorted_keys[pos] == key, sorted_pos[pos], -1)
 
 
 def _compute_classes(table: GroupTable) -> ClassPartition:

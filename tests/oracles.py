@@ -119,18 +119,6 @@ def enumerate_per_row(generators, cap):
     return np.stack(elems), [index[g.tobytes()] for g in gen_imgs]
 
 
-def greedy_base(imgs):
-    """The engine's former base choice: per point, count the distinct (key, image) pairs."""
-    n, d = imgs.shape
-    base = []
-    key = np.zeros(n, dtype=np.int64)
-    while len(np.unique(key)) < n:
-        counts = [len(np.unique(key * d + imgs[:, p])) for p in range(d)]
-        base.append(int(np.argmax(counts)))
-        key = key * d + imgs[:, base[-1]]
-    return base
-
-
 def closure_per_seed(table, seeds, stop_above=None, stop_at=None):
     """The engine's former closure walk: one lookup per seed per layer.
 

@@ -255,6 +255,20 @@ def test_console_script_installed():
     assert "alpha = 3" in proc.stdout
 
 
+def test_solve_then_verify_in_one_process_match_separate_processes(tmp_path, capsys):
+    # main reuses one parser for every call in a process
+    src = str(Path(sc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    calls = [["solve", "--group", "psl2(7)", "--mode", "both", "--out", str(tmp_path / "r.result")],
+             ["verify", "--group", "psl2(7)", "--certificate", str(CERT_DIR / "psl2_7.cert")],
+             ["verify", "--group", "alternating(5)", "--certificate", str(CERT_DIR / "psl2_7.cert")]]
+    separate = [subprocess.run([sys.executable, "-m", "solvcover.cli", *argv], capture_output=True, text=True,
+                               env=env) for argv in calls]
+    for argv, proc in zip(calls, separate):
+        assert (run_cli(*argv), capsys.readouterr().out) == (proc.returncode, proc.stdout), argv
+    assert [proc.returncode for proc in separate] == [0, 0, 1]
+
+
 @pytest.mark.parametrize("group", ["raw()", "wreath(psl2(4),0,cycle)"])
 def test_solve_degenerate_spec_errors(group, capsys):
     assert run_cli("solve", "--group", group) == 1

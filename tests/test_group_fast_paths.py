@@ -1,15 +1,16 @@
 """Differential tests: the batched group-engine walks against the paths they replaced.
 
-Enumeration, the lookup base, element orders, an element's powers and the
-generators of its cyclic group, subgroup closure and its early stops, left
-cosets, conjugacy classes with their witnesses, normalizers and their
-orbits, index-2 subgroups, the radical and the order-based solvability rule
-must agree exactly with the per-row, per-point, per-element, per-product,
+Enumeration, element orders, an element's powers and the generators of
+its cyclic group, subgroup closure and its early stops, left cosets,
+conjugacy classes with their witnesses, normalizers and their orbits,
+index-2 subgroups, the radical and the order-based solvability rule must
+agree exactly with the per-row, per-point, per-element, per-product,
 per-seed, per-generator, coset-level and normal-closure references in
 ``oracles``.
 Element lookup, through the dense key table and through the sorted keys
 used above its ceiling, must agree with a dictionary from image rows to
-indices.
+indices, and the base the enumeration finds must be irredundant with a key
+that tells every element apart.
 """
 
 import os
@@ -41,8 +42,40 @@ def test_enumeration_and_orders_match_per_row_oracle(spec_text):
     imgs, gen_idx = oracles.enumerate_per_row(gens, cap=group.DEFAULT_CAP)
     assert t.imgs.dtype == imgs.dtype and t.imgs.tobytes() == imgs.tobytes()
     assert t.generator_indices == gen_idx
-    assert t.base.tolist() == oracles.greedy_base(imgs)
+    _assert_base_keys_are_injective_and_irredundant(t)
     assert t.order_of.tolist() == [perm_order(row) for row in t.imgs]
+
+
+def _assert_base_keys_are_injective_and_irredundant(t):
+    """No two elements share their base images, and each base point is moved by some element fixing the earlier ones."""
+    assert len(np.unique(t.imgs[:, t.base], axis=0)) == t.order
+    fixes = np.ones(t.order, dtype=bool)
+    for b in t.base:
+        assert (t.imgs[fixes, b] != b).any(), (t.base, b)
+        fixes &= t.imgs[:, b] == b
+
+
+def test_walk_crossing_the_dense_ceiling_matches_per_row_oracle(monkeypatch):
+    # S6 grows its base one point at a time up to 6^5 keys, so the walk passes a ceiling of 2,000 partway
+    gens = generators_for(sc.parse_spec("symmetric(6)"))
+    dense = sc.enumerate_group(gens)
+    monkeypatch.setattr(group, "_DENSE_KEYS", 2000)
+    storages = []
+    key_index = group._key_index
+
+    def spy(*args):
+        index = key_index(*args)
+        storages.append("sorted" if index[1] is None else "dense")
+        return index
+
+    monkeypatch.setattr(group, "_key_index", spy)
+    t = sc.enumerate_group(gens)
+    assert storages[0] == "dense" and storages[-1] == "sorted", storages
+    imgs, gen_idx = oracles.enumerate_per_row(gens, cap=group.DEFAULT_CAP)
+    assert t.imgs.tobytes() == imgs.tobytes() and t.generator_indices == gen_idx
+    assert t.base.tolist() == dense.base.tolist()
+    _assert_base_keys_are_injective_and_irredundant(t)
+    _assert_lookup_matches_row_dict(t)
 
 
 def _order_tables():
@@ -96,15 +129,6 @@ def test_enumeration_keeps_repeated_and_identity_generators():
     assert t.generator_indices == gen_idx == [0, 1, 2, 1]
 
 
-@pytest.mark.parametrize("spec_text", ["symmetric(5)", "pgl2(7)", "m10"])
-def test_cap_exceeded_fires_just_below_the_order(spec_text):
-    gens = generators_for(sc.parse_spec(spec_text))
-    n = sc.enumerate_group(gens).order
-    assert sc.enumerate_group(gens, cap=n).order == n
-    with pytest.raises(sc.CapExceeded):
-        sc.enumerate_group(gens, cap=n - 1)
-
-
 @pytest.fixture(params=["dense", "sorted"])
 def lookup(request, monkeypatch):
     """Which element lookup the tables built in the test use: "sorted" puts every table above the ceiling."""
@@ -113,9 +137,19 @@ def lookup(request, monkeypatch):
     return request.param
 
 
+@pytest.mark.parametrize("spec_text", ["symmetric(5)", "pgl2(7)", "m10", "wreath(symmetric(3),2,cycle)"])
+def test_cap_exceeded_fires_just_below_the_order(spec_text, lookup):
+    gens = generators_for(sc.parse_spec(spec_text))
+    t = sc.enumerate_group(gens)
+    assert (t._index[1] is None) == (lookup == "sorted")
+    assert sc.enumerate_group(gens, cap=t.order).imgs.tobytes() == t.imgs.tobytes()
+    with pytest.raises(sc.CapExceeded):
+        sc.enumerate_group(gens, cap=t.order - 1)
+
+
 def _built(spec_text, lookup):
     t = sc.build(sc.parse_spec(spec_text))
-    assert (t._dense is None) == (lookup == "sorted")
+    assert (t._index[1] is None) == (lookup == "sorted")
     return t
 
 
@@ -129,7 +163,7 @@ def test_lookup_matches_row_dict(spec_text, lookup):
 
 def test_long_base_wreath_takes_the_sorted_keys():
     t = sc.build(sc.parse_spec("wreath(symmetric(3),4,cycle)"))  # 12 points, 8 base points
-    assert t._dense is None
+    assert t._index[1] is None
     _assert_lookup_matches_row_dict(t)
 
 
@@ -149,8 +183,8 @@ def _assert_lookup_matches_row_dict(t):
 def test_find_permutation_rejects_keys_past_the_table_and_off_orbit_images(lookup):
     t = _built("product(symmetric(5),symmetric(5))", lookup)  # orbits {1..5} and {6..10}
     past = sc.Permutation(range(9, -1, -1))  # every base point to the largest point
-    if t._dense is not None:
-        assert int(past.images[t.base] @ t._base_weights) >= len(t._dense)
+    if t._index[1] is not None:
+        assert int(past.images[t.base] @ t._index[0]) >= len(t._index[1])
     crossed = sc.parse_cycles("(5,6)", 10)  # base point 6 to 5, outside its orbit
     assert t.find_permutation(past) == t.find_permutation(crossed) == -1
     assert t.find_permutation(sc.parse_cycles("(1,2)(6,7)", 10)) >= 0
@@ -158,7 +192,7 @@ def test_find_permutation_rejects_keys_past_the_table_and_off_orbit_images(looku
 
 def test_lookup_in_the_identity_only_group(lookup):
     t = sc.enumerate_group([sc.Permutation.identity(3)])
-    assert (t._dense is None) == (lookup == "sorted")
+    assert (t._index[1] is None) == (lookup == "sorted")
     assert t.base.tolist() == [] and t.lookup_images(t.imgs).tolist() == [0]
     assert t.find_permutation(sc.Permutation.identity(3)) == 0
     assert t.find_permutation(sc.parse_cycles("(1,2)", 3)) == -1

@@ -403,7 +403,9 @@ def assert_reduction_matches_rows_oracle(table):
     that ``reduce_instance`` never touches.
     """
     def fresh():
-        return sc.sol_incidence(sc.GroupTable(table.imgs, table.generator_indices))
+        copy = sc.GroupTable.from_generators([table.permutation(g) for g in table.generator_indices])
+        assert copy.imgs.tobytes() == table.imgs.tobytes() and copy.generator_indices == table.generator_indices
+        return sc.sol_incidence(copy)
 
     calls = [dict(involutions_only=inv, prune_dominated=prune) for inv in (False, True) for prune in (True, False)]
     untouched = fresh()
