@@ -2,7 +2,9 @@
 
 Reproduces the A5 story end to end: the sizes of Sol(x) per class, the
 census of maximal solvable subgroups, how many census members contain each
-involution, and the order-5 counting bound that forces three involutions.
+involution, and the order-5 counting bound that forces three involutions,
+read off the cover instance after dominance pruning (the order-5 candidates,
+whose rows lie inside the involutions' rows, are pruned).
 """
 
 import solvcover as sc
@@ -25,8 +27,8 @@ x = int(a5.involution_indices()[0])
 print(f"\ninvolution {a5.permutation(x)} lies in:",
       census.membership_counts(x), "(order -> how many copies)")
 
-inst = sc.reduce_instance(inc, prune_dominated=False)
-print(f"\ncover instance: {len(inst.universe)} maximal cyclic targets, "
+inst = sc.reduce_instance(inc)
+print(f"\ncover instance after dominance pruning: {len(inst.universe)} maximal cyclic targets, "
       f"{len(inst.candidates)} prime-order candidates")
 for coeffs, rhs in sc.class_counting_rows(inst):
     if rhs == 6:  # the six cyclic subgroups of order 5

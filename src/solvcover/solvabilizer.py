@@ -38,7 +38,8 @@ Sol(g x g^-1) = g Sol(x) g^-1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,20 +145,19 @@ class SolvabilizerIncidence:
     conjugate classes, such as PSL(2,8)'s 7A/7B/7C) conjugates that class's
     mask instead of walking again.
 
-    The incidence also keeps what ``reduce_instance`` derives from the table
-    alone, so a table reduced again (the other mode, another solve) rebuilds
-    none of it: the targets with their orbit ids and the count of radical
-    targets dropped (``targets``), and each mode's candidates with their
-    candidate x target matrix (``cover_rows``).  Every cached array is
-    read-only, the instances' ``universe`` and ``target_class`` included.
+    The incidence also keeps each mode's reduction (``reduction``), which
+    depends on the table alone, so a table reduced again (the other mode,
+    another solve) redoes none of it: the cover instance that
+    ``reduce_instance`` hands out, its feasibility verdict, and the mode's
+    unmerged candidate rows.  It is built once per table and mode, and every
+    array in it is read-only.
     """
 
     def __init__(self, table: GroupTable):
         self.table = table
         self.classes: ClassPartition = table.conjugacy_classes()
         self._rep_sol: dict[int, np.ndarray] = {}
-        self._targets: tuple[np.ndarray, np.ndarray, int] | None = None
-        self._cover_rows: dict[bool, tuple[np.ndarray, int, np.ndarray]] = {}
+        self._reductions: dict[bool, Reduction] = {}
 
     @property
     def radical(self) -> ElementSet:
@@ -196,40 +196,43 @@ class SolvabilizerIncidence:
     def sol_size_of_class(self, cid: int) -> int:
         return int(self.rep_sol(cid).sum())
 
-    def targets(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The cover targets, their orbit ids (``_target_orbits``) and how many radical targets were dropped.
+    def reduction(self, involutions_only: bool) -> Reduction:
+        """One mode's reduction (see ``reduce_instance``), built at first use.
 
-        The targets are the canonical generators of the maximal cyclic
-        subgroups outside the radical, from one ``maximal_cyclic_generators``
-        call per table.
-        """
-        if self._targets is None:
-            universe = np.array(maximal_cyclic_generators(self.table), dtype=np.int64)
-            targets = universe[~self.radical.mask[universe]]
-            orbits = _target_orbits(self.classes, self.table, targets)
-            targets.flags.writeable = orbits.flags.writeable = False
-            self._targets = (targets, orbits, len(universe) - len(targets))
-        return self._targets
-
-    def cover_rows(self, involutions_only: bool) -> tuple[np.ndarray, int, np.ndarray]:
-        """One mode's canonical candidates, its raw candidate count, and the candidate x target matrix.
-
-        Built once per table and mode (``_candidates``, ``_cover_matrix``).
-        Every nonradical involution is a mode-all candidate, with the same
-        row, so involution mode takes its rows from the mode-all matrix when
-        that is already built; otherwise it builds its own rows only, which
-        on a group with a radical are far fewer than every nonradical
-        element's.
+        The targets come from the other mode's reduction when that is built,
+        so ``maximal_cyclic_generators`` runs once per table.  Every
+        nonradical involution is a mode-all candidate, with the same row, so
+        involution mode takes its rows from the mode-all reduction when that
+        is already built; otherwise it builds its own rows only, which on a
+        group with a radical are far fewer than every nonradical element's.
         """
         key = bool(involutions_only)
-        rows = self._cover_rows.get(key)
-        if rows is None:
-            cand, raw = _candidates(self, key)
-            full = self._cover_rows.get(False)
-            member = _cover_matrix(self, cand) if full is None else full[2][np.searchsorted(full[0], cand)]
-            cand.flags.writeable = member.flags.writeable = False
-            rows = self._cover_rows[key] = (cand, raw, member)
-        return rows
+        red = self._reductions.get(key)
+        if red is not None:
+            return red
+        table, classes = self.table, self.classes
+        other = self._reductions.get(not key)
+        if other is None:
+            universe = np.array(maximal_cyclic_generators(table), dtype=np.int64)
+            targets = universe[~self.radical.mask[universe]]
+            target_class = _target_orbits(classes, table, targets)
+            dropped = len(universe) - len(targets)
+        else:
+            targets, target_class, dropped = other.instance.universe, other.instance.target_class, other.dropped
+        cand, raw = _candidates(self, key)
+        full = other if key else None
+        member = _cover_matrix(self, cand, targets) if full is None else full.member[np.searchsorted(full.cand, cand)]
+        uniq, kept = _maximal_rows(member, classes.class_of[cand], classes.count)
+        notes = [f"universe: dropped {dropped} radical targets"] if dropped else []
+        notes.append(f"universe {len(targets)} maximal cyclic targets; raw candidates {raw}")
+        notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
+        inst = CoverInstance(universe=targets, target_class=target_class, candidates=cand[kept],
+                             candidate_class=classes.class_of[cand[kept]], covers=member[kept],
+                             alpha_floor=3, notes=notes)
+        for array in (targets, target_class, cand, member, inst.candidates, inst.candidate_class, inst.covers):
+            array.flags.writeable = False
+        red = self._reductions[key] = Reduction(inst, inst.feasible(), dropped, cand, member)
+        return red
 
 
 def sol_of(table: GroupTable, x: int) -> ElementSet:
@@ -438,8 +441,17 @@ def maximal_cyclic_generators(table: GroupTable) -> list[int]:
     return sorted(set(canonical[1:][~inside_bigger[1:]].tolist()))
 
 
-def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = False,
-                    prune_dominated: bool = True) -> CoverInstance:
+class Reduction(NamedTuple):
+    """One mode's reduction, kept on the incidence: the instance, the count of radical targets dropped, and the rows."""
+
+    instance: CoverInstance  # read-only arrays; ``reduce_instance`` hands out a copy of the notes
+    feasible: bool
+    dropped: int
+    cand: np.ndarray         # the mode's canonical candidates, with their unmerged rows
+    member: np.ndarray
+
+
+def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = False) -> CoverInstance:
     """Reduce covering G to an exact set-cover instance.
 
     Universe: one canonical generator per maximal cyclic subgroup not inside
@@ -451,65 +463,52 @@ def reduce_instance(incidence: SolvabilizerIncidence, involutions_only: bool = F
     cover maps to a no-larger prime-order cover.  With a nontrivial radical
     that power can lie in it (in SL(2,5) the square of an element of order 4
     is -1), so every nonradical element is a candidate.  Identical
-    coverage rows are merged, keeping the least element, and, unless
-    disabled, dominated candidates are dropped (both preserve the optimum).
+    coverage rows are merged, keeping the least element, and dominated
+    candidates are dropped (``_maximal_rows``; both preserve the optimum).
 
-    The targets and each mode's candidate x target matrix depend on the
-    table alone, so the incidence builds them once and keeps them read-only
-    (``SolvabilizerIncidence.targets`` and ``cover_rows``); each call merges
-    and prunes rows of its own.  A row is dominated when it lies inside
-    another row (Garfinkel and Nemhauser, Integer Programming, 1972), and
-    that is a property of a whole conjugacy class: conjugation by g permutes
-    the targets, maps the row of x onto the row of the canonical generator
-    of g x g^-1, so it maps the set of rows onto itself, and it preserves
-    containment, so a member's row lies inside another row exactly when the
-    least member's does.  So only the least merged row of each class is
-    tested, against the rows covering its rarest target (only those can
-    hold it), on packed bits, and a dominated class goes whole; the rows
-    left, the maximal ones, are the instance's ``covers``.  Every pairwise
-    product over the whole matrix costs more: numpy's boolean matmul scans
-    rows for 3-6x as long on the larger groups, and a float product wakes
-    OpenBLAS threads that spin on the other cores.
+    The table alone decides all of this, so the incidence reduces each mode
+    once (``SolvabilizerIncidence.reduction``), feasibility included; each
+    call wraps the same read-only arrays, with notes of its own.
     """
-    table = incidence.table
-    if table.is_group_solvable():
+    if incidence.table.is_group_solvable():
         raise GroupSolvable("covering numbers are undefined for solvable groups")
-    targets, target_class, dropped = incidence.targets()
-    cand, raw, member = incidence.cover_rows(involutions_only)
-    notes = [f"universe: dropped {dropped} radical targets"] if dropped else []
-    notes.append(f"universe {len(targets)} maximal cyclic targets; raw candidates {raw}")
-    # dedupe identical rows (keep least element), then drop dominated classes
-    packed = np.packbits(member, axis=1, bitorder="little")
-    uniq = np.sort(np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)[1])
-    kept = uniq
-    classes = incidence.classes
-    if prune_dominated:
-        # the least row of a class lies inside row j only if j covers its rarest target: test those pairs
-        rows, bits, uniq_class = member[uniq], packed[uniq], classes.class_of[cand[uniq]]
-        least = np.unique(uniq_class, return_index=True)[1]
-        rarest = np.where(rows[least], rows.sum(axis=0), len(rows) + 1).argmin(axis=1)
-        k, j = np.nonzero(rows[:, rarest].T)
-        i = least[k]
-        i, j = i[i != j], j[i != j]
-        dominated = np.zeros(classes.count, dtype=bool)
-        dominated[uniq_class[i[~(bits[i] & ~bits[j]).any(axis=1)]]] = True
-        kept = uniq[~dominated[uniq_class]]
-    notes.append(f"candidates after dedupe {len(uniq)}, after dominance pruning {len(kept)}")
-    elements = cand[kept]
-    inst = CoverInstance(
-        universe=targets,
-        target_class=target_class,
-        candidates=elements,
-        candidate_class=classes.class_of[elements],
-        covers=member[kept],
-        alpha_floor=3,
-        notes=notes,
-    )
-    if not inst.feasible():
+    red = incidence.reduction(involutions_only)
+    if not red.feasible:
         if involutions_only:
             raise InfeasibleUniverse("some target is covered by no involution")
         raise InternalInconsistency("unrestricted instance must be feasible")
-    return inst
+    return replace(red.instance, notes=list(red.instance.notes))
+
+
+def _maximal_rows(member: np.ndarray, row_class: np.ndarray, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least row of each set of equal rows, and those of them left once dominated classes go.
+
+    A row is dominated when it lies inside another row (Garfinkel and
+    Nemhauser, Integer Programming, 1972), and that is a property of a whole
+    conjugacy class: conjugation by g permutes the targets, maps the row of
+    x onto the row of the canonical generator of g x g^-1, so it maps the
+    set of rows onto itself, and it preserves containment, so a member's row
+    lies inside another row exactly when the least member's does.  So only
+    the least merged row of each class is tested, against the rows covering
+    its rarest target (only those can hold it), on packed bits, and a
+    dominated class goes whole; the rows left, the maximal ones, are the
+    instance's ``covers``.  Every pairwise product over the whole matrix
+    costs more: numpy's boolean matmul scans rows for 3-6x as long on the
+    larger groups, and a float product wakes OpenBLAS threads that spin on
+    the other cores.
+    """
+    packed = np.packbits(member, axis=1, bitorder="little")
+    uniq = np.sort(np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(), return_index=True)[1])
+    # the least row of a class lies inside row j only if j covers its rarest target: test those pairs
+    rows, bits, uniq_class = member[uniq], packed[uniq], row_class[uniq]
+    least = np.unique(uniq_class, return_index=True)[1]
+    rarest = np.where(rows[least], rows.sum(axis=0), len(rows) + 1).argmin(axis=1)
+    k, j = np.nonzero(rows[:, rarest].T)
+    i = least[k]
+    i, j = i[i != j], j[i != j]
+    dominated = np.zeros(class_count, dtype=bool)
+    dominated[uniq_class[i[~(bits[i] & ~bits[j]).any(axis=1)]]] = True
+    return uniq, uniq[~dominated[uniq_class]]
 
 
 def _candidates(incidence: SolvabilizerIncidence, involutions_only: bool) -> tuple[np.ndarray, int]:
@@ -529,7 +528,7 @@ def _candidates(incidence: SolvabilizerIncidence, involutions_only: bool) -> tup
     return np.flatnonzero(eligible & (canonical == np.arange(table.order))), int(eligible.sum())
 
 
-def _cover_matrix(incidence: SolvabilizerIncidence, cand: np.ndarray) -> np.ndarray:
+def _cover_matrix(incidence: SolvabilizerIncidence, cand: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The candidate x target boolean matrix: [i, t] when target t is in Sol(cand[i]).
 
     A row depends only on <x>, since Sol(x) = Sol(x^k) for every generator
@@ -541,7 +540,6 @@ def _cover_matrix(incidence: SolvabilizerIncidence, cand: np.ndarray) -> np.ndar
     in one lookup, (w s w^-1)[b] = w[s[w^-1[b]]] on the base points.
     """
     table, classes = incidence.table, incidence.classes
-    targets = incidence.targets()[0]
     canonical, _ = table.cyclic_generators()
     pos = np.full(table.order, -1, dtype=np.int64)
     pos[cand] = np.arange(len(cand))

@@ -21,7 +21,7 @@ from .constructions import (
     project_to_psl,
     psl2,
 )
-from .cover import EXACT, INFEASIBLE, CoverOutcome
+from .cover import EXACT, INFEASIBLE, MODE_ALL, MODE_INVOLUTIONS, CoverOutcome
 from .errors import (
     BadParameter,
     CapExceeded,
@@ -59,18 +59,20 @@ def _sol_union(table: GroupTable, cert: Certificate) -> tuple[list[int], np.ndar
 def verify_certificate(table: GroupTable, cert: Certificate) -> bool:
     """True iff the solvabilizers of the certificate elements cover the group.
 
-    Raises when an element is outside the group or inside the radical; a mode
-    violation (non-involution in involutions mode) just fails the check.  The
-    radical is not computed: x lies in R(G) exactly when Sol(x) = G
-    (Guralnick, Kunyavskii, Plotkin, Shalev, J. Algebra 300, 2006), and
-    Sol(x) is a conjugate of the Sol of its class representative.
+    Raises for an unknown mode, an element outside the group or one inside
+    the radical; a mode violation (non-involution in involutions mode) just
+    fails the check.  The radical is not computed: x lies in R(G) exactly
+    when Sol(x) = G (Guralnick, Kunyavskii, Plotkin, Shalev, J. Algebra 300,
+    2006), and Sol(x) is a conjugate of the Sol of its class representative.
     """
+    if cert.mode not in (MODE_ALL, MODE_INVOLUTIONS):
+        raise BadParameter(f"unknown mode {cert.mode!r}")
     idx, union = _sol_union(table, cert)
     inc = sol_incidence(table)
     for i in idx:
         if inc.rep_sol(int(inc.classes.class_of[i])).all():
             raise ElementInRadical(f"element {table.permutation(i)} lies in the radical")
-    if cert.mode == "involutions" and any(table.order_of[i] != 2 for i in idx):
+    if cert.mode == MODE_INVOLUTIONS and any(table.order_of[i] != 2 for i in idx):
         return False
     return bool(union.all())
 

@@ -211,7 +211,7 @@ def test_criterion_3_certificates():
 def test_criterion_4_class_counting_bound():
     inst = sc.reduce_instance(sc.sol_incidence(table_for("alternating(5)")))
     assert sc.class_counting_bound(inst) == 3
-    rows = sc.class_counting_rows(sc.reduce_instance(
+    rows = sc.class_counting_rows(oracles.reduce_instance_by_rows(
         sc.sol_incidence(table_for("alternating(5)")), prune_dominated=False))
     (coeffs, rhs), = [r for r in rows if r[1] == 6]
     assert rhs == 6 and sorted(set(coeffs.values())) == [0, 1, 2]

@@ -109,7 +109,7 @@ def test_a5_class_counting_bound_is_three(a5_instance):
 def test_a5_class_counting_rows_reproduce_counting_argument(a5):
     # the order-5 target orbit: 6 targets; involutions cover 2 each, order-3
     # candidates 0, order-5 candidates 1: minimizing forces three involutions
-    inst = sc.reduce_instance(sc.sol_incidence(a5), prune_dominated=False)
+    inst = oracles.reduce_instance_by_rows(sc.sol_incidence(a5), prune_dominated=False)
     rows = sc.class_counting_rows(inst)
     cp = sc.conjugacy_classes(a5)
     five_rows = [r for r in rows if r[1] == 6]

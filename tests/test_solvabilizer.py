@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 
@@ -364,24 +365,32 @@ def test_reduce_rejects_solvable_group(s4):
 
 def test_reduction_caches_are_built_once_and_read_only(monkeypatch):
     built = []
-    for name in ("maximal_cyclic_generators", "_cover_matrix"):
+    for name in ("maximal_cyclic_generators", "_cover_matrix", "_maximal_rows"):
         fn = getattr(solvabilizer, name)
         monkeypatch.setattr(solvabilizer, name, lambda *args, fn=fn, name=name: built.append(name) or fn(*args))
+    # PSL(2,7) has no involution cover: that verdict is cached too, and raised on every call;
     # the involution rows come from the mode-all matrix only when that is built first
-    for modes, matrices in (((False, True), 1), ((True, False), 2)):
+    for (spec, infeasible), modes in itertools.product(((sc.psl2(8), ()), (sc.psl2(7), (True,))),
+                                                        ((False, True), (True, False))):
         built.clear()
-        inc = sc.sol_incidence(sc.build(sc.psl2(8)))
+        inc = sc.sol_incidence(sc.build(spec))
         first = {}
-        for _ in range(2):
-            for involutions_only in modes:
-                inst = sc.reduce_instance(inc, involutions_only=involutions_only)
-                assert first.setdefault(involutions_only, inst.covers.tobytes()) == inst.covers.tobytes()
-                inst.covers[:] = False  # the caller's own copy
-        assert built.count("maximal_cyclic_generators") == 1 and built.count("_cover_matrix") == matrices
-        cached = (*inc.targets()[:2], *inc.cover_rows(False)[::2], *inc.cover_rows(True)[::2])
-        for array in cached + (inst.universe, inst.target_class):
-            with pytest.raises(ValueError):
-                array[0] = array[0]
+        for involutions_only in modes * 2:
+            got = _reduction(sc.reduce_instance, inc, involutions_only=involutions_only)
+            assert first.setdefault(involutions_only, copy.deepcopy(got)) == got
+            assert (got is sc.InfeasibleUniverse) == (involutions_only in infeasible)
+            if involutions_only in infeasible:
+                continue
+            inst = sc.reduce_instance(inc, involutions_only=involutions_only)
+            inst.notes.append("changed")  # the next call's notes are its own
+            for f in dataclasses.fields(inst):
+                array = getattr(inst, f.name)
+                if isinstance(array, np.ndarray):
+                    with pytest.raises(ValueError):
+                        array[:1] = array[:1]
+        matrices = 1 if modes == (False, True) else 2
+        assert (built.count("maximal_cyclic_generators"), built.count("_cover_matrix")) == (1, matrices)
+        assert built.count("_maximal_rows") == 2, spec  # row merge and class dominance, once per mode
 
 
 def _reduction(reduce, inc, **kwargs):
@@ -407,13 +416,12 @@ def assert_reduction_matches_rows_oracle(table):
         assert copy.imgs.tobytes() == table.imgs.tobytes() and copy.generator_indices == table.generator_indices
         return sc.sol_incidence(copy)
 
-    calls = [dict(involutions_only=inv, prune_dominated=prune) for inv in (False, True) for prune in (True, False)]
     untouched = fresh()
-    expected = [_reduction(oracles.reduce_instance_by_rows, untouched, **kwargs) for kwargs in calls]
-    for order in ([0, 1, 2, 3], [3, 2, 1, 0]):  # mode all first, then involutions first
+    expected = {inv: _reduction(oracles.reduce_instance_by_rows, untouched, involutions_only=inv) for inv in (False, True)}
+    for order in ((False, True), (True, False)):  # mode all first, then involutions first, each mode twice
         inc = fresh()
-        for k in order:
-            assert _reduction(sc.reduce_instance, inc, **calls[k]) == expected[k], (calls[k], order)
+        for inv in order * 2:
+            assert _reduction(sc.reduce_instance, inc, involutions_only=inv) == expected[inv], (inv, order)
 
 
 # PSL(2,16): the dedupe keeps part of three classes, whose dominance by class must still match it by row

@@ -209,3 +209,14 @@ def test_verify_gl2_cover_rejects_bad_q():
         sc.verify_gl2_cover(3)
     with pytest.raises(sc.CapExceeded):
         sc.verify_gl2_cover(7, cap=100)  # GL2(7) too big for the cap, 7 = 3 mod 4
+
+
+@pytest.mark.parametrize("mode", ["involution", "inv", "both", ""])
+def test_unknown_mode_raises_before_any_check(mode):
+    # PSL(2,7)'s mode-all cover (orders 2, 3, 3, 3, 3) used to verify under any mode other than "involutions"
+    spec, cert_mode, table, perms = load_cert("psl2_7")
+    assert cert_mode == "all" and sc.verify_certificate(table, sc.Certificate(spec, cert_mode, perms))
+    with pytest.raises(sc.BadParameter):
+        sc.verify_certificate(table, sc.Certificate(spec, mode, perms))
+    with pytest.raises(sc.BadParameter):  # the mode is checked before the elements
+        sc.verify_certificate(table, sc.Certificate(spec, mode, [parse_cycles("(1,2)", table.degree)]))
