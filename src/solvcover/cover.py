@@ -59,7 +59,7 @@ import numpy as np
 
 from .constructions import GroupSpec, _shift, build
 from .errors import BadParameter, GroupSolvable, InfeasibleUniverse, SolvcoverError
-from .group import DEFAULT_CAP, GroupTable, enumerate_group, quotient_by, solvable_radical
+from .group import DEFAULT_CAP, GroupTable, enumerate_group
 from .perm import Permutation
 from .solvabilizer import CoverInstance, reduce_instance, sol_incidence
 
@@ -378,25 +378,34 @@ class _Search:
         picked (ties to the least index; ``reduce_instance`` lists candidates
         by element) until every target is covered.  The counts
         |row_i & uncovered| are kept like a node's cov: a pick subtracts the
-        matrix rows of the targets it newly covers.  Then, smallest rows
-        first, a pick is dropped when the other picks still cover every
-        target.  Raises InfeasibleUniverse when some target has no candidate.
+        matrix rows of the targets it newly covers, so the pick's own count
+        is the number of targets it covers first, and a best score of 0
+        means some target has no candidate.  Then, smallest rows first, a
+        pick is dropped when the other picks still cover every target.  Only
+        the picks with a second pick on each of their targets are tried: the
+        counts of picks per target only fall as picks go, so a pick that
+        alone covers a target is never dropped.  Raises InfeasibleUniverse
+        when some target has no candidate.
         """
-        weights = 1 if rng is None else 1 + _WEIGHT_SPREAD * np.array([rng.random() for _ in self.cov0])
+        weights = 1 if rng is None else 1 + _WEIGHT_SPREAD * np.array([rng.random() for _ in range(len(self.cov0))])
         counts = self.cov0.copy()
         unc = np.ones(self.nu, dtype=bool)
+        left = self.nu  # uncovered targets
         picks: list[int] = []
-        while unc.any():
+        while left:
             scores = weights * counts
-            if not scores.any():
-                raise InfeasibleUniverse("greedy stuck: uncovered target with no candidate")
             i = int(scores.argmax())  # the first of the best
+            if not scores[i]:
+                raise InfeasibleUniverse("greedy stuck: uncovered target with no candidate")
             picks.append(i)
+            left -= int(counts[i])
             newly = self.inst.covers[i] & unc
-            unc &= ~newly
+            unc ^= newly
             counts -= self.hit[newly].sum(axis=0)
-        count = self.row_vecs[picks].sum(axis=0)  # picks covering each target
-        for i in sorted(picks, key=self.cov0.__getitem__):
+        rows = self.row_vecs[picks]
+        count = rows.sum(axis=0)  # picks covering each target
+        sole = rows[:, count == 1].any(axis=1).tolist()
+        for i in sorted([i for i, alone in zip(picks, sole) if not alone], key=self.cov0.__getitem__):
             rest = count - self.row_vecs[i]
             if rest.min() > 0:
                 count = rest
@@ -519,8 +528,9 @@ def solve_alpha(table: GroupTable, mode: str = MODE_ALL, budget: Optional[SolveB
     """End-to-end covering number of one enumerated group.
 
     Nontrivial radical and mode=all: the problem passes to G/R(G) (coverings
-    correspond exactly); the certificate then names quotient elements and is
-    flagged.  Involution mode always works on the original table, since an
+    correspond exactly), whose table ``radical_quotient`` builds once per
+    table; the certificate then names quotient elements and is flagged.
+    Involution mode always works on the original table, since an
     involutionary cover of the quotient need not lift to involutions.
     """
     if mode not in (MODE_ALL, MODE_INVOLUTIONS):
@@ -528,13 +538,9 @@ def solve_alpha(table: GroupTable, mode: str = MODE_ALL, budget: Optional[SolveB
     budget = budget or SolveBudget()
     if table.is_group_solvable():
         raise GroupSolvable("alpha is undefined for solvable groups")
-    quotient_level = False
-    work = table
-    if mode == MODE_ALL:
-        radical = solvable_radical(table)
-        if len(radical) > 1:
-            work = quotient_by(table, radical)
-            quotient_level = True
+    quotient = table.radical_quotient() if mode == MODE_ALL else None
+    quotient_level = quotient is not None
+    work = table if quotient is None else quotient
     inc = sol_incidence(work)
     try:
         inst = reduce_instance(inc, involutions_only=(mode == MODE_INVOLUTIONS))

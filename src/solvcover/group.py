@@ -69,9 +69,12 @@ class GroupTable:
         inv_imgs[np.arange(self.order)[:, None], imgs] = np.arange(self.degree)[None, :]
         self.inverse_of = self.lookup_images(inv_imgs)
         self._classes: Optional[ClassPartition] = None
-        self._radical: Optional[ElementSet] = None
+        self._radical: Optional[tuple[np.ndarray, tuple[int, ...]]] = None  # (mask, gens); see solvable_radical_set
+        self._quotient: Optional[GroupTable] = None
         self._cyclic: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._group_solvable: Optional[bool] = None
+        # (Sol mask per class id, reduction per mode), owned by solvabilizer.SolvabilizerIncidence
+        self._sol_caches: tuple[dict, dict] = ({}, {})
 
     # -- construction ------------------------------------------------------
 
@@ -233,9 +236,27 @@ class GroupTable:
         return _element_orders(self.imgs[classes.representatives])[classes.class_of]
 
     def solvable_radical_set(self) -> "ElementSet":
+        """R(G), computed at first use; a new ElementSet on each call, over one read-only mask.
+
+        The table keeps the radical's mask and generators, not the ElementSet,
+        whose ``owner`` would point back at the table: a table that none of
+        its caches (these, the quotient, ``_sol_caches``) point back at is
+        freed as soon as it is dropped.
+        """
         if self._radical is None:
-            self._radical = _compute_radical(self)
-        return self._radical
+            rad = _compute_radical(self)
+            rad.mask.flags.writeable = False
+            self._radical = rad.mask, tuple(rad.gens)
+        mask, gens = self._radical
+        return ElementSet(self, mask, is_subgroup=True, gens=list(gens))
+
+    def radical_quotient(self) -> Optional["GroupTable"]:
+        """G/R(G) by ``quotient_by``, built at first use; None when R(G) is trivial."""
+        if self._quotient is None:
+            radical = self.solvable_radical_set()
+            if len(radical) > 1:
+                self._quotient = quotient_by(self, radical)
+        return self._quotient
 
     def cyclic_generators(self) -> tuple[np.ndarray, np.ndarray]:
         """Power-map summary ``(canonical, inside_bigger)``; see _compute_cyclic_generators."""

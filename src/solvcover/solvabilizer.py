@@ -151,13 +151,18 @@ class SolvabilizerIncidence:
     ``reduce_instance`` hands out, its feasibility verdict, and the mode's
     unmerged candidate rows.  It is built once per table and mode, and every
     array in it is read-only.
+
+    The masks and reductions are cached on the table, and every incidence of
+    one table shares them.  The incidence holds the table, and the table
+    holds no incidence, so a dropped table is freed at once, not at a
+    generation-2 collection.
     """
 
     def __init__(self, table: GroupTable):
         self.table = table
         self.classes: ClassPartition = table.conjugacy_classes()
-        self._rep_sol: dict[int, np.ndarray] = {}
-        self._reductions: dict[bool, Reduction] = {}
+        # Sol mask per class id, reduction per mode (involutions_only)
+        self._rep_sol, self._reductions = table._sol_caches
 
     @property
     def radical(self) -> ElementSet:
@@ -241,12 +246,8 @@ def sol_of(table: GroupTable, x: int) -> ElementSet:
 
 
 def sol_incidence(table: GroupTable) -> SolvabilizerIncidence:
-    """Incidence structure, cached on the table."""
-    inc = getattr(table, "_incidence", None)
-    if inc is None:
-        inc = SolvabilizerIncidence(table)
-        table._incidence = inc
-    return inc
+    """Incidence structure over the masks and reductions cached on the table."""
+    return SolvabilizerIncidence(table)
 
 
 def union_check(incidence: SolvabilizerIncidence, involutions_only: bool = False) -> bool:

@@ -1,14 +1,16 @@
 import dataclasses
+import gc
 import json
 import math
 import random
+import weakref
 from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
 
 import solvcover as sc
-from solvcover import cover
+from solvcover import cover, group
 from solvcover.solvabilizer import CoverInstance
 from solvcover.theorems import Certificate, verify_certificate
 
@@ -485,7 +487,9 @@ def test_search_ascends_from_the_first_node(spec_text, mode, most):
     assert sc.solve_exact(golden_instance(spec_text, mode)).nodes <= most
 
 
-@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN)
+# PSL(2,16) and A7 in mode all: most picks alone cover a target and are never tried for a drop, but over ten
+# seeds 18 of 198 and 32 of 531 picks are tried, where on PGL(2,9) none are
+@pytest.mark.parametrize("spec_text,mode", FEASIBLE_GOLDEN + [("psl2(16)", "all"), ("alternating(7)", "all")])
 def test_greedy_cover_is_the_element_scan_greedy_minus_redundant_picks(spec_text, mode):
     inst = golden_instance(spec_text, mode)
     scan = oracles.element_scan_greedy(inst)
@@ -496,7 +500,7 @@ def test_greedy_cover_is_the_element_scan_greedy_minus_redundant_picks(spec_text
     assert hits.min() >= 1
     assert all((hits[inst.covers[index[x]]] == 1).any() for x in cert)
     # the randomized restarts are the same greedy with a weight per candidate
-    for seed in range(3):
+    for seed in range(10):
         rng = random.Random(seed)
         weights = [1 + cover._WEIGHT_SPREAD * rng.random() for _ in inst.candidates]
         picks = cover._Search(inst)._restart(random.Random(seed))
@@ -711,6 +715,33 @@ def test_solve_alpha_quotient_path(sl25):
     assert out.quotient_level
     inv = sc.solve_alpha(sl25, "involutions")
     assert inv.status == sc.INFEASIBLE
+
+
+def test_mode_all_solves_build_the_radical_quotient_once(monkeypatch):
+    table = sc.build(sc.gl2(5))
+    calls = []
+    quotient_by = group.quotient_by
+    monkeypatch.setattr(group, "quotient_by", lambda *args: calls.append(args) or quotient_by(*args))
+    first, second = sc.solve_alpha(table, "all"), sc.solve_alpha(table, "all")
+    assert len(calls) == 1 and table.radical_quotient() is table.radical_quotient()
+    assert first.quotient_level and second.quotient_level
+    assert outcome_key(first) == outcome_key(second) and (first.nodes, first.notes) == (second.nodes, second.notes)
+    assert [p.images.tolist() for p in first.certificate_perms] == [p.images.tolist() for p in second.certificate_perms]
+
+
+@pytest.mark.parametrize("spec_text", ["psl2(7)", "gl2(5)"])
+def test_a_solved_table_is_freed_without_the_cycle_collector(spec_text):
+    # no cache on the table (radical, quotient, Sol masks, reductions) points back at it
+    table = sc.build(sc.parse_spec(spec_text))
+    gc.disable()
+    try:
+        outcomes = [sc.solve_alpha(table, mode) for mode in ("all", "involutions")]
+        refs = [weakref.ref(t) for t in (table, table.radical_quotient()) if t is not None]
+        del table
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert all(out.status != sc.INTERVAL for out in outcomes)
+    finally:
+        gc.enable()
 
 
 def test_solve_alpha_psl29():

@@ -299,6 +299,12 @@ def test_radical_sl25_is_center(sl25):
     # and so does the normal-closure loop with no early stop
     mask, gens = oracles.radical_by_normal_closures(sl25)
     assert rad.mask.tobytes() == mask.tobytes() and rad.gens == gens
+    # each call wraps the table's one read-only mask; the gens list is the caller's own
+    with pytest.raises(ValueError):
+        rad.mask[0] = False
+    rad.gens.append(1)
+    again = sc.solvable_radical(sl25)
+    assert again is not rad and again.mask is rad.mask and again.gens == gens
 
 
 def test_radical_is_normal_solvable_and_quotient_fitting_free(sl25):
